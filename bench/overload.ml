@@ -2,24 +2,27 @@
 
    Calibrates the cluster's clean ABCAST delivery rate, then offers
    2x/5x/10x that rate from paced open-loop senders (one per site) for
-   a fixed window, in two configurations:
+   a fixed window, in three configurations:
 
    - [static]: the default tuning — no credits, fixed delayed ack,
      static origination window — with plain asynchronous [bcast], so
      overload piles into the ABCAST backlog;
+   - [default+bcast_wait]: the same default tuning with [bcast_wait],
+     so the derived admission limit (two origination windows of
+     undispatched ABCASTs) parks the senders instead of growing queues;
    - [flowctl]: adaptive tuning (AIMD window, RTT-derived delayed ack,
-     transport credits, [ab_queue_limit]) with [bcast_wait], so
-     admission control parks the senders instead of growing queues.
+     transport credits) with [bcast_wait], the admission limit
+     following the AIMD window.
 
    Per decile of the window we sample the queue-depth gauges
    (runtime.ab_queue / ab_inflight, transport.sendq_depth /
    credit_waiting, max over sites); per delivery we record latency from
    an origination stamp in the payload.  Acceptance, at 10x:
 
-   - flowctl sustained throughput >= static;
-   - flowctl queue gauges bounded: no gauge strictly grows across all
+   - every [bcast_wait] configuration sustains throughput >= static;
+   - their queue gauges are bounded: no gauge strictly grows across all
      deciles of the window;
-   - p99 delivery latency reported for both configurations.
+   - p99 delivery latency reported for every configuration.
 
      dune exec bench/main.exe -- overload
      dune exec bench/main.exe -- overload --smoke --json BENCH_overload.json *)
@@ -34,7 +37,6 @@ let flowctl_runtime_config =
   {
     d with
     Runtime.ab_adaptive = true;
-    ab_queue_limit = 64;
     endpoint =
       {
         d.Runtime.endpoint with
@@ -196,19 +198,23 @@ let run () =
   let base = calibrate ~sites in
   Printf.printf "calibrated clean ABCAST rate: %d msgs/s (aggregate, %d sites)\n%!" base sites;
   let mults = [ 2; 5; 10 ] in
+  (* (JSON key, label, runtime config, senders use [bcast_wait]) *)
+  let configs =
+    [
+      ("static", "static", None, false);
+      ("default_wait", "default+bcast_wait", None, true);
+      ("flowctl", "flowctl", Some flowctl_runtime_config, true);
+    ]
+  in
   let sweep =
     List.map
       (fun mult ->
         let offered = base * mult in
-        let static =
-          overload_run ~label:"static" ~runtime_config:None ~use_wait:false ~mult ~offered
-            ~duration_us ~sites
-        in
-        let flowctl =
-          overload_run ~label:"flowctl" ~runtime_config:(Some flowctl_runtime_config)
-            ~use_wait:true ~mult ~offered ~duration_us ~sites
-        in
-        (mult, static, flowctl))
+        ( mult,
+          List.map
+            (fun (key, label, runtime_config, use_wait) ->
+              (key, overload_run ~label ~runtime_config ~use_wait ~mult ~offered ~duration_us ~sites))
+            configs ))
       mults
   in
   let lat_cell = function
@@ -216,7 +222,7 @@ let run () =
     | Some l -> Printf.sprintf "%.1f / %.1f" l.Harness.median_ms l.Harness.p99_ms
   in
   let peak f r = List.fold_left (fun acc d -> max acc (f d)) 0 r.r_deciles in
-  let row (mult, r) =
+  let row mult (_, r) =
     [
       Printf.sprintf "%dx" mult;
       r.r_label;
@@ -238,20 +244,24 @@ let run () =
         "load"; "config"; "offered/s"; "msgs/s/member"; "lat ms (p50/p99)"; "peak ab_queue";
         "peak sendq"; "bp waits"; "bounded";
       ]
-    (List.concat_map (fun (mult, s, f) -> [ row (mult, s); row (mult, f) ]) sweep);
-  let _, static10, flowctl10 =
-    List.find (fun (m, _, _) -> m = 10) sweep
-  in
-  let tput_ok = flowctl10.r_msgs_per_s >= static10.r_msgs_per_s in
-  let bounded_ok = bounded_gauges flowctl10 in
+    (List.concat_map (fun (mult, runs) -> List.map (row mult) runs) sweep);
+  let runs10 = List.assoc 10 sweep in
+  let static10 = List.assoc "static" runs10 in
+  let waited10 = List.filter (fun (key, _) -> key <> "static") runs10 in
+  let tput_ok = List.for_all (fun (_, r) -> r.r_msgs_per_s >= static10.r_msgs_per_s) waited10 in
+  let bounded_ok = List.for_all (fun (_, r) -> bounded_gauges r) waited10 in
   let p99 r = match r.r_lat with Some l -> l.Harness.p99_ms | None -> Float.nan in
-  Printf.printf "10x: flowctl %.0f vs static %.0f msgs/s/member (acceptance: >=) %s\n"
-    flowctl10.r_msgs_per_s static10.r_msgs_per_s
-    (if tput_ok then "PASS" else "FAIL");
-  Printf.printf "10x: flowctl queue gauges bounded across deciles %s\n"
-    (if bounded_ok then "PASS" else "FAIL");
-  Printf.printf "10x p99 delivery latency: flowctl %.1f ms vs static %.1f ms\n" (p99 flowctl10)
-    (p99 static10);
+  List.iter
+    (fun (_, r) ->
+      Printf.printf "10x: %s %.0f vs static %.0f msgs/s/member (acceptance: >=) %s\n" r.r_label
+        r.r_msgs_per_s static10.r_msgs_per_s
+        (if r.r_msgs_per_s >= static10.r_msgs_per_s then "PASS" else "FAIL");
+      Printf.printf "10x: %s queue gauges bounded across deciles %s\n" r.r_label
+        (if bounded_gauges r then "PASS" else "FAIL"))
+    waited10;
+  Printf.printf "10x p99 delivery latency: %s\n"
+    (String.concat ", "
+       (List.map (fun (_, r) -> Printf.sprintf "%s %.1f ms" r.r_label (p99 r)) runs10));
 
   match !Harness.json_path with
   | None -> ()
@@ -302,19 +312,13 @@ let run () =
            ( "sweep",
              J.List
                (List.map
-                  (fun (mult, s, f) ->
-                    J.Obj
-                      [ ("mult", J.Int mult); ("static", run_json s); ("flowctl", run_json f) ])
+                  (fun (mult, runs) ->
+                    J.Obj (("mult", J.Int mult) :: List.map (fun (key, r) -> (key, run_json r)) runs))
                   sweep) );
            ( "acceptance",
              J.Obj
-               [
-                 ("tput_10x_static", J.Float static10.r_msgs_per_s);
-                 ("tput_10x_flowctl", J.Float flowctl10.r_msgs_per_s);
-                 ("tput_ok", J.Bool tput_ok);
-                 ("bounded_ok", J.Bool bounded_ok);
-                 ("p99_ms_static_10x", J.Float (p99 static10));
-                 ("p99_ms_flowctl_10x", J.Float (p99 flowctl10));
-               ] );
+               (List.map (fun (key, r) -> ("tput_10x_" ^ key, J.Float r.r_msgs_per_s)) runs10
+               @ [ ("tput_ok", J.Bool tput_ok); ("bounded_ok", J.Bool bounded_ok) ]
+               @ List.map (fun (key, r) -> ("p99_ms_" ^ key ^ "_10x", J.Float (p99 r))) runs10) );
          ]);
     Printf.printf "overload: JSON written to %s\n" path

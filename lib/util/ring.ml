@@ -1,5 +1,8 @@
 type 'a t = {
-  data : 'a option array;
+  cap : int;
+  mutable data : 'a option array;
+      (* grown by doubling up to [cap] on demand, so a ring that is
+         never pushed to (a tracer left disabled) allocates nothing *)
   mutable start : int; (* index of the oldest element *)
   mutable len : int;
   mutable lost : int;
@@ -7,28 +10,34 @@ type 'a t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { data = Array.make capacity None; start = 0; len = 0; lost = 0 }
+  { cap = capacity; data = [||]; start = 0; len = 0; lost = 0 }
 
-let capacity t = Array.length t.data
+let capacity t = t.cap
 let length t = t.len
 let evicted t = t.lost
 
 let push t x =
-  let cap = capacity t in
-  if t.len = cap then begin
+  if t.len = t.cap then begin
     (* overwrite the oldest *)
     t.data.(t.start) <- Some x;
-    t.start <- (t.start + 1) mod cap;
+    t.start <- (t.start + 1) mod t.cap;
     t.lost <- t.lost + 1
   end
   else begin
-    t.data.((t.start + t.len) mod cap) <- Some x;
+    (* Below capacity nothing was evicted yet: [start] is 0 and the
+       elements fill a prefix of [data]. *)
+    if t.len = Array.length t.data then begin
+      let data = Array.make (min t.cap (max 16 (2 * t.len))) None in
+      Array.blit t.data 0 data 0 t.len;
+      t.data <- data
+    end;
+    t.data.(t.len) <- Some x;
     t.len <- t.len + 1
   end
 
 let iter t f =
   for i = 0 to t.len - 1 do
-    match t.data.((t.start + i) mod capacity t) with
+    match t.data.((t.start + i) mod Array.length t.data) with
     | Some x -> f x
     | None -> ()
   done
@@ -39,6 +48,6 @@ let to_list t =
   List.rev !acc
 
 let clear t =
-  Array.fill t.data 0 (Array.length t.data) None;
+  t.data <- [||];
   t.start <- 0;
   t.len <- 0

@@ -30,7 +30,6 @@ type config = {
   ab_window : int;
   ab_window_min : int;
   ab_adaptive : bool;
-  ab_queue_limit : int;
   stability_gc : bool;
   clock_offset_us : int;
   minority_policy : minority_policy;
@@ -46,7 +45,6 @@ let default_config =
     ab_window = 16;
     ab_window_min = 2;
     ab_adaptive = false;
-    ab_queue_limit = 0;
     stability_gc = true;
     clock_offset_us = 0;
     minority_policy = Buffer;
@@ -104,6 +102,10 @@ and group = {
       (* ABCASTs accepted for origination but waiting for a pipeline
          slot: at most [ab_window] phase-1 rounds originated here may be
          outstanding at once *)
+  mutable ab_accepted : int;
+      (* ABCASTs [bcast] accepted that are still on the send CPU queue,
+         not yet handed to [origin_multicast]; with [ab_queue] this is
+         the backlog admission control bounds *)
   mutable ab_inflight : int;
   mutable ab_cwnd : int;
       (* AIMD window when [ab_adaptive]: additively grown by clean round
@@ -251,8 +253,9 @@ and t = {
   mon_refs : (int, int) Hashtbl.t;
   admission : Condition.t;
       (* originators blocked in [bcast_wait] sleep here; woken whenever
-         transport credit is refunded or the ABCAST pipeline dispatches
-         queued rounds *)
+         transport credit is refunded, an accepted ABCAST leaves the CPU
+         queue, the ABCAST pipeline dispatches queued rounds, or a group
+         copy goes away *)
   mutable cpu_free : int; (* backend µs *)
   mutable cpu_busy : int;
 }
@@ -1155,6 +1158,12 @@ and enqueue_abcast t g ~owner body =
   Queue.push (owner, body) g.ab_queue;
   dispatch_abcasts t g
 
+(* Queued ABCASTs die with the group copy; release any flusher waiting
+   on their origination. *)
+and drop_ab_queue g =
+  Queue.iter (fun (owner, _) -> init_done owner) g.ab_queue;
+  Queue.clear g.ab_queue
+
 and dispatch_abcasts t g =
   (* Burst dispatch.  Rounds launched in the same engine event share
      packets all the way around the protocol: their Ab_data frames
@@ -1662,8 +1671,7 @@ and partition_teardown t g ~new_view_id =
   (* Release every waiter parked on this copy. *)
   List.iter (fun (owner, _, _) -> init_done owner) (List.rev g.blocked_sends);
   g.blocked_sends <- [];
-  Queue.iter (fun (owner, _) -> init_done owner) g.ab_queue;
-  Queue.clear g.ab_queue;
+  drop_ab_queue g;
   List.iter
     (fun uid ->
       match Hashtbl.find_opt t.unstables uid with
@@ -1714,7 +1722,10 @@ and partition_teardown t g ~new_view_id =
     | [] -> Hashtbl.remove t.contacts gid_int
     | remaining -> Hashtbl.replace t.contacts gid_int remaining)
   | None -> ());
-  dir_drop_site t ~gid_int ~site:t.my_site
+  dir_drop_site t ~gid_int ~site:t.my_site;
+  (* Originators parked in [bcast_wait] on this copy re-check admission:
+     a group with no local copy is never backpressured. *)
+  Condition.broadcast t.admission
 
 and restart_change t g =
   (* A failure interrupted the flush: requeue the unprocessed batch and
@@ -2295,17 +2306,12 @@ and on_commit t ~src g_opt frame =
       List.iter (fun (owner, mode, body) -> origin_multicast t g mode ~owner body) blocked;
       replay_held t (gi group);
       (* 8. A group whose membership is empty dissolves. *)
-      let drop_ab_queue () =
-        (* Queued ABCASTs die with the group copy; release any flusher
-           waiting on their origination. *)
-        Queue.iter (fun (owner, _) -> init_done owner) g.ab_queue;
-        Queue.clear g.ab_queue
-      in
       if View.n_members new_view = 0 then begin
-        drop_ab_queue ();
+        drop_ab_queue g;
         List.iter (fun s -> mon_release t s) new_sites;
         Hashtbl.remove t.groups (gi group);
-        Hashtbl.remove t.contacts (gi group)
+        Hashtbl.remove t.contacts (gi group);
+        Condition.broadcast t.admission
       end
       else begin
         (* A suspicion that survived the change means the matching
@@ -2337,9 +2343,10 @@ and on_commit t ~src g_opt frame =
            drop its copy of the state (it will no longer receive
            commits). *)
         if local_members t g = [] then begin
-          drop_ab_queue ();
+          drop_ab_queue g;
           List.iter (fun s -> mon_release t s) new_sites;
-          Hashtbl.remove t.groups (gi group)
+          Hashtbl.remove t.groups (gi group);
+          Condition.broadcast t.admission
         end
       end
     in
@@ -2388,6 +2395,7 @@ and make_group t ~gid ~gname ~view =
     wedge = None;
     blocked_sends = [];
     ab_queue = Queue.create ();
+    ab_accepted = 0;
     ab_inflight = 0;
     ab_cwnd = max 1 t.cfg.ab_window;
     ab_grow = 0;
@@ -2834,6 +2842,8 @@ let register_metrics t =
         (fun _ g acc -> acc + Causal.dedup_residue g.causal + Total.dedup_residue g.total)
         t.groups 0);
   Metrics.gauge m "runtime.cpu_busy_us" (fun () -> t.cpu_busy);
+  Metrics.gauge m "runtime.ab_accepted" (fun () ->
+      Hashtbl.fold (fun _ g acc -> acc + g.ab_accepted) t.groups 0);
   Metrics.gauge m "runtime.ab_queue" (fun () ->
       Hashtbl.fold (fun _ g acc -> acc + Queue.length g.ab_queue) t.groups 0);
   Metrics.gauge m "runtime.ab_inflight" (fun () ->
@@ -3119,7 +3129,16 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
         in
         (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
         p.pending_inits <- p.pending_inits + 1;
-        on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () -> origin_multicast t g mode ~owner:(Some p) body);
+        (* An accepted ABCAST counts against admission from now until
+           the CPU queue hands it on, whichever way [origin_multicast]
+           then routes it; the wake-up follows the hand-off, so a woken
+           sender sees it in [ab_queue] or already dispatched. *)
+        let ab = mode = Abcast in
+        if ab then g.ab_accepted <- g.ab_accepted + 1;
+        on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+            if ab then g.ab_accepted <- g.ab_accepted - 1;
+            origin_multicast t g mode ~owner:(Some p) body;
+            if ab then Condition.broadcast t.admission);
         (match sess with
         | None -> Replies []
         | Some s -> Ivar.read s.done_ivar)
@@ -3149,11 +3168,18 @@ type send_verdict =
   | Backpressure of Addr.group_id
 
 (* A group is overloaded when its origination pipeline is saturated:
-   the ABCAST backlog hit the admission cap, or the transport is holding
-   frames for some member site on exhausted credit.  Only signals —
+   the ABCASTs accepted but not yet dispatched into the window (on the
+   send CPU queue or in [ab_queue]) reach two live windows, or the
+   transport is holding frames for some member site on exhausted
+   credit.  Two windows is one in flight plus one ready, so the
+   half-window bursts of [dispatch_abcasts] always find work; any more
+   only lengthens the FIFO CPU queue in front of the Ab_prio/Ab_commit
+   receptions that finish rounds, until new work starves them.  An
+   ungated window ([ab_window <= 0]) has no limit.  Only signals —
    nothing here blocks or drops. *)
 let group_overloaded t g =
-  (t.cfg.ab_queue_limit > 0 && Queue.length g.ab_queue >= t.cfg.ab_queue_limit)
+  (let window = current_ab_window t g in
+   window < max_int && g.ab_accepted + Queue.length g.ab_queue >= 2 * window)
   ||
   match t.ep with
   | Some ep -> List.exists (fun dst -> Endpoint.backpressured ep ~dst) (remote_member_sites t g)
@@ -3176,7 +3202,8 @@ let bcast_try p mode ~dest ~entry msg ~(want : want) =
   | None -> Admitted (bcast p mode ~dest ~entry msg ~want)
 
 (* Blocking admission: park the calling task until the overload clears
-   (credit refund or pipeline dispatch wakes [t.admission]), then send.
+   (a credit refund, a CPU-queue hand-off or a pipeline dispatch wakes
+   [t.admission]), then send.
    [on_backpressure] fires once when the call actually has to wait, so
    callers can count or log sheds without wrapping the call. *)
 let bcast_wait ?on_backpressure p mode ~dest ~entry msg ~(want : want) =
@@ -3197,10 +3224,8 @@ let ab_window_now t gid =
   match group_of t gid with
   | None -> None
   | Some g ->
-    Some
-      (if t.cfg.ab_window <= 0 then 0
-       else if t.cfg.ab_adaptive then g.ab_cwnd
-       else t.cfg.ab_window)
+    let window = current_ab_window t g in
+    Some (if window = max_int then 0 else window)
 
 (* The paper's mcast signature takes a destination LIST; replies from
    every group and process funnel into one session. *)

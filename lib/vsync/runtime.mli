@@ -77,13 +77,8 @@ type config = {
           [ab_window] ceiling, a transport RTO toward a member site
           halves it (once per congestion episode) down to
           [ab_window_min].  Default off; meaningless when
-          [ab_window <= 0]. *)
-  ab_queue_limit : int;
-      (** admission cap on the per-group ABCAST backlog: at or beyond
-          this many queued rounds the group reports overload through
-          {!bcast_try} / {!bcast_wait}.  [0] (default) = unbounded
-          admission ({!bcast} itself never blocks or drops either
-          way). *)
+          [ab_window <= 0].  The live window also sets the admission
+          limit of {!bcast_try} / {!bcast_wait}. *)
   stability_gc : bool;
       (** Garbage-collect delivery-dedup state from message stability
           (default [true]): once a multicast is {e stable} — every
@@ -284,21 +279,33 @@ val bcast_multi :
 type send_verdict =
   | Admitted of outcome  (** the send went through; the usual outcome. *)
   | Backpressure of Addr.group_id
-      (** the destination group is overloaded — ABCAST backlog at
-          [ab_queue_limit], or transport credit exhausted toward a
-          member site — and the message was {e not} sent. *)
+      (** the destination group is overloaded — its ABCAST backlog is
+          at the admission limit, or transport credit is exhausted
+          toward a member site — and the message was {e not} sent. *)
 
 (** [bcast_try] is {!bcast} with non-blocking admission control: if the
     destination group is overloaded it returns {!Backpressure} without
     sending, otherwise it behaves exactly like {!bcast}.  Process
     destinations and relayed (not locally visible) groups are never
-    backpressured. *)
+    backpressured.
+
+    The admission limit is derived, not configured: a group is
+    overloaded once the ABCASTs this site accepted for it but has not
+    yet dispatched into the origination window — still waiting on the
+    modelled send CPU, or queued for a window slot — reach twice the
+    live window ({!ab_window_now}; the AIMD value under [ab_adaptive]).
+    Two windows is one in flight plus one ready to launch, so the
+    half-window dispatch bursts never run dry; a longer backlog only
+    queues send CPU work in front of the protocol frames that finish
+    rounds.  With [ab_window <= 0] (ungated) there is no limit. *)
 val bcast_try :
   proc -> mode -> dest:Addr.t -> entry:Entry.t -> Message.t -> want:want -> send_verdict
 
 (** [bcast_wait] is {!bcast} with blocking admission control: the
     calling task parks until the overload clears (woken by transport
-    credit refunds and pipeline dispatches), then sends.
+    credit refunds, accepted ABCASTs leaving the send CPU queue, and
+    pipeline dispatches, including the one that follows a view
+    change), then sends.
     [on_backpressure gid] runs once if the call actually had to wait —
     the hook applications use to count shed/slowed requests.  Must run
     inside a task, like any blocking primitive. *)

@@ -124,14 +124,16 @@ let form_group w members =
   World.run w;
   gid
 
+let gauge_at w site name =
+  Option.value ~default:(-1)
+    (Vsync_obs.Metrics.read_int (Runtime.metrics (World.runtime w site)) name)
+
 let test_backpressure_fires_and_releases () =
-  (* ab_window = 1 serializes rounds; ab_queue_limit = 4 turns the
-     backlog into a typed verdict.  The flood saturates the queue, so
+  (* ab_window = 1 serializes rounds, so the derived admission limit is
+     two undispatched ABCASTs.  The flood saturates the queue, so
      bcast_try reports Backpressure; after the pipeline drains it
      admits again.  Same engine, same seed: fully deterministic. *)
-  let config =
-    { Runtime.default_config with Runtime.ab_window = 1; ab_queue_limit = 4 }
-  in
+  let config = { Runtime.default_config with Runtime.ab_window = 1 } in
   let w = World.create ~seed:0xF10CL ~runtime_config:config ~sites:3 () in
   let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
   let gid = form_group w members in
@@ -172,9 +174,91 @@ let test_backpressure_fires_and_releases () =
   | Some (Runtime.Backpressure _) -> Alcotest.fail "drained group still backpressured"
   | None -> Alcotest.fail "cold verdict missing");
   (* Quiescent hygiene: admission control left nothing queued. *)
-  let t0 = World.runtime w 0 in
-  Alcotest.(check int) "no queued rounds at quiescence" 0
-    (Option.value ~default:(-1) (Vsync_obs.Metrics.read_int (Runtime.metrics t0) "runtime.ab_queue"))
+  Alcotest.(check int) "no queued rounds at quiescence" 0 (gauge_at w 0 "runtime.ab_queue")
+
+let test_overload_admission_bounded () =
+  (* Default config, open-loop bcast_wait ABCASTs at ~10x the clean
+     capacity (97 msgs/s aggregate on this network and CPU model).
+     Without an admission limit every send's modelled CPU charge queues
+     ahead of the frames that finish rounds and throughput collapses to
+     a few msgs/s; the derived limit keeps the backlog within two
+     windows and the group delivering at full speed. *)
+  let sites = 3 and rate = 970 and window_us = 5_000_000 in
+  let w = World.create ~seed:0x10C5L ~sites () in
+  let members = Array.init sites (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
+  let gid = form_group w members in
+  let delivered = ref 0 in
+  Array.iter (fun m -> Runtime.bind m e_app (fun _ -> incr delivered)) members;
+  let t0 = World.now w in
+  let t_end = t0 + window_us in
+  let interval_us = 1_000_000 * sites / rate in
+  Array.iter
+    (fun p ->
+      World.run_task w p (fun () ->
+          let due = ref t0 in
+          while !due < t_end do
+            let now = World.now w in
+            if !due > now then Runtime.sleep p (!due - now);
+            ignore
+              (Runtime.bcast_wait p Types.Abcast ~dest:(Addr.Group gid) ~entry:e_app
+                 (Message.create ()) ~want:Types.No_reply);
+            due := !due + interval_us
+          done))
+    members;
+  let peak = ref 0 in
+  while World.now w < t_end do
+    World.run_for w 1_000;
+    for s = 0 to sites - 1 do
+      peak := max !peak (gauge_at w s "runtime.ab_queue")
+    done
+  done;
+  let per_member_s = float_of_int !delivered /. float_of_int sites /. (float_of_int window_us /. 1e6) in
+  let limit = (2 * Runtime.default_config.Runtime.ab_window) + 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ab_queue peak %d <= %d" !peak limit)
+    true (!peak <= limit);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f msgs/s per member >= 150" per_member_s)
+    true (per_member_s >= 150.0);
+  (* The senders' backlog drains, and admission leaves nothing behind. *)
+  World.run w;
+  for s = 0 to sites - 1 do
+    Alcotest.(check int) (Printf.sprintf "site %d: ab_accepted drained" s) 0
+      (gauge_at w s "runtime.ab_accepted");
+    Alcotest.(check int) (Printf.sprintf "site %d: ab_queue drained" s) 0
+      (gauge_at w s "runtime.ab_queue")
+  done
+
+let test_parked_sender_resumes_after_view_change () =
+  (* A member site crashes while a sender is parked at the admission
+     limit: the rounds in flight wait on the dead site's votes, so the
+     backlog cannot drain until the failure detector wedges the group,
+     the flush settles those rounds and the two-member view installs
+     and restarts the pipeline.  That dispatch must wake the sender. *)
+  let w = World.create ~seed:0xC4A5L ~sites:3 () in
+  let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
+  let gid = form_group w members in
+  let p = members.(0) in
+  let parked = ref 0 in
+  let resumed_in = ref None in
+  World.run_task w p (fun () ->
+      flood p gid ((2 * Runtime.default_config.Runtime.ab_window) + 16);
+      ignore
+        (Runtime.bcast_wait
+           ~on_backpressure:(fun _ -> incr parked)
+           p Types.Abcast ~dest:(Addr.Group gid) ~entry:e_app (Message.create ())
+           ~want:Types.No_reply);
+      resumed_in := Option.map View.n_members (Runtime.pg_view p gid));
+  World.crash_site w 2;
+  World.run w;
+  Alcotest.(check int) "sender parked at the limit" 1 !parked;
+  Alcotest.(check (option int)) "resumed in the two-member view" (Some 2) !resumed_in;
+  for s = 0 to 1 do
+    Alcotest.(check int) (Printf.sprintf "site %d: ab_accepted drained" s) 0
+      (gauge_at w s "runtime.ab_accepted");
+    Alcotest.(check int) (Printf.sprintf "site %d: ab_queue drained" s) 0
+      (gauge_at w s "runtime.ab_queue")
+  done
 
 (* --- AIMD window --- *)
 
@@ -221,7 +305,6 @@ let flowctl_config =
   {
     Runtime.default_config with
     Runtime.ab_adaptive = true;
-    ab_queue_limit = 64;
     endpoint =
       {
         Endpoint.default_config with
@@ -276,6 +359,10 @@ let suite =
     Alcotest.test_case "byte credits refund exactly" `Quick test_byte_credits_exact_refund;
     Alcotest.test_case "oversized message never wedges" `Quick test_oversized_message_never_wedges;
     Alcotest.test_case "backpressure fires and releases" `Quick test_backpressure_fires_and_releases;
+    Alcotest.test_case "10x overload: admission bounds the backlog" `Quick
+      test_overload_admission_bounded;
+    Alcotest.test_case "parked sender resumes after a view change" `Quick
+      test_parked_sender_resumes_after_view_change;
     Alcotest.test_case "AIMD shrinks on loss, regrows after heal" `Quick test_aimd_shrink_and_regrow;
     Alcotest.test_case "25-seed sweep: flow control on/off" `Slow test_sweep_on_off;
   ]

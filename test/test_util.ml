@@ -104,7 +104,8 @@ let test_ring () =
 
 let prop_ring_tail =
   QCheck.Test.make ~name:"ring keeps exactly the tail" ~count:200
-    QCheck.(pair (1 -- 8) (list int))
+    (* capacities past 16 exercise the on-demand growth *)
+    QCheck.(pair (1 -- 40) (list int))
     (fun (cap, xs) ->
       let r = Vsync_util.Ring.create ~capacity:cap in
       List.iter (Vsync_util.Ring.push r) xs;
