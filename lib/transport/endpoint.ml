@@ -631,22 +631,27 @@ and handle_ack t ~src ~gen ~upto =
        fusing sampling into the trim makes each ack O(acked) where the
        historical separate Karn scan was O(in-flight window).) *)
     let clean = ref true in
-    let refunded = ref false in
+    let trimmed = ref false in
     while (not (Queue.is_empty ch.unacked)) && (Queue.peek ch.unacked).seq <= upto do
       let m = Queue.pop ch.unacked in
       ch.fly_bytes <- ch.fly_bytes - m.cost_bytes;
       ch.fly_frames <- ch.fly_frames - List.length m.frames;
-      refunded := true;
+      trimmed := true;
       if m.attempts > 0 then clean := false
       else if !clean then Rtt.observe ch.out_rtt (now - m.first_sent_at)
     done;
-    if Queue.is_empty ch.unacked then begin
+    if !trimmed then begin
+      (* New data acked: restart the retransmission timer (RFC 6298
+         §5.3).  Left running, the timer armed for a message long since
+         acked fires under steady traffic and go-back-N resends the whole
+         window on a lossless path. *)
       Option.iter Backend.cancel ch.rto_timer;
-      ch.rto_timer <- None
-    end;
-    if !refunded && credits_enabled t then begin
-      drain_waitq t ~dst:src ch;
-      t.on_credit src
+      ch.rto_timer <- None;
+      arm_rto t ~dst:src ch;
+      if credits_enabled t then begin
+        drain_waitq t ~dst:src ch;
+        t.on_credit src
+      end
     end
 
 (* Record that [src] is owed a cumulative ack.  With delayed acks the

@@ -258,6 +258,13 @@ and t = {
          copy goes away *)
   mutable cpu_free : int; (* backend µs *)
   mutable cpu_busy : int;
+  send_jobs : int Queue.t;
+      (* send-path CPU jobs not yet finished, oldest first: the group of
+         a CBCAST, [-1] for any other send (kept only while packing) *)
+  mutable packed : (unit -> unit) list;
+      (* CBCAST originations held for their successor, newest first *)
+  mutable packed_bytes : int;
+  cb_held : Metrics.counter;
 }
 
 and fabric = {
@@ -426,6 +433,55 @@ let on_cpu t cost k =
   t.cpu_free <- finish;
   t.cpu_busy <- t.cpu_busy + cost;
   ignore (Backend.schedule_at t.bk finish (fun () -> if t.running then k ()))
+
+(* --- send packing ---
+
+   Every send-path CPU job goes through [on_send_cpu], which records it
+   in the site's FIFO of queued sends.  When a CBCAST's job finishes and
+   the next queued send is another CBCAST into the same group, its
+   origination is held and runs, in call order, in the same instant as
+   that successor's: a run of queued CBCASTs leaves together and shares
+   one packet per destination, so each receiver pays [cpu_recv_us] once
+   for the run instead of once per message.  Every message still pays
+   its full send cost; only the moment its frames leave changes.  Any
+   other send job releases the held originations first, so the site's
+   send order never changes, and the held bytes stay within one packet.
+   Packing is off where it cannot save a receive dispatch: no
+   per-packet receive cost, or a transport that does not coalesce. *)
+let packing t = t.cfg.cpu_recv_us > 0 && t.cfg.endpoint.Endpoint.coalesce
+
+let release_packed t =
+  let held = List.rev t.packed in
+  t.packed <- [];
+  t.packed_bytes <- 0;
+  List.iter (fun k -> k ()) held
+
+(* [cbcast] is [Some (gid, bytes)] for a CBCAST into a locally-visible
+   group. *)
+let on_send_cpu t ?cbcast cost k =
+  if not (packing t) then on_cpu t cost k
+  else begin
+    let group, bytes = Option.value cbcast ~default:(-1, 0) in
+    Queue.push group t.send_jobs;
+    (* A job queued by an earlier incarnation must not touch this one's
+       FIFO. *)
+    let epoch = Endpoint.epoch (endpoint t) in
+    on_cpu t cost (fun () ->
+        if Endpoint.epoch (endpoint t) = epoch then begin
+          ignore (Queue.pop t.send_jobs);
+          let cap = Backend.max_packet_bytes t.bk in
+          if group >= 0 && bytes <= cap && Queue.peek_opt t.send_jobs = Some group then begin
+            if t.packed_bytes + bytes > cap then release_packed t;
+            t.packed <- k :: t.packed;
+            t.packed_bytes <- t.packed_bytes + bytes;
+            Metrics.incr t.cb_held
+          end
+          else begin
+            release_packed t;
+            k ()
+          end
+        end)
+  end
 
 (* Frames that are "about" one multicast — the per-uid timeline raw
    material.  Control frames without a uid (directory, membership,
@@ -2862,6 +2918,7 @@ let register_metrics t =
       Endpoint.channel_failures (endpoint t))
 
 let create ?(config = default_config) fab ~site ~trace () =
+  let metrics = Metrics.create () in
   let t =
     {
       fab;
@@ -2871,7 +2928,7 @@ let create ?(config = default_config) fab ~site ~trace () =
       tracer = trace;
       ep = None;
       ctrs = Stats.Counter.create ();
-      metrics = Metrics.create ();
+      metrics;
       running = true;
       next_proc_idx = 0;
       next_useq = 0;
@@ -2898,6 +2955,10 @@ let create ?(config = default_config) fab ~site ~trace () =
       admission = Condition.create ();
       cpu_free = 0;
       cpu_busy = 0;
+      send_jobs = Queue.create ();
+      packed = [];
+      packed_bytes = 0;
+      cb_held = Metrics.counter metrics "runtime.cb_held";
     }
   in
   wire_endpoint t;
@@ -2930,6 +2991,9 @@ let crash t =
     Hashtbl.reset t.join_pending;
     Hashtbl.reset t.leave_waiters;
     Hashtbl.reset t.mon_refs;
+    Queue.clear t.send_jobs;
+    t.packed <- [];
+    t.packed_bytes <- 0;
     t.site_watchers <- [];
     Endpoint.crash (endpoint t)
   end
@@ -3094,7 +3158,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
           Some (open_session t ~want ~responders:(Some [ q ]) ~relay_site:None)
       in
       (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
-      on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+      on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
           if q.Addr.site = t.my_site then begin
             match find_proc t q with
             | Some target ->
@@ -3135,7 +3199,9 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
            sender sees it in [ab_queue] or already dispatched. *)
         let ab = mode = Abcast in
         if ab then g.ab_accepted <- g.ab_accepted + 1;
-        on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+        let size = Message.size body in
+        let cbcast = if mode = Cbcast then Some (gi gid, size) else None in
+        on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us size) (fun () ->
             if ab then g.ab_accepted <- g.ab_accepted - 1;
             origin_multicast t g mode ~owner:(Some p) body;
             if ab then Condition.broadcast t.admission);
@@ -3153,7 +3219,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
           in
           (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
           let session_id = Option.map (fun s -> s.sess_id) sess in
-          on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+          on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
               send_frame t ~dst:relay
                 (Proto.Relay { group = gid; mode; body; session = session_id; caller = p.addr }));
           (match sess with
@@ -3276,7 +3342,7 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
         Some (open_session t ~want ~responders:local_responders ~relay_site:None)
     in
     (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
-    on_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
         List.iter
           (fun dest ->
             match dest with
@@ -3331,7 +3397,7 @@ let do_reply p ~request answer ~null ~copy_to =
     Message.set_bool body f_is_reply true;
     if null then Message.set_bool body f_null true;
     clear_obligation t ~responder:p.addr ~session;
-    on_cpu t t.cfg.cpu_send_us (fun () ->
+    on_send_cpu t t.cfg.cpu_send_us (fun () ->
         if caller.Addr.site = t.my_site then on_reply_body t body
         else send_frame t ~dst:caller.Addr.site (Proto.Ptp { dest = caller; body }));
     (* Copies to cohorts (coordinator-cohort tool). *)

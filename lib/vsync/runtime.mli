@@ -127,9 +127,11 @@ val trace : t -> Vsync_sim.Trace.t
 
 (** [metrics t] is the site's unified metrics registry: the hygiene
     gauges ([runtime.pending_unstable], [runtime.pending_store],
-    [runtime.dedup_residue], …) and the transport wire accounting
+    [runtime.dedup_residue], …), the transport wire accounting
     ([transport.inflight], [transport.retransmits], …), sampled live by
-    name. *)
+    name, and the counter [runtime.cb_held]: CBCAST originations held
+    so that a run of queued CBCASTs into one group leaves in shared
+    packets. *)
 val metrics : t -> Vsync_obs.Metrics.t
 
 (** [cpu_busy_us t] is accumulated CPU busy time (for the load figures

@@ -77,4 +77,5 @@ let () =
       ("shard", Test_shard.suite);
       ("backend", Test_backend.suite);
       ("flowctl", Test_flowctl.suite);
+      ("packing", Test_packing.suite);
     ]

@@ -170,7 +170,12 @@ let test_no_hang_on_dead_responder () =
    and again within that work for the partition-hardening fixes
    (revocable suspicions, past-view wedge fencing, wedge-refusal echo,
    origin-side GBCAST retention), which change recovery interleavings
-   on the faulty seed; the clean-run digest is unchanged throughout.) *)
+   on the faulty seed; the clean-run digest is unchanged throughout.
+   Regenerated once more when cumulative acks began restarting the
+   retransmission timer, which ends spurious go-back-N resends and
+   changes the faulty seed's interleaving: same sent count, every one
+   of the 116 now delivered at all three members (348, was 239), zero
+   violations.) *)
 let test_scenario_trace_digests () =
   let digest (r : Scenario.result) =
     Digest.to_hex (Digest.string (Format.asprintf "%a" Oracle.pp_history r.oracle))
@@ -184,9 +189,9 @@ let test_scenario_trace_digests () =
          ~seed:0xD16E57L ())
   in
   Alcotest.(check int) "faulty run: sent" 116 r.sent;
-  Alcotest.(check int) "faulty run: delivered" 239 r.delivered;
+  Alcotest.(check int) "faulty run: delivered" 348 r.delivered;
   Alcotest.(check int) "faulty run: no violations" 0 (List.length r.violations);
-  Alcotest.(check string) "faulty run: trace digest" "2408068808997495fee2048893ea2f1f" (digest r);
+  Alcotest.(check string) "faulty run: trace digest" "57339c7c86598bb96466234e0d54b412" (digest r);
   let r2 =
     run_exn (Scenario.run ~sites:4 ~horizon_us:4_000_000 ~settle_us:10_000_000 ~plan:[] ~seed:42L ())
   in

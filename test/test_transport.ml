@@ -303,6 +303,25 @@ let test_karn_ignores_ambiguous_rtt () =
       (srtt < 50_000)
   | None -> Alcotest.fail "outbound channel disappeared"
 
+let test_steady_stream_never_retransmits () =
+  (* A message every 5 ms for 2 s over a lossless 16 ms link: the
+     window never empties, so only restarting the retransmission timer
+     on every cumulative ack (RFC 6298 §5.3) keeps a timer armed for a
+     long-acked message from firing and resending the window. *)
+  let e, _n, eps = setup () in
+  let log = collect eps.(1) in
+  sink eps.(0);
+  let n = 400 in
+  for tag = 1 to n do
+    ignore
+      (Engine.schedule e ~delay:(tag * 5_000) (fun () ->
+           Endpoint.send eps.(0) ~dst:1 { tag; size = 100 }))
+  done;
+  Engine.run ~until:5_000_000 e;
+  Alcotest.(check int) "all delivered" n (List.length !log);
+  Alcotest.(check int) "no retransmissions" 0 (Endpoint.retransmits eps.(0));
+  Alcotest.(check int) "window drained" 0 (Endpoint.inflight eps.(0))
+
 let test_rtt_adapts_to_slow_peer () =
   (* An overloaded (slow) site pushes the timeout up rather than being
      declared dead: timeout always exceeds the observed RTT level. *)
@@ -335,4 +354,6 @@ let suite =
     Alcotest.test_case "karn ignores ambiguous rtt" `Quick test_karn_ignores_ambiguous_rtt;
     Alcotest.test_case "rtt estimator" `Quick test_rtt_estimator;
     Alcotest.test_case "rtt adapts to slow peer" `Quick test_rtt_adapts_to_slow_peer;
+    Alcotest.test_case "steady stream never retransmits" `Quick
+      test_steady_stream_never_retransmits;
   ]
