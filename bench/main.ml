@@ -10,14 +10,11 @@
    msgpath wire soak shard parallel overload.
 
    Flags (consumed before experiment names):
-     --json PATH    JSON-capable experiments (msgpath, wire, soak) write
-                    results there
+     --json PATH    JSON-capable experiments (faults, msgpath, wire,
+                    soak, shard, parallel, overload) write results there
      --trace-out P  stream the typed event layer of every harness
                     cluster to P as JSONL
      --smoke        reduced iteration counts, for CI perf tracking
-     --no-coalesce  run with the historical wire behaviour (no frame
-                    coalescing, ack per delivery, ABCAST window 1) for
-                    A/B comparisons
      --gc-stats     record the peak live heap (max_live_words) in every
                     JSON artifact
      --jobs N       run sweep points of parallel-capable experiments
@@ -61,9 +58,6 @@ let () =
       exit 2
     | "--smoke" :: rest ->
       Harness.smoke := true;
-      parse rest
-    | "--no-coalesce" :: rest ->
-      Harness.no_coalesce := true;
       parse rest
     | "--gc-stats" :: rest ->
       Harness.gc_stats := true;

@@ -4,15 +4,14 @@
    2x/5x/10x that rate from paced open-loop senders (one per site) for
    a fixed window, in three configurations:
 
-   - [static]: the default tuning — no credits, fixed delayed ack,
-     static origination window — with plain asynchronous [bcast], so
-     overload piles into the ABCAST backlog;
-   - [default+bcast_wait]: the same default tuning with [bcast_wait],
+   - [static]: the default configuration (no transport credits) with
+     plain asynchronous [bcast], so overload piles into the ABCAST
+     backlog;
+   - [default+bcast_wait]: the same configuration with [bcast_wait],
      so the derived admission limit (two origination windows of
      undispatched ABCASTs) parks the senders instead of growing queues;
-   - [flowctl]: adaptive tuning (AIMD window, RTT-derived delayed ack,
-     transport credits) with [bcast_wait], the admission limit
-     following the AIMD window.
+   - [credits]: the default configuration plus per-destination
+     transport credits, with [bcast_wait].
 
    Per decile of the window we sample the queue-depth gauges
    (runtime.ab_queue / ab_inflight, transport.sendq_depth /
@@ -24,6 +23,8 @@
      deciles of the window;
    - p99 delivery latency reported for every configuration.
 
+   The run exits 1 if either acceptance check fails.
+
      dune exec bench/main.exe -- overload
      dune exec bench/main.exe -- overload --smoke --json BENCH_overload.json *)
 
@@ -32,16 +33,14 @@ module Addr = Vsync_msg.Addr
 module Message = Vsync_msg.Message
 module Metrics = Vsync_obs.Metrics
 
-let flowctl_runtime_config =
+let credits_runtime_config =
   let d = Runtime.default_config in
   {
     d with
-    Runtime.ab_adaptive = true;
-    endpoint =
+    Runtime.endpoint =
       {
         d.Runtime.endpoint with
-        Vsync_transport.Endpoint.adaptive_ack = true;
-        credit_bytes = 64 * 1024;
+        Vsync_transport.Endpoint.credit_bytes = 64 * 1024;
         credit_frames = 64;
       };
   }
@@ -88,7 +87,6 @@ type run_result = {
   r_msgs_per_s : float;  (* delivered per member per sim-second *)
   r_lat : Harness.latency_stats option;
   r_waits : int;  (* bcast_wait calls that had to park *)
-  r_ab_window : int option;  (* live window at the end (flowctl) *)
   r_deciles : decile_sample list;
 }
 
@@ -172,7 +170,6 @@ let overload_run ~label ~runtime_config ~use_wait ~mult ~offered ~duration_us ~s
       /. (float_of_int duration_us /. 1_000_000.0);
     r_lat = Harness.latency_stats !lats;
     r_waits = !waits;
-    r_ab_window = Runtime.ab_window_now (World.runtime w 0) c.Harness.gid;
     r_deciles = List.rev !deciles;
   }
 
@@ -203,7 +200,7 @@ let run () =
     [
       ("static", "static", None, false);
       ("default_wait", "default+bcast_wait", None, true);
-      ("flowctl", "flowctl", Some flowctl_runtime_config, true);
+      ("credits", "credits", Some credits_runtime_config, true);
     ]
   in
   let sweep =
@@ -263,7 +260,7 @@ let run () =
     (String.concat ", "
        (List.map (fun (_, r) -> Printf.sprintf "%s %.1f ms" r.r_label (p99 r)) runs10));
 
-  match !Harness.json_path with
+  (match !Harness.json_path with
   | None -> ()
   | Some path ->
     let module J = Harness.Json in
@@ -295,9 +292,6 @@ let run () =
               ("median_ms", J.Float l.Harness.median_ms); ("p99_ms", J.Float l.Harness.p99_ms);
               ("max_ms", J.Float l.Harness.max_ms);
             ])
-        @ (match r.r_ab_window with
-          | Some n -> [ ("ab_window_final", J.Int n) ]
-          | None -> [])
         @ [ ("bounded_gauges", J.Bool (bounded_gauges r));
             ("deciles", J.List (List.map decile_json r.r_deciles)) ])
     in
@@ -321,4 +315,5 @@ let run () =
                @ [ ("tput_ok", J.Bool tput_ok); ("bounded_ok", J.Bool bounded_ok) ]
                @ List.map (fun (key, r) -> ("p99_ms_" ^ key ^ "_10x", J.Float (p99 r))) runs10) );
          ]);
-    Printf.printf "overload: JSON written to %s\n" path
+    Printf.printf "overload: JSON written to %s\n" path);
+  if not (tput_ok && bounded_ok) then exit 1

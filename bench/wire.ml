@@ -1,9 +1,5 @@
 (* Wire efficiency: what frame coalescing, delayed/piggybacked acks and
-   the pipelined ABCAST window buy on the wire.
-
-   Two experiments, each run A/B against the historical configuration
-   (one frame per packet, a dedicated ack per delivery, no ABCAST
-   origination gate — [Harness.legacy_runtime_config]):
+   the pipelined ABCAST window cost and buy on the wire.
 
    - CBCAST flood: one member floods asynchronous CBCASTs at a
      3-member group and we count data frames, dedicated ack frames and
@@ -13,9 +9,8 @@
    - ABCAST window sweep: one member floods asynchronous ABCASTs at a
      5-member group; virtual-time throughput (deliveries per simulated
      second over all members, the same metric as bench/msgpath.ml) as
-     the origination window grows from 1 to 16.  The legacy row — no
-     origination gate, no coalescing — is the pre-rework reference
-     point, the flat ~190 msgs/s plateau of BENCH_msgpath.json. *)
+     the origination window grows from 1 to 16, relative to window 1
+     (fully serialized rounds). *)
 
 open Vsync_core
 module Addr = Vsync_msg.Addr
@@ -146,13 +141,9 @@ let run () =
   let ab_n = if !Harness.smoke then 40 else 200 in
   let flood_sites = 3 and ab_sites = 5 in
 
-  let legacy = cbcast_flood ~runtime_config:Harness.legacy_runtime_config ~sites:flood_sites flood_n in
   let dflt = cbcast_flood ~sites:flood_sites flood_n in
-  let fpd_legacy = frames_per_delivered legacy and fpd_dflt = frames_per_delivered dflt in
-  let reduction = 100.0 *. (1.0 -. (fpd_dflt /. fpd_legacy)) in
-  let row label (r : flood_result) =
+  let row (r : flood_result) =
     [
-      label;
       string_of_int r.delivered;
       string_of_int r.wire.data;
       string_of_int r.wire.acks;
@@ -167,26 +158,22 @@ let run () =
       (Printf.sprintf "CBCAST flood (%d msgs, %d sites, 256 B payload): wire cost per delivery"
          flood_n flood_sites)
     ~header:
-      [ "config"; "delivered"; "data frames"; "ack frames"; "packets"; "frames/dlv"; "acks/data"; "wire B/payload B" ]
-    [ row "legacy (no coalesce)" legacy; row "default (coalesce)" dflt ];
-  Printf.printf "data+ack frames per delivered: %.2f -> %.2f (%.0f%% reduction)\n" fpd_legacy
-    fpd_dflt reduction;
+      [ "delivered"; "data frames"; "ack frames"; "packets"; "frames/dlv"; "acks/data"; "wire B/payload B" ]
+    [ row dflt ];
 
   let windows = [ 1; 2; 4; 8; 16 ] in
-  let legacy_rate, legacy_wire =
-    abcast_rate ~runtime_config:Harness.legacy_runtime_config ~sites:ab_sites ab_n
-  in
   let sweep =
     List.map
       (fun win -> (win, abcast_rate ~runtime_config:(windowed win) ~sites:ab_sites ab_n))
       windows
   in
-  let sweep_row label (rate, wire) =
+  let rate_at win = try fst (List.assoc win sweep) with Not_found -> nan in
+  let serial_rate = rate_at 1 in
+  let sweep_row win (rate, wire) =
     [
-      label;
-      (if label = "none" then "legacy" else "coalescing");
+      string_of_int win;
       Printf.sprintf "%.0f" rate;
-      Printf.sprintf "%.2fx" (rate /. legacy_rate);
+      Printf.sprintf "%.2fx" (rate /. serial_rate);
       string_of_int wire.packets;
       Printf.sprintf "%.2f" (float_of_int (wire.data + wire.acks) /. float_of_int (max 1 wire.packets));
     ]
@@ -196,13 +183,11 @@ let run () =
       (Printf.sprintf
          "ABCAST stream (%d msgs, %d sites): virtual delivered msgs/s vs origination window"
          ab_n ab_sites)
-    ~header:[ "window"; "endpoint"; "msgs/s (virtual)"; "vs legacy"; "packets"; "frames/pkt" ]
-    (sweep_row "none" (legacy_rate, legacy_wire)
-    :: List.map (fun (win, r) -> sweep_row (string_of_int win) r) sweep);
-  let rate_at win = try fst (List.assoc win sweep) with Not_found -> nan in
-  Printf.printf "default window (%d) speedup over legacy: %.2fx (acceptance: >= 2x with window >= 4)\n"
-    Runtime.default_config.Runtime.ab_window
-    (rate_at Runtime.default_config.Runtime.ab_window /. legacy_rate);
+    ~header:[ "window"; "msgs/s (virtual)"; "vs window 1"; "packets"; "frames/pkt" ]
+    (List.map (fun (win, r) -> sweep_row win r) sweep);
+  let default_window = Runtime.default_config.Runtime.ab_window in
+  Printf.printf "default window (%d) speedup over window 1: %.2fx\n" default_window
+    (rate_at default_window /. serial_rate);
 
   match !Harness.json_path with
   | None -> ()
@@ -234,16 +219,13 @@ let run () =
                [
                  ("sites", J.Int flood_sites);
                  ("msgs", J.Int flood_n);
-                 ("legacy", flood_json legacy);
                  ("default", flood_json dflt);
-                 ("frames_per_delivered_reduction_pct", J.Float reduction);
                ] );
            ( "abcast_window",
              J.Obj
                [
                  ("sites", J.Int ab_sites);
                  ("msgs", J.Int ab_n);
-                 ("legacy_msgs_per_s", J.Float legacy_rate);
                  ( "sweep",
                    J.List
                      (List.map
@@ -252,7 +234,7 @@ let run () =
                             [
                               ("window", J.Int win);
                               ("msgs_per_s", J.Float rate);
-                              ("speedup", J.Float (rate /. legacy_rate));
+                              ("speedup_vs_window1", J.Float (rate /. serial_rate));
                               ("packets", J.Int wire.packets);
                               ( "frames_per_packet",
                                 J.Float
@@ -260,10 +242,9 @@ let run () =
                                   /. float_of_int (max 1 wire.packets)) );
                             ])
                         sweep) );
-                 ("speedup_window4", J.Float (rate_at 4 /. legacy_rate));
-                 ( "speedup_default_window",
-                   J.Float (rate_at Runtime.default_config.Runtime.ab_window /. legacy_rate) );
-                 ("default_window", J.Int Runtime.default_config.Runtime.ab_window);
+                 ( "speedup_default_window_vs_window1",
+                   J.Float (rate_at default_window /. serial_rate) );
+                 ("default_window", J.Int default_window);
                ] );
          ]);
     Printf.printf "wire: JSON written to %s\n" path

@@ -9,33 +9,27 @@ type config = {
   suspect_after : int;
   frame_header_bytes : int;
   max_retransmits : int;
-  coalesce : bool;
-  min_rto_us : int;
-  delayed_ack_us : int;
-  adaptive_ack : bool;
   credit_bytes : int;
   credit_frames : int;
 }
 
 let default_config =
-  let min_rto_us = Rtt.default_min_timeout_us in
   {
     ping_interval_us = 500_000;
     suspect_after = 4;
     frame_header_bytes = 24;
     max_retransmits = 16;
-    coalesce = true;
-    min_rto_us;
-    (* Long enough for the next protocol-level send (one cpu_send_us
-       apart, ~6 ms) to carry the ack instead, yet derived from the
-       retransmission-timeout floor so the "delayed ack fires before
-       any RTO" relationship cannot be silently inverted by retuning
-       one constant: 4/5 of a 10 ms floor is the historical 8 ms. *)
-    delayed_ack_us = min_rto_us * 4 / 5;
-    adaptive_ack = false;
     credit_bytes = 0;
     credit_frames = 0;
   }
+
+(* How long a receiver waits for reverse data to carry its cumulative
+   ack before sending a dedicated [Ack] frame.  Long enough for the next
+   protocol-level send (one cpu_send_us apart, ~6 ms) to carry the ack
+   instead, yet derived from the retransmission-timeout floor so the
+   "delayed ack fires before any RTO" relationship cannot be silently
+   inverted by retuning one constant: 4/5 of a 10 ms floor is 8 ms. *)
+let ack_timer_us = Rtt.default_min_timeout_us * 4 / 5
 
 (* [gen] is the channel generation: bumped by the sender when it gives
    up on a channel (retransmission budget exhausted), so that post-heal
@@ -133,9 +127,6 @@ type 'p t = {
   mutable on_failure : site -> unit;
   mutable on_recovery : site -> unit;
   mutable on_peer_restart : site -> unit;
-  mutable on_congestion : site -> unit;
-      (* an RTO fired toward the site: the path is losing or slow.
-         The runtime's adaptive ABCAST window listens here. *)
   mutable on_credit : site -> unit;
       (* a cumulative ack refunded credit toward the site; blocked
          originators may retry. *)
@@ -179,7 +170,6 @@ let create ?(config = default_config) fabric ~site ~size () =
       on_failure = (fun _ -> ());
       on_recovery = (fun _ -> ());
       on_peer_restart = (fun _ -> ());
-      on_congestion = (fun _ -> ());
       on_credit = (fun _ -> ());
       outs = Hashtbl.create 8;
       ins = Hashtbl.create 8;
@@ -217,7 +207,6 @@ let trace_transport t mk =
 let set_failure_handler t f = t.on_failure <- f
 let set_recovery_handler t f = t.on_recovery <- f
 let set_restart_handler t f = t.on_peer_restart <- f
-let set_congestion_handler t f = t.on_congestion <- f
 let set_credit_handler t f = t.on_credit <- f
 let frames_sent t = t.n_frames_sent
 let acks_sent t = t.n_acks_sent
@@ -271,14 +260,14 @@ let cancel_ack_timer ch =
    delayed-ack timer shot: the reverse traffic has carried the ack. *)
 let stamp_ack t ~dst frame =
   match frame with
-  | Data d when t.cfg.delayed_ack_us > 0 -> (
+  | Data d -> (
     match Hashtbl.find_opt t.ins dst with
     | Some ch ->
       d.ack_gen <- ch.in_gen;
       d.ack_upto <- ch.next_deliver - 1;
       ch.ack_owed <- false
     | None -> ())
-  | Data _ | Ack _ | Ping _ | Pong _ -> ()
+  | Ack _ | Ping _ | Pong _ -> ()
 
 let account_frame t = function
   | Data _ -> t.n_frames_sent <- t.n_frames_sent + 1
@@ -300,50 +289,28 @@ let msg_cost t p =
   let sizes = frame_plan t p in
   (List.fold_left (fun acc c -> acc + c + t.cfg.frame_header_bytes) 0 sizes, List.length sizes)
 
-(* With [adaptive_ack], the delayed-ack timer tracks the live Karn RTT
-   estimate of the reverse data channel instead of the static constant:
-   half an RTT is long enough for reverse traffic to carry the
-   piggyback, short enough to refund sender credit promptly on fast
-   paths.  The static [delayed_ack_us] (itself derived from the RTO
-   floor) remains the ceiling, so the ack always beats the minimum
-   RTO. *)
-let ack_delay_us t ~src =
-  if not t.cfg.adaptive_ack then t.cfg.delayed_ack_us
-  else
-    match Hashtbl.find_opt t.outs src with
-    | Some ch when Rtt.samples ch.out_rtt > 0 ->
-      let floor_us = max 500 (t.cfg.min_rto_us / 10) in
-      min t.cfg.delayed_ack_us (max floor_us (Rtt.srtt_us ch.out_rtt / 2))
-    | Some _ | None -> t.cfg.delayed_ack_us
-
 (* Forward declaration dance: transmit needs handle_packet of the peer. *)
 let rec transmit t ~dst frame =
-  if t.is_alive then
-    if not t.cfg.coalesce then begin
-      stamp_ack t ~dst frame;
-      account_frame t frame;
-      send_packet t ~dst [ frame ] ~bytes:(frame_bytes t frame)
+  if t.is_alive then begin
+    let q =
+      match Hashtbl.find_opt t.sendqs dst with
+      | Some q -> q
+      | None ->
+        let q = { sq = Queue.create (); flush_scheduled = false } in
+        Hashtbl.replace t.sendqs dst q;
+        q
+    in
+    Queue.push frame q.sq;
+    if not q.flush_scheduled then begin
+      q.flush_scheduled <- true;
+      let my_epoch = t.my_epoch in
+      ignore
+        (Backend.schedule (backend t) ~delay:0 (fun () ->
+             q.flush_scheduled <- false;
+             if t.is_alive && t.my_epoch = my_epoch then flush_sendq t ~dst q
+             else Queue.clear q.sq))
     end
-    else begin
-      let q =
-        match Hashtbl.find_opt t.sendqs dst with
-        | Some q -> q
-        | None ->
-          let q = { sq = Queue.create (); flush_scheduled = false } in
-          Hashtbl.replace t.sendqs dst q;
-          q
-      in
-      Queue.push frame q.sq;
-      if not q.flush_scheduled then begin
-        q.flush_scheduled <- true;
-        let my_epoch = t.my_epoch in
-        ignore
-          (Backend.schedule (backend t) ~delay:0 (fun () ->
-               q.flush_scheduled <- false;
-               if t.is_alive && t.my_epoch = my_epoch then flush_sendq t ~dst q
-               else Queue.clear q.sq))
-      end
-    end
+  end
 
 and flush_sendq t ~dst q =
   let max_bytes = Backend.max_packet_bytes t.fabric.fbk in
@@ -395,7 +362,7 @@ and out_chan t dst =
         waitq = Queue.create ();
         fly_bytes = 0;
         fly_frames = 0;
-        out_rtt = Rtt.create ~min_timeout_us:t.cfg.min_rto_us ();
+        out_rtt = Rtt.create ();
         rto_timer = None;
       }
     in
@@ -477,7 +444,6 @@ and arm_rto t ~dst ch =
 and retransmit t ~dst ch =
   if not (Queue.is_empty ch.unacked) then begin
     Rtt.backoff ch.out_rtt;
-    t.on_congestion dst;
     let exhausted =
       Queue.fold (fun acc m -> acc || m.attempts + 1 > t.cfg.max_retransmits) false ch.unacked
     in
@@ -654,36 +620,27 @@ and handle_ack t ~src ~gen ~upto =
       end
     end
 
-(* Record that [src] is owed a cumulative ack.  With delayed acks the
-   dedicated frame goes out only if no reverse data frame has carried
-   the ack when the (short, well under the minimum RTO) timer fires. *)
+(* Record that [src] is owed a cumulative ack.  The dedicated frame goes
+   out only if no reverse data frame has carried the ack when the
+   (short, well under the minimum RTO) delayed-ack timer fires. *)
 and note_ack_owed t ~src ch =
-  if t.cfg.delayed_ack_us <= 0 then begin
-    (match t.tracer with
-    | Some tr when Tracer.wants tr Event.Transport ->
-      Tracer.emit tr (Event.Ack_send { site = t.my_site; dst = src; upto = ch.next_deliver - 1 })
-    | Some _ | None -> ());
-    transmit t ~dst:src (Ack { epoch = t.my_epoch; gen = ch.in_gen; upto = ch.next_deliver - 1 })
-  end
-  else begin
-    ch.ack_owed <- true;
-    if ch.ack_timer = None then begin
-      let my_epoch = t.my_epoch in
-      ch.ack_timer <-
-        Some
-          (Backend.schedule (backend t) ~delay:(ack_delay_us t ~src) (fun () ->
-               ch.ack_timer <- None;
-               if t.is_alive && t.my_epoch = my_epoch && ch.ack_owed then begin
-                 ch.ack_owed <- false;
-                 (match t.tracer with
-                 | Some tr when Tracer.wants tr Event.Transport ->
-                   Tracer.emit tr
-                     (Event.Ack_send { site = t.my_site; dst = src; upto = ch.next_deliver - 1 })
-                 | Some _ | None -> ());
-                 transmit t ~dst:src
-                   (Ack { epoch = t.my_epoch; gen = ch.in_gen; upto = ch.next_deliver - 1 })
-               end))
-    end
+  ch.ack_owed <- true;
+  if ch.ack_timer = None then begin
+    let my_epoch = t.my_epoch in
+    ch.ack_timer <-
+      Some
+        (Backend.schedule (backend t) ~delay:ack_timer_us (fun () ->
+             ch.ack_timer <- None;
+             if t.is_alive && t.my_epoch = my_epoch && ch.ack_owed then begin
+               ch.ack_owed <- false;
+               (match t.tracer with
+               | Some tr when Tracer.wants tr Event.Transport ->
+                 Tracer.emit tr
+                   (Event.Ack_send { site = t.my_site; dst = src; upto = ch.next_deliver - 1 })
+               | Some _ | None -> ());
+               transmit t ~dst:src
+                 (Ack { epoch = t.my_epoch; gen = ch.in_gen; upto = ch.next_deliver - 1 })
+             end))
   end
 
 and handle_data t ~src ~gen ~seq ~frag ~nfrags ~payload ~sink =
@@ -846,7 +803,7 @@ let monitor t ~site =
   if t.is_alive && not (Hashtbl.mem t.monitors site) && site <> t.my_site then begin
     let mon =
       {
-        mon_rtt = Rtt.create ~min_timeout_us:t.cfg.min_rto_us ();
+        mon_rtt = Rtt.create ();
         missed = 0;
         outstanding = None;
         mon_timer = None;

@@ -17,25 +17,21 @@
 
     {2 Wire efficiency: coalescing and piggybacked acks}
 
-    With [coalesce] on, frames are not sent one per packet: each
-    destination has a staging queue flushed by a zero-delay engine
-    callback, so every frame generated by one runtime event for the same
-    destination (a multicast fan-out, an ack plus a retransmission, …)
-    is packed into shared network packets up to the network's
-    [max_packet_bytes].  The receiving endpoint processes a packet's
-    frames in order and hands {e all} payloads it completed to the
-    receiver in one batch, letting the layer above charge its
-    per-interrupt cost once per packet.
+    Frames are not sent one per packet: each destination has a staging
+    queue flushed by a zero-delay engine callback, so every frame
+    generated by one runtime event for the same destination (a
+    multicast fan-out, an ack plus a retransmission, …) is packed into
+    shared network packets up to the network's [max_packet_bytes].  The
+    receiving endpoint processes a packet's frames in order and hands
+    {e all} payloads it completed to the receiver in one batch, letting
+    the layer above charge its per-interrupt cost once per packet.
 
-    Acks are cumulative and, with [delayed_ack_us > 0], piggybacked:
-    every outgoing data frame carries the sender's current cumulative
-    ack for its inbound channel from that destination, and the dedicated
-    [Ack] frame is sent by a short delayed-ack timer only when no
-    reverse traffic carried it first.  The delay must stay well under
-    the minimum retransmission timeout ({!Rtt}), which the defaults
-    respect.  Setting [coalesce = false] and [delayed_ack_us = 0]
-    restores the historical one-frame-per-packet, ack-per-delivery
-    behaviour (the benchmarks' [--no-coalesce] baseline).
+    Acks are cumulative and piggybacked: every outgoing data frame
+    carries the sender's current cumulative ack for its inbound channel
+    from that destination, and the dedicated [Ack] frame is sent by a
+    short delayed-ack timer (8 ms, 4/5 of the minimum retransmission
+    timeout {!Rtt.default_min_timeout_us}) only when no reverse traffic
+    carried it first.
 
     {2 Retransmission exhaustion}
 
@@ -77,24 +73,6 @@ type config = {
   suspect_after : int;      (** consecutive lost pings before declaring failure. *)
   frame_header_bytes : int; (** per-frame header charged to the wire. *)
   max_retransmits : int;    (** give up resending after this many attempts. *)
-  coalesce : bool;
-      (** pack same-destination frames from one engine event into shared
-          network packets (default on). *)
-  min_rto_us : int;
-      (** retransmission-timeout floor fed to every channel's {!Rtt}
-          estimator (default {!Rtt.default_min_timeout_us}). *)
-  delayed_ack_us : int;
-      (** piggyback cumulative acks on reverse data frames and delay the
-          dedicated ack frame by this much; [0] sends a dedicated ack on
-          every delivery progress (the historical behaviour).  The
-          default is derived from [min_rto_us] ([* 4 / 5]) so the "ack
-          fires before any RTO" relationship survives retuning either
-          knob. *)
-  adaptive_ack : bool;
-      (** shrink the delayed-ack timer toward half the live smoothed RTT
-          of the reverse data channel (floored, capped at
-          [delayed_ack_us]) — acks come back faster on fast paths, which
-          is what refunds sender credit (default off). *)
   credit_bytes : int;
       (** per-destination credit budget in wire bytes: sends beyond it
           wait in a FIFO queue until cumulative acks refund credit.
@@ -155,11 +133,6 @@ val send : 'p t -> dst:site -> 'p -> unit
     at least one payload for [dst] is waiting on credit — the signal
     originators should throttle on. *)
 val backpressured : _ t -> dst:site -> bool
-
-(** [set_congestion_handler t f] runs [f dst] each time a retransmission
-    timeout fires toward [dst] — the path is losing or slow.  The
-    runtime's adaptive ABCAST window shrinks on this signal. *)
-val set_congestion_handler : _ t -> (site -> unit) -> unit
 
 (** [set_credit_handler t f] runs [f dst] each time a cumulative ack
     from [dst] refunds credit (after the wait queue has been drained
@@ -228,8 +201,8 @@ val retransmits : _ t -> int
     (piggybacked acks ride data frames and are not counted). *)
 val acks_sent : _ t -> int
 
-(** [packets_sent t] counts network packets — with coalescing on, one
-    packet can carry several frames. *)
+(** [packets_sent t] counts network packets — one packet can carry
+    several coalesced frames. *)
 val packets_sent : _ t -> int
 
 (** [channel_failures t] counts outbound channels abandoned after

@@ -3,20 +3,14 @@ type t = {
   mutable rttvar : float;
   mutable shift : int; (* exponential backoff exponent *)
   mutable n : int;
-  min_timeout : float; (* per-estimator RTO floor, µs *)
 }
 
 let default_min_timeout_us = 10_000
+let min_timeout_us = float_of_int default_min_timeout_us
 let max_timeout_us = 10_000_000.0
 
-let create ?(initial_us = 50_000) ?(min_timeout_us = default_min_timeout_us) () =
-  {
-    srtt = float_of_int initial_us;
-    rttvar = float_of_int initial_us /. 2.0;
-    shift = 0;
-    n = 0;
-    min_timeout = float_of_int min_timeout_us;
-  }
+let create ?(initial_us = 50_000) () =
+  { srtt = float_of_int initial_us; rttvar = float_of_int initial_us /. 2.0; shift = 0; n = 0 }
 
 let observe t rtt_us =
   let rtt = float_of_int rtt_us in
@@ -38,7 +32,7 @@ let rttvar_us t = int_of_float t.rttvar
 let timeout_us t =
   let base = t.srtt +. (4.0 *. t.rttvar) in
   let scaled = base *. float_of_int (1 lsl t.shift) in
-  int_of_float (Float.min max_timeout_us (Float.max t.min_timeout scaled))
+  int_of_float (Float.min max_timeout_us (Float.max min_timeout_us scaled))
 
 let backoff t = if t.shift < 10 then t.shift <- t.shift + 1
 

@@ -9,15 +9,13 @@
 
 type t
 
-(** The default retransmission-timeout floor (µs).  Other timers that
-    must stay {e under} the RTO (the transport's delayed ack) are
-    derived from this constant rather than hardcoded next to it. *)
+(** The retransmission-timeout floor (µs).  Other timers that must stay
+    {e under} the RTO (the transport's delayed ack) are derived from
+    this constant rather than hardcoded next to it. *)
 val default_min_timeout_us : int
 
-(** [create ~initial_us ()] seeds the estimator with a guess.
-    [min_timeout_us] floors {!timeout_us} (default
-    {!default_min_timeout_us}). *)
-val create : ?initial_us:int -> ?min_timeout_us:int -> unit -> t
+(** [create ~initial_us ()] seeds the estimator with a guess. *)
+val create : ?initial_us:int -> unit -> t
 
 (** [observe t rtt_us] folds in a measurement. *)
 val observe : t -> int -> unit
@@ -28,8 +26,8 @@ val srtt_us : t -> int
 (** [rttvar_us t] is the smoothed mean deviation. *)
 val rttvar_us : t -> int
 
-(** [timeout_us t] is [srtt + 4*rttvar], floored at the estimator's
-    [min_timeout_us] — the per-probe suspicion/retransmission
+(** [timeout_us t] is [srtt + 4*rttvar], floored at
+    {!default_min_timeout_us} — the per-probe suspicion/retransmission
     timeout. *)
 val timeout_us : t -> int
 

@@ -28,9 +28,6 @@ type config = {
   cpu_us_per_kb : int;
   cpu_us_per_extra_packet : int;
   ab_window : int;
-  ab_window_min : int;
-  ab_adaptive : bool;
-  stability_gc : bool;
   clock_offset_us : int;
   minority_policy : minority_policy;
   endpoint : Endpoint.config;
@@ -43,9 +40,6 @@ let default_config =
     cpu_us_per_kb = 700;
     cpu_us_per_extra_packet = 8_000;
     ab_window = 16;
-    ab_window_min = 2;
-    ab_adaptive = false;
-    stability_gc = true;
     clock_offset_us = 0;
     minority_policy = Buffer;
     endpoint = Endpoint.default_config;
@@ -107,16 +101,6 @@ and group = {
          not yet handed to [origin_multicast]; with [ab_queue] this is
          the backlog admission control bounds *)
   mutable ab_inflight : int;
-  mutable ab_cwnd : int;
-      (* AIMD window when [ab_adaptive]: additively grown by clean round
-         completions up to the [ab_window] ceiling, halved on transport
-         congestion (an RTO toward a member site), floored at
-         [ab_window_min] *)
-  mutable ab_grow : int; (* clean commits accumulated toward the next +1 *)
-  mutable ab_cooldown : bool;
-      (* a shrink already happened since the last clean commit: further
-         RTOs in the same loss burst must not multiplicatively collapse
-         the window (one halving per congestion episode, as in TCP) *)
   mutable g_monitors : (proc * (View.t -> View.change list -> unit)) list;
   mutable join_validator : (proc * (Addr.proc -> Message.t -> bool)) option;
   mutable suspects : Int_set.t;
@@ -447,8 +431,8 @@ let on_cpu t cost k =
    other send job releases the held originations first, so the site's
    send order never changes, and the held bytes stay within one packet.
    Packing is off where it cannot save a receive dispatch: no
-   per-packet receive cost, or a transport that does not coalesce. *)
-let packing t = t.cfg.cpu_recv_us > 0 && t.cfg.endpoint.Endpoint.coalesce
+   per-packet receive cost. *)
+let packing t = t.cfg.cpu_recv_us > 0
 
 let release_packed t =
   let held = List.rev t.packed in
@@ -624,47 +608,6 @@ let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 
 let remote_member_sites t g =
   List.filter (fun s -> s <> t.my_site) (View.sites g.view)
-
-(* --- adaptive ABCAST window (AIMD) --- *)
-
-(* The live origination window: static [ab_window] unless [ab_adaptive],
-   in which case the per-group AIMD estimate (the static value is the
-   ceiling, [ab_window_min] the floor).  [ab_window <= 0] stays
-   ungated. *)
-let current_ab_window t g =
-  if t.cfg.ab_window <= 0 then max_int
-  else if t.cfg.ab_adaptive then max 1 g.ab_cwnd
-  else t.cfg.ab_window
-
-(* Additive increase: one clean round completion per current-window's
-   worth of commits grows the window by one, up to the static ceiling.
-   Any completion also ends the congestion cooldown — the next RTO is a
-   fresh episode. *)
-let aimd_on_commit t g =
-  g.ab_cooldown <- false;
-  if t.cfg.ab_adaptive && t.cfg.ab_window > 0 && g.ab_cwnd < t.cfg.ab_window then begin
-    g.ab_grow <- g.ab_grow + 1;
-    if g.ab_grow >= g.ab_cwnd then begin
-      g.ab_grow <- 0;
-      g.ab_cwnd <- min t.cfg.ab_window (g.ab_cwnd + 1)
-    end
-  end
-
-(* Multiplicative decrease, driven by the transport's congestion signal
-   (an RTO fired toward [s]): halve the window of every group whose
-   fan-out includes [s].  [ab_cooldown] limits the shrink to one halving
-   per loss episode — a retransmission burst fires many RTOs for the
-   same underlying congestion. *)
-let on_transport_congestion t s =
-  if t.cfg.ab_adaptive && t.cfg.ab_window > 0 then
-    Hashtbl.iter
-      (fun _ g ->
-        if (not g.ab_cooldown) && s <> t.my_site && List.mem s (View.sites g.view) then begin
-          g.ab_cwnd <- max (max 1 t.cfg.ab_window_min) (g.ab_cwnd / 2);
-          g.ab_grow <- 0;
-          g.ab_cooldown <- true
-        end)
-      t.groups
 
 let remember_contacts t gid sites =
   Hashtbl.replace t.contacts (gi gid) sites
@@ -977,19 +920,18 @@ and on_stable t gid uid =
    engine's watermark could cover a uid of that protocol still in
    flight. *)
 and note_stabilized t g uid =
-  if t.cfg.stability_gc then
-    match Uid_map.find_opt uid g.store with
-    | Some (Proto.Scb _) ->
-      Causal.stabilized g.causal uid;
-      let tr = Trace.obs t.tracer in
-      if Obs_tracer.wants tr Obs_event.Proto then
-        Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-    | Some (Proto.Sab _) ->
-      Total.stabilized g.total uid;
-      let tr = Trace.obs t.tracer in
-      if Obs_tracer.wants tr Obs_event.Proto then
-        Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-    | None -> ()
+  match Uid_map.find_opt uid g.store with
+  | Some (Proto.Scb _) ->
+    Causal.stabilized g.causal uid;
+    let tr = Trace.obs t.tracer in
+    if Obs_tracer.wants tr Obs_event.Proto then
+      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
+  | Some (Proto.Sab _) ->
+    Total.stabilized g.total uid;
+    let tr = Trace.obs t.tracer in
+    if Obs_tracer.wants tr Obs_event.Proto then
+      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
+  | None -> ()
 
 (* --- sessions (reply collection) --- *)
 
@@ -1232,13 +1174,10 @@ and dispatch_abcasts t g =
      of at least half the window: a burst goes out when that many
      slots are free and the backlog can fill them (two half-window
      bursts then overlap, so the originator never idles waiting for a
-     round trip), or when the pipeline drains entirely.  [ab_window <=
-     0] disables the origination gate (the pre-window behaviour: every
-     round launches immediately).  With [ab_adaptive] the window is the
-     live AIMD estimate instead of the static value. *)
-  let window = current_ab_window t g in
+     round trip), or when the pipeline drains entirely. *)
+  let window = t.cfg.ab_window in
   let free = window - g.ab_inflight in
-  let quantum = if window = max_int then 1 else (window + 1) / 2 in
+  let quantum = (window + 1) / 2 in
   if
     g.wedge = None
     && (not (Queue.is_empty g.ab_queue))
@@ -1336,7 +1275,6 @@ and on_ab_prio t ~src uid prio =
               (remote_member_sites t g);
             Total.commit g.total ~uid final;
             drain_group t g;
-            aimd_on_commit t g;
             (* The freed slot (and any others freed by this same packet)
                dispatches the next queued round(s). *)
             dispatch_abcasts t g
@@ -2453,9 +2391,6 @@ and make_group t ~gid ~gname ~view =
     ab_queue = Queue.create ();
     ab_accepted = 0;
     ab_inflight = 0;
-    ab_cwnd = max 1 t.cfg.ab_window;
-    ab_grow = 0;
-    ab_cooldown = false;
     g_monitors = [];
     join_validator = None;
     suspects = Int_set.empty;
@@ -2876,9 +2811,8 @@ let wire_endpoint t =
      the incarnation change as a site failure.  The revived site rejoins
      groups explicitly, like any newcomer. *)
   Endpoint.set_restart_handler ep (fun s -> if t.running then on_site_down ~certain:true t s);
-  (* Close the flow-control loop: RTOs shrink the adaptive ABCAST
-     window, credit refunds wake originators blocked in [bcast_wait]. *)
-  Endpoint.set_congestion_handler ep (fun s -> if t.running then on_transport_congestion t s);
+  (* Close the flow-control loop: credit refunds wake originators
+     blocked in [bcast_wait]. *)
   Endpoint.set_credit_handler ep (fun _ -> if t.running then Condition.broadcast t.admission)
 
 (* The hygiene gauges live in the registry under stable names, so
@@ -2918,6 +2852,9 @@ let register_metrics t =
       Endpoint.channel_failures (endpoint t))
 
 let create ?(config = default_config) fab ~site ~trace () =
+  (* A window below one slot would park every ABCAST in [ab_queue]
+     forever, silently. *)
+  if config.ab_window < 1 then invalid_arg "Runtime.create: ab_window must be >= 1";
   let metrics = Metrics.create () in
   let t =
     {
@@ -3235,17 +3172,15 @@ type send_verdict =
 
 (* A group is overloaded when its origination pipeline is saturated:
    the ABCASTs accepted but not yet dispatched into the window (on the
-   send CPU queue or in [ab_queue]) reach two live windows, or the
+   send CPU queue or in [ab_queue]) reach two windows, or the
    transport is holding frames for some member site on exhausted
    credit.  Two windows is one in flight plus one ready, so the
    half-window bursts of [dispatch_abcasts] always find work; any more
    only lengthens the FIFO CPU queue in front of the Ab_prio/Ab_commit
-   receptions that finish rounds, until new work starves them.  An
-   ungated window ([ab_window <= 0]) has no limit.  Only signals —
-   nothing here blocks or drops. *)
+   receptions that finish rounds, until new work starves them.  Only
+   signals — nothing here blocks or drops. *)
 let group_overloaded t g =
-  (let window = current_ab_window t g in
-   window < max_int && g.ab_accepted + Queue.length g.ab_queue >= 2 * window)
+  g.ab_accepted + Queue.length g.ab_queue >= 2 * t.cfg.ab_window
   ||
   match t.ep with
   | Some ep -> List.exists (fun dst -> Endpoint.backpressured ep ~dst) (remote_member_sites t g)
@@ -3282,16 +3217,6 @@ let bcast_wait ?on_backpressure p mode ~dest ~entry msg ~(want : want) =
     done
   | None -> ());
   bcast p mode ~dest ~entry msg ~want
-
-(* Live origination window of a locally-visible group: the AIMD value
-   when adaptive, the static config otherwise, [0] meaning ungated.
-   Test/diagnostic surface for the flow-control suite. *)
-let ab_window_now t gid =
-  match group_of t gid with
-  | None -> None
-  | Some g ->
-    let window = current_ab_window t g in
-    Some (if window = max_int then 0 else window)
 
 (* The paper's mcast signature takes a destination LIST; replies from
    every group and process funnel into one session. *)

@@ -67,28 +67,9 @@ type config = {
           together coalesce into shared packets — phase-1 fan-out,
           the members' prio replies, and the phase-2 commit fan-out
           each collapse to one packet per destination per burst.
-          1 fully serializes rounds; [<= 0] disables the gate (every
-          round launches immediately, the historical behaviour). *)
-  ab_window_min : int;
-      (** floor of the adaptive window (see [ab_adaptive]); default 2. *)
-  ab_adaptive : bool;
-      (** size the origination window by AIMD instead of the static
-          value: clean round completions grow it additively up to the
-          [ab_window] ceiling, a transport RTO toward a member site
-          halves it (once per congestion episode) down to
-          [ab_window_min].  Default off; meaningless when
-          [ab_window <= 0].  The live window also sets the admission
-          limit of {!bcast_try} / {!bcast_wait}. *)
-  stability_gc : bool;
-      (** Garbage-collect delivery-dedup state from message stability
-          (default [true]): once a multicast is {e stable} — every
-          destination received it, the same trigger that already GCs
-          the retransmission store — the engines' per-origin-site
-          dedup watermarks advance past it, so long-lived views run in
-          bounded memory and late duplicates are rejected by integer
-          comparison.  [false] reverts to the historical behaviour
-          (dedup records accumulate for the life of the view); kept
-          for the soak bench's A/B comparison. *)
+          1 fully serializes rounds; default 16.  The window also sets
+          the admission limit of {!bcast_try} / {!bcast_wait}.
+          {!create} rejects a window below 1. *)
   clock_offset_us : int;
       (** this site's wall-clock skew from true simulation time
           (unknown to the site itself; the real-time tool estimates
@@ -115,7 +96,8 @@ val make_fabric : Vsync_backend.Backend.t -> fabric
 val fabric_backend : fabric -> Vsync_backend.Backend.t
 
 (** [create ?config fabric ~site ~trace ()] boots the site's protocols
-    process. *)
+    process.
+    @raise Invalid_argument if [config.ab_window < 1]. *)
 val create :
   ?config:config -> fabric -> site:int -> trace:Vsync_sim.Trace.t -> unit -> t
 
@@ -295,11 +277,10 @@ type send_verdict =
     overloaded once the ABCASTs this site accepted for it but has not
     yet dispatched into the origination window — still waiting on the
     modelled send CPU, or queued for a window slot — reach twice the
-    live window ({!ab_window_now}; the AIMD value under [ab_adaptive]).
-    Two windows is one in flight plus one ready to launch, so the
-    half-window dispatch bursts never run dry; a longer backlog only
-    queues send CPU work in front of the protocol frames that finish
-    rounds.  With [ab_window <= 0] (ungated) there is no limit. *)
+    origination window ([config.ab_window]).  Two windows is one in
+    flight plus one ready to launch, so the half-window dispatch bursts
+    never run dry; a longer backlog only queues send CPU work in front
+    of the protocol frames that finish rounds. *)
 val bcast_try :
   proc -> mode -> dest:Addr.t -> entry:Entry.t -> Message.t -> want:want -> send_verdict
 
@@ -314,11 +295,6 @@ val bcast_try :
 val bcast_wait :
   ?on_backpressure:(Addr.group_id -> unit) ->
   proc -> mode -> dest:Addr.t -> entry:Entry.t -> Message.t -> want:want -> outcome
-
-(** [ab_window_now t gid] is the live ABCAST origination window of a
-    locally-visible group: the AIMD value under [ab_adaptive], the
-    static config otherwise, [0] meaning ungated. *)
-val ab_window_now : t -> Addr.group_id -> int option
 
 (** [reply p ~request answer] answers a message delivered to [p] that
     carries a session (1 asynchronous CBCAST, 1 destination). *)
@@ -373,9 +349,11 @@ val pending_sessions : t -> int
 val pending_store : t -> int
 
 (** [dedup_residue t] — delivery-dedup records not yet covered by a
-    stability watermark, across all groups.  With {!config.stability_gc}
-    this drains to zero at quiescence; without it, it grows with every
-    multicast the view ever carried. *)
+    stability watermark, across all groups.  Once a multicast is
+    {e stable} (every destination received it, the trigger that also
+    GCs the retransmission store) the engines' per-origin-site
+    watermarks advance past it, so this drains to zero at
+    quiescence. *)
 val dedup_residue : t -> int
 
 (** [state_stats t] — labelled sizes of every per-group protocol-state

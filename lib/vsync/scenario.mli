@@ -36,8 +36,8 @@ type result = {
     as values rather than aborting the whole sweep.
 
     [?runtime_config] overrides every site's runtime configuration (the
-    flow-control sweep A/Bs credit + adaptive-window configs against
-    the default under identical seeds). *)
+    flow-control sweep A/Bs a transport-credit config against the
+    default under identical seeds). *)
 val run :
   ?sites:int ->
   ?horizon_us:int ->

@@ -1,9 +1,10 @@
-(* Flow control and adaptive wire tuning: per-destination credit
-   budgets on the transport (replenished by cumulative acks), typed
-   backpressure from the runtime to originators, and the AIMD ABCAST
-   origination window.  Everything here is deterministic — fixed seeds
-   on the simulator — and the 25-seed sweep at the end A/Bs the whole
-   stack against the historical static tuning under the nemesis. *)
+(* Flow control: per-destination credit budgets on the transport
+   (replenished by cumulative acks), typed backpressure from the
+   runtime to originators, and the ABCAST origination window that
+   derives the admission limit.  Everything here is deterministic —
+   fixed seeds on the simulator — and the 25-seed sweep at the end A/Bs
+   transport credits against the default configuration under the
+   nemesis. *)
 
 open Vsync_core
 module Engine = Vsync_sim.Engine
@@ -260,70 +261,35 @@ let test_parked_sender_resumes_after_view_change () =
       (gauge_at w s "runtime.ab_queue")
   done
 
-(* --- AIMD window --- *)
+let test_window_below_one_rejected () =
+  (* Every ABCAST would park forever behind a window with no slots. *)
+  let config = { Runtime.default_config with Runtime.ab_window = 0 } in
+  Alcotest.check_raises "ab_window = 0"
+    (Invalid_argument "Runtime.create: ab_window must be >= 1") (fun () ->
+      ignore (World.create ~seed:1L ~runtime_config:config ~sites:1 ()))
 
-let test_aimd_shrink_and_regrow () =
-  (* Loss (a partition window with rounds in flight) fires RTOs: the
-     adaptive window halves once per congestion episode.  After the
-     heal, clean commits grow it additively back to the static
-     ceiling. *)
-  let config = { Runtime.default_config with Runtime.ab_window = 8; ab_adaptive = true } in
-  let w = World.create ~seed:0xA1BDL ~runtime_config:config ~sites:2 () in
-  let members = Array.init 2 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
-  let gid = form_group w members in
-  let t0 = World.runtime w 0 in
-  let window () = Option.value ~default:(-1) (Runtime.ab_window_now t0 gid) in
-  Alcotest.(check int) "starts at the static ceiling" 8 (window ());
-  World.run_task w members.(0) (fun () -> flood members.(0) gid 10);
-  World.run_for w 200_000;
-  (* Partition with rounds in flight: no acks, RTOs back off. *)
-  World.partition w [ 0 ] [ 1 ];
-  World.run_for w 1_200_000;
-  let shrunk = window () in
-  Alcotest.(check bool)
-    (Printf.sprintf "window shrank under loss (now %d)" shrunk)
-    true (shrunk < 8);
-  Alcotest.(check bool) "but not below the floor" true (shrunk >= config.Runtime.ab_window_min);
-  World.heal w;
-  (* Clean traffic after the heal: additive growth reopens the window.
-     Sustained load keeps probing — an occasional marginal RTT still
-     fires an RTO and re-halves, which is AIMD's equilibrium, so the
-     assertion is strict regrowth above the congestion value rather
-     than pinning the ceiling. *)
-  World.run_task w members.(0) (fun () -> flood members.(0) gid 60);
-  World.run w;
-  World.run_task w members.(0) (fun () -> flood members.(0) gid 40);
-  World.run w;
-  Alcotest.(check bool)
-    (Printf.sprintf "regrew after heal (now %d > %d)" (window ()) shrunk)
-    true
-    (window () > shrunk)
+(* --- 25-seed oracle sweep: transport credits on vs off --- *)
 
-(* --- 25-seed oracle sweep: flow control on vs off --- *)
-
-let flowctl_config =
+(* A budget small enough to bind under the scenario's traffic: a
+   64 KB / 64-frame budget never fills there, and its histories equal
+   the credit-free ones. *)
+let credits_config =
   {
     Runtime.default_config with
-    Runtime.ab_adaptive = true;
-    endpoint =
-      {
-        Endpoint.default_config with
-        Endpoint.adaptive_ack = true;
-        credit_bytes = 64 * 1024;
-        credit_frames = 64;
-      };
+    Runtime.endpoint =
+      { Endpoint.default_config with Endpoint.credit_bytes = 2048; credit_frames = 4 };
   }
 
 let digest (r : Scenario.result) =
   Digest.to_hex (Digest.string (Format.asprintf "%a" Oracle.pp_history r.oracle))
 
 let test_sweep_on_off () =
-  (* Every seed runs the nemesis scenario twice: historical static
-     tuning (flow control off — the config-less baseline) and the full
-     flow-control stack.  Both must satisfy every oracle invariant.
-     The off-run must be bit-identical to the baseline that doesn't
-     thread a config at all: feature-off means digest-locked traces
-     are untouched. *)
+  (* Every seed runs the nemesis scenario twice: the default
+     configuration (credits off — the config-less baseline) and the
+     same with transport credits.  Both must satisfy every oracle
+     invariant.  The off-run must be bit-identical to the baseline that
+     doesn't thread a config at all: feature-off means digest-locked
+     traces are untouched. *)
   for s = 1 to 25 do
     let seed = Int64.of_int (1000 + s) in
     let run cfg =
@@ -343,14 +309,18 @@ let test_sweep_on_off () =
     Alcotest.(check string)
       (Printf.sprintf "seed %Ld: explicit default config is bit-identical" seed)
       (digest off) (digest off');
-    let on = run (Some flowctl_config) in
+    let on = run (Some credits_config) in
     Alcotest.(check int)
       (Printf.sprintf "seed %Ld on: no violations" seed)
       0
       (List.length on.violations);
     Alcotest.(check bool)
       (Printf.sprintf "seed %Ld on: traffic made progress" seed)
-      true (on.delivered > 0)
+      true (on.delivered > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %Ld on: credits changed the history" seed)
+      false
+      (String.equal (digest on) (digest off))
   done
 
 let suite =
@@ -363,6 +333,6 @@ let suite =
       test_overload_admission_bounded;
     Alcotest.test_case "parked sender resumes after a view change" `Quick
       test_parked_sender_resumes_after_view_change;
-    Alcotest.test_case "AIMD shrinks on loss, regrows after heal" `Quick test_aimd_shrink_and_regrow;
+    Alcotest.test_case "ab_window below 1 rejected" `Quick test_window_below_one_rejected;
     Alcotest.test_case "25-seed sweep: flow control on/off" `Slow test_sweep_on_off;
   ]

@@ -8,7 +8,6 @@ open Vsync_core
 module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
-module Endpoint = Vsync_transport.Endpoint
 module Tracer = Vsync_obs.Tracer
 module Event = Vsync_obs.Event
 module Metrics = Vsync_obs.Metrics
@@ -210,10 +209,11 @@ let test_packed_bytes_capped () =
       Alcotest.(check (list int)) (Printf.sprintf "site %d: FIFO" s) (List.init 10 succ) (List.rev l))
     log
 
-let unpacked config () =
-  (* With no per-packet receive cost, or no coalescing, packing cannot
-     save a receive dispatch: each CBCAST leaves at the end of its own
-     job, exactly as before. *)
+let test_no_recv_cost_unpacked () =
+  (* With no per-packet receive cost, packing cannot save a receive
+     dispatch: each CBCAST leaves at the end of its own job, exactly as
+     before. *)
+  let config = { Runtime.default_config with Runtime.cpu_recv_us = 0 } in
   let w, members, _, log, send = setup ~config () in
   let events = capture w in
   World.run_task w members.(0) (fun () ->
@@ -237,16 +237,6 @@ let unpacked config () =
   Array.iteri
     (fun s l -> Alcotest.(check (list int)) (Printf.sprintf "site %d: FIFO" s) [ 1; 2 ] (List.rev l))
     log
-
-let test_no_recv_cost_unpacked =
-  unpacked { Runtime.default_config with Runtime.cpu_recv_us = 0 }
-
-let test_no_coalesce_unpacked =
-  unpacked
-    {
-      Runtime.default_config with
-      Runtime.endpoint = { Endpoint.default_config with Endpoint.coalesce = false };
-    }
 
 let test_crash_forgets_held () =
   (* Three CBCASTs queued; the site crashes once the first is held and
@@ -290,6 +280,5 @@ let suite =
     Alcotest.test_case "reply after CBCASTs keeps call order" `Quick test_reply_keeps_call_order;
     Alcotest.test_case "held bytes capped at one packet" `Quick test_packed_bytes_capped;
     Alcotest.test_case "no receive cost: unpacked" `Quick test_no_recv_cost_unpacked;
-    Alcotest.test_case "no coalescing: unpacked" `Quick test_no_coalesce_unpacked;
     Alcotest.test_case "crash forgets held CBCASTs" `Quick test_crash_forgets_held;
   ]
