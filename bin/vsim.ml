@@ -17,6 +17,7 @@ module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
 module Net = Vsync_sim.Net
 module Trace = Vsync_sim.Trace
+module Tracer = Vsync_obs.Tracer
 
 let e_app = Entry.user 0
 
@@ -181,13 +182,16 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
     if wall then ignore (World.run_cond ~timeout_us:30_000_000 w pred) else World.run w
   in
   let w = World.create ~backend ~seed:(Int64.of_int seed) ~net_config ~sites () in
-  if trace_on then Trace.set_enabled (World.trace w) true;
+  let tr = Trace.obs (World.trace w) in
+  if trace_on then begin
+    Tracer.set_classes tr Vsync_obs.Event.all_classes;
+    Tracer.set_enabled tr true
+  end;
   (match trace_sink with
   | None -> ()
   | Some sink ->
-    let tr = Trace.obs (World.trace w) in
-    Vsync_obs.Tracer.add_sink tr sink;
-    Vsync_obs.Tracer.set_enabled tr true);
+    Tracer.add_sink tr sink;
+    Tracer.set_enabled tr true);
   let members = Array.init sites (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
   let logs = Array.make sites [] in
   Array.iteri
@@ -302,9 +306,7 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
     (List.filter (fun (k, _) -> String.length k > 5 && String.sub k 0 5 = "prim.") (World.total_counters w));
   if trace_on then begin
     Printf.printf "\n--- protocol trace ---\n";
-    List.iter
-      (fun r -> Format.printf "%a@." Trace.pp_record r)
-      (Trace.records (World.trace w))
+    List.iter (fun r -> Format.printf "%a@." Vsync_obs.Event.pp_record r) (Tracer.records tr)
   end;
   0
 
@@ -324,7 +326,8 @@ let crash_site =
   Arg.(value & opt (some int) None & info [ "crash-site" ] ~doc:"Crash this site mid-run.")
 
 let crash_at = Arg.(value & opt int 100 & info [ "crash-at" ] ~doc:"Crash time (virtual ms).")
-let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the protocol trace.")
+let trace =
+  Arg.(value & flag & info [ "trace" ] ~doc:"Dump the typed event trace (every class) at the end.")
 
 let trace_out =
   Arg.(

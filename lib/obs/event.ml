@@ -71,9 +71,9 @@ type t =
   | Partition_probe of { site : int; group : int; view_id : int }
   | Partition_evict of { site : int; group : int; view_id : int; new_view_id : int }
   | Partition_exit of { site : int; group : int; view_id : int }
-  (* free-form *)
+  (* anomalies and site status *)
   | Error_event of { site : int; what : string; detail : string }
-  | Note_event of { site : int; cat : string; text : string }
+  | Site_status of { site : int; peer : int; status : string }
 
 let cls_of = function
   | Sched _ | Fire -> Engine
@@ -84,7 +84,7 @@ let cls_of = function
   | Stabilize _ | Wedge _ | Flush _ | View_install _ | Stable_advance _ | Gc_reclaim _ ->
     Proto
   | Partition_wedge _ | Partition_probe _ | Partition_evict _ | Partition_exit _ -> Partition
-  | Error_event _ | Note_event _ -> Note
+  | Error_event _ | Site_status _ -> Note
 
 (* The uid an event is "about", for per-message timeline reconstruction. *)
 let uid_of = function
@@ -125,7 +125,7 @@ let site_of = function
   | Partition_evict { site; _ }
   | Partition_exit { site; _ }
   | Error_event { site; _ }
-  | Note_event { site; _ } ->
+  | Site_status { site; _ } ->
     Some site
 
 (* --- flat field view, shared by the JSONL codec and pretty printer --- *)
@@ -202,8 +202,8 @@ let fields = function
   | Gc_reclaim { site; n } -> ("gc_reclaim", [ ("site", I site); ("n", I n) ])
   | Error_event { site; what; detail } ->
     ("error", [ ("site", I site); ("what", S what); ("detail", S detail) ])
-  | Note_event { site; cat; text } ->
-    ("note", [ ("site", I site); ("cat", S cat); ("text", S text) ])
+  | Site_status { site; peer; status } ->
+    ("site_status", [ ("site", I site); ("peer", I peer); ("status", S status) ])
 
 (* Inverse of [fields]; total over well-formed input, [None] otherwise. *)
 let of_fields tag fs =
@@ -364,11 +364,11 @@ let of_fields tag fs =
     let* what = s "what" in
     let* detail = s "detail" in
     Some (Error_event { site; what; detail })
-  | "note" ->
+  | "site_status" ->
     let* site = i "site" in
-    let* cat = s "cat" in
-    let* text = s "text" in
-    Some (Note_event { site; cat; text })
+    let* peer = i "peer" in
+    let* status = s "status" in
+    Some (Site_status { site; peer; status })
   | _ -> None
 
 (* --- timestamped record ------------------------------------------- *)

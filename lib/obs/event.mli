@@ -15,7 +15,8 @@
 (** Event class, for bitmask filtering on the tracer.  [Engine] events
     are voluminous (every scheduled callback) and off by default.
     [Partition] carries the primary-partition membership machinery:
-    minority wedges, heal probes, evictions and recoveries. *)
+    minority wedges, heal probes, evictions and recoveries.  [Note]
+    carries anomaly reports and site status changes. *)
 type cls = Engine | Net | Transport | Proto | Partition | Note
 
 val cls_bit : cls -> int
@@ -66,9 +67,13 @@ type t =
   | Partition_exit of { site : int; group : int; view_id : int }
       (** false alarm: suspicion cleared and the component recovered
           without losing primacy. *)
-  (* free-form *)
+  (* anomalies and site status *)
   | Error_event of { site : int; what : string; detail : string }
-  | Note_event of { site : int; cat : string; text : string }
+  | Site_status of { site : int; peer : int; status : string }
+      (** [site] observed a status change of site [peer]: ["down"]
+          (suspected or certain failure), ["up"] (announced restart),
+          ["reachable"] (a suspicion cleared), or — with [peer = site]
+          — its own ["crash"] and ["restart"]. *)
 
 val cls_of : t -> cls
 

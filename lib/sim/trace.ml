@@ -1,59 +1,5 @@
-(* Thin compatibility shim over the typed observability layer
-   ([Vsync_obs]): the historical string-category API keeps compiling,
-   but every record now lands in the shared typed event stream as a
-   [Note_event], next to the structured events the layers emit
-   directly.  [obs] exposes the underlying tracer for typed use. *)
+type t = Vsync_obs.Tracer.t
 
-module Tracer = Vsync_obs.Tracer
-module Event = Vsync_obs.Event
-
-type record = { at : Engine.time; category : string; detail : string }
-
-type t = { tracer : Tracer.t }
-
-let default_capacity = 200_000
-
-let create_clock ~now = { tracer = Tracer.create ~capacity:default_capacity ~now () }
+let create_clock ~now = Vsync_obs.Tracer.create ~now ()
 let create engine = create_clock ~now:(fun () -> Engine.now engine)
-
-let obs t = t.tracer
-let set_enabled t b = Tracer.set_enabled t.tracer b
-let enabled t = Tracer.enabled t.tracer
-
-(* String notes carry no site; -1 marks "not site-specific". *)
-let emit t ~category detail =
-  if Tracer.wants t.tracer Event.Note then
-    Tracer.emit t.tracer (Event.Note_event { site = -1; cat = category; text = detail })
-
-(* The disabled branch used to run the format through the shared
-   [Format.str_formatter], mutating global state (and leaking partial
-   output into anyone else's use of it) on every disabled call.  A
-   private sink formatter discards the arguments without touching
-   anything shared. *)
-let null_formatter = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let emitf t ~category fmt =
-  if Tracer.wants t.tracer Event.Note then
-    Format.kasprintf (fun detail -> emit t ~category detail) fmt
-  else Format.ikfprintf (fun _ -> ()) null_formatter fmt
-
-(* Read-back view: notes keep their category/text; typed events render
-   under their class name, so trace dumps show the whole stream. *)
-let to_record (r : Event.record) =
-  match r.ev with
-  | Event.Note_event { cat; text; _ } -> { at = r.at; category = cat; detail = text }
-  | ev ->
-    {
-      at = r.at;
-      category = Event.cls_name (Event.cls_of ev);
-      detail = Format.asprintf "%a" Event.pp ev;
-    }
-
-let records t = List.map to_record (Tracer.records t.tracer)
-
-let by_category t c = List.filter (fun r -> String.equal r.category c) (records t)
-
-let clear t = Tracer.clear t.tracer
-
-let pp_record ppf r =
-  Format.fprintf ppf "[%a] %-12s %s" Engine.pp_time r.at r.category r.detail
+let obs t = t

@@ -1,15 +1,6 @@
-(** Event tracing (compatibility shim).
-
-    Historically this was a standalone string logger; it is now a thin
-    facade over the typed observability layer ({!Vsync_obs}).  String
-    emissions become [Note_event]s in the shared stream, and [records]
-    renders the whole stream — typed events included — in the legacy
-    [record] shape for dumps and tests.  New instrumentation should
-    emit typed events on [obs t] directly.
-
-    Tracing is off by default and costs one branch when disabled. *)
-
-type record = { at : Engine.time; category : string; detail : string }
+(** A world's event trace: the typed tracer ({!Vsync_obs.Tracer})
+    stamped by the world's clock.  Every layer emits on [obs t];
+    tracing is off by default and costs one branch when disabled. *)
 
 type t
 
@@ -19,27 +10,5 @@ val create : Engine.t -> t
     how wall-clock worlds trace (timestamps are elapsed real µs). *)
 val create_clock : now:(unit -> Engine.time) -> t
 
-(** The underlying typed tracer; enable/disable state is shared. *)
+(** The underlying typed tracer. *)
 val obs : t -> Vsync_obs.Tracer.t
-
-(** [set_enabled t b] turns recording on or off (records are kept). *)
-val set_enabled : t -> bool -> unit
-
-val enabled : t -> bool
-
-(** [emit t ~category detail] appends a note record when enabled. *)
-val emit : t -> category:string -> string -> unit
-
-(** [emitf t ~category fmt ...] is [emit] with formatting, only
-    evaluated when enabled. *)
-val emitf : t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-
-(** [records t] returns records oldest first. *)
-val records : t -> record list
-
-(** [by_category t c] filters records with category [c]. *)
-val by_category : t -> string -> record list
-
-val clear : t -> unit
-
-val pp_record : Format.formatter -> record -> unit

@@ -170,51 +170,3 @@ let size = function
   | Site_hello _ -> header + (2 * sz_int)
   | View_probe _ -> header + (3 * sz_int)
   | View_probe_reply _ -> header + (2 * sz_int)
-
-let pp ppf frame =
-  let g gid = Addr.group_to_int gid in
-  match frame with
-  | Cb_data { group; uid; rank; _ } ->
-    Format.fprintf ppf "Cb_data(g%d,%a,r%d)" (g group) pp_uid uid rank
-  | Ab_data { group; uid; _ } -> Format.fprintf ppf "Ab_data(g%d,%a)" (g group) pp_uid uid
-  | Ab_prio { group; uid; prio; _ } ->
-    Format.fprintf ppf "Ab_prio(g%d,%a,%a)" (g group) pp_uid uid pp_prio prio
-  | Ab_commit { group; uid; prio; _ } ->
-    Format.fprintf ppf "Ab_commit(g%d,%a,%a)" (g group) pp_uid uid pp_prio prio
-  | Deliver_ack { group; uid } -> Format.fprintf ppf "Deliver_ack(g%d,%a)" (g group) pp_uid uid
-  | Stable { group; uid } -> Format.fprintf ppf "Stable(g%d,%a)" (g group) pp_uid uid
-  | Ptp { dest; _ } -> Format.fprintf ppf "Ptp(->%a)" Addr.pp_proc dest
-  | Obligation_failed { session; responder } ->
-    Format.fprintf ppf "Obligation_failed(s%d,%a)" session Addr.pp_proc responder
-  | Join_req { group; joiner; _ } ->
-    Format.fprintf ppf "Join_req(g%d,%a)" (g group) Addr.pp_proc joiner
-  | Join_refused { group; joiner; _ } ->
-    Format.fprintf ppf "Join_refused(g%d,%a)" (g group) Addr.pp_proc joiner
-  | Leave_req { group; who } -> Format.fprintf ppf "Leave_req(g%d,%a)" (g group) Addr.pp_proc who
-  | Proc_failed { group; who; certain } ->
-    Format.fprintf ppf "Proc_failed(g%d,%a%s)" (g group) Addr.pp_proc who
-      (if certain then ",certain" else "")
-  | Gb_req { group; uid; _ } -> Format.fprintf ppf "Gb_req(g%d,%a)" (g group) pp_uid uid
-  | Wedge { group; view_id; attempt; coord_site; _ } ->
-    Format.fprintf ppf "Wedge(g%d,v%d,a%d,c%d)" (g group) view_id attempt coord_site
-  | Wedge_ack { group; view_id; attempt; from_site; _ } ->
-    Format.fprintf ppf "Wedge_ack(g%d,v%d,a%d,s%d)" (g group) view_id attempt from_site
-  | Fetch { group; uids; _ } ->
-    Format.fprintf ppf "Fetch(g%d,%d uids)" (g group) (List.length uids)
-  | Fetch_reply { group; bodies; _ } ->
-    Format.fprintf ppf "Fetch_reply(g%d,%d bodies)" (g group) (List.length bodies)
-  | Commit { group; view_id; new_view; events; gb_bodies; _ } ->
-    Format.fprintf ppf "Commit(g%d,v%d->v%d,%d events,%d gb)" (g group) view_id
-      new_view.View.view_id (List.length events) (List.length gb_bodies)
-  | Dir_update { name; group; _ } -> Format.fprintf ppf "Dir_update(%s=g%d)" name (g group)
-  | Dir_query { name; qid } -> Format.fprintf ppf "Dir_query(%s,q%d)" name qid
-  | Dir_reply { qid; info } ->
-    Format.fprintf ppf "Dir_reply(q%d,%s)" qid (match info with Some _ -> "hit" | None -> "miss")
-  | Relay { group; mode; _ } -> Format.fprintf ppf "Relay(g%d,%a)" (g group) pp_mode mode
-  | Relay_info { session; responders } ->
-    Format.fprintf ppf "Relay_info(s%d,%d resp)" session (List.length responders)
-  | Site_hello { site; epoch } -> Format.fprintf ppf "Site_hello(s%d,e%d)" site epoch
-  | View_probe { group; view_id; from_site } ->
-    Format.fprintf ppf "View_probe(g%d,v%d,s%d)" (g group) view_id from_site
-  | View_probe_reply { group; view_id } ->
-    Format.fprintf ppf "View_probe_reply(g%d,v%d)" (g group) view_id

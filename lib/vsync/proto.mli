@@ -150,6 +150,3 @@ type frame =
 
 (** [size f] is the frame's wire size in bytes. *)
 val size : frame -> int
-
-(** [pp] prints a compact one-line rendering for traces. *)
-val pp : Format.formatter -> frame -> unit

@@ -21,8 +21,9 @@ let run ?(sites = 4) ?(horizon_us = 20_000_000) ?(settle_us = 30_000_000)
     ?runtime_config ~seed () =
   let w = World.create ~seed ?runtime_config ~sites () in
   (* Run with the typed protocol events on (and only those — the mask
-     excludes the legacy Note strings), so every sweep also exercises
-     the event layer and the oracle's typed-stream checks have data.
+     excludes Note's anomaly and site-status events), so every sweep
+     also exercises the event layer and the oracle's typed-stream checks
+     have data.
      Enabling tracing draws no randomness, so seeded runs stay
      bit-identical to untraced ones.  An exporting caller widens the
      mask to the net and transport layers too. *)

@@ -5,8 +5,6 @@ let uid_equal a b = a.usite = b.usite && a.useq = b.useq
 let uid_compare a b =
   match compare a.usite b.usite with 0 -> compare a.useq b.useq | c -> c
 
-let pp_uid ppf u = Format.fprintf ppf "u%d.%d" u.usite u.useq
-
 type prio = int * int
 
 let prio_compare (c1, s1) (c2, s2) =
@@ -14,19 +12,11 @@ let prio_compare (c1, s1) (c2, s2) =
 
 let prio_max a b = if prio_compare a b >= 0 then a else b
 
-let pp_prio ppf (c, s) = Format.fprintf ppf "%d@%d" c s
-
 type mode = Cbcast | Abcast | Gbcast
 
 let mode_to_string = function Cbcast -> "CBCAST" | Abcast -> "ABCAST" | Gbcast -> "GBCAST"
-let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
 
 type want = No_reply | Wait_n of int | Wait_all
-
-let pp_want ppf = function
-  | No_reply -> Format.pp_print_string ppf "async"
-  | Wait_n n -> Format.fprintf ppf "n=%d" n
-  | Wait_all -> Format.pp_print_string ppf "ALL"
 
 module Uid_ord = struct
   type t = uid

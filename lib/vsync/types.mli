@@ -6,7 +6,6 @@ type uid = { usite : int; useq : int }
 
 val uid_equal : uid -> uid -> bool
 val uid_compare : uid -> uid -> int
-val pp_uid : Format.formatter -> uid -> unit
 
 (** ABCAST priority: (counter, site).  Lexicographic order; the site
     component breaks ties deterministically. *)
@@ -14,7 +13,6 @@ type prio = int * int
 
 val prio_compare : prio -> prio -> int
 val prio_max : prio -> prio -> prio
-val pp_prio : Format.formatter -> prio -> unit
 
 (** The three multicast primitives (paper Sec 3.1). *)
 type mode =
@@ -24,7 +22,6 @@ type mode =
   | Gbcast  (** global order: ordered w.r.t. {e everything}, including
                 failures and membership changes. *)
 
-val pp_mode : Format.formatter -> mode -> unit
 val mode_to_string : mode -> string
 
 (** How many replies a group RPC wants (paper Sec 3.2: "normally 0, 1,
@@ -33,8 +30,6 @@ type want =
   | No_reply  (** asynchronous: the caller continues immediately. *)
   | Wait_n of int
   | Wait_all
-
-val pp_want : Format.formatter -> want -> unit
 
 module Uid_set : Set.S with type elt = uid
 module Uid_map : Map.S with type key = uid

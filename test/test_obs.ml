@@ -1,8 +1,8 @@
 (* The typed observability layer: zero-cost-when-disabled tracing, the
-   JSONL codec round-trip, per-uid timeline reconstruction, and the
-   regression fixes that ride with it (channel-fatal reassembly
-   teardown, Trace.emitf's disabled branch, scenario / news-agent setup
-   failures surfacing as values instead of exceptions). *)
+   JSONL codec round-trip, per-uid timeline reconstruction, site status
+   events, and the regression fixes that ride with it (channel-fatal
+   reassembly teardown, scenario / news-agent setup failures surfacing
+   as values instead of exceptions). *)
 
 module Engine = Vsync_sim.Engine
 module Net = Vsync_sim.Net
@@ -48,7 +48,7 @@ let test_mask_filters_classes () =
   Alcotest.(check bool) "wants proto" true (Tracer.wants tr Event.Proto);
   Alcotest.(check bool) "does not want note" false (Tracer.wants tr Event.Note);
   Tracer.emit tr (Event.Deliver { site = 0; group = 1; usite = 2; useq = 3 });
-  Tracer.emit tr (Event.Note_event { site = 0; cat = "x"; text = "filtered" });
+  Tracer.emit tr (Event.Error_event { site = 0; what = "x"; detail = "filtered" });
   Alcotest.(check int) "only the proto event landed" 1 (List.length (Tracer.records tr))
 
 (* --- JSONL round-trip ----------------------------------------------- *)
@@ -80,7 +80,8 @@ let sample_events =
     Event.Stable_advance { site = 1; origin = 0; upto = 9 };
     Event.Gc_reclaim { site = 1; n = 12 };
     Event.Error_event { site = 0; what = "news.join"; detail = "refused" };
-    Event.Note_event { site = 0; cat = "deliver"; text = "legacy string" };
+    Event.Site_status { site = 1; peer = 2; status = "down" };
+    Event.Site_status { site = 2; peer = 2; status = "restart" };
   ]
 
 let test_jsonl_roundtrip () =
@@ -108,11 +109,13 @@ let test_jsonl_rejects_garbage () =
    timeline must be complete — originated, delivered, stabilized — when
    reconstructed from the captured stream, and survive a JSONL
    round-trip intact. *)
-let test_timeline_complete () =
-  let w = World.create ~seed:0x0B5EL ~sites:3 () in
+(* A 3-site world whose trace feeds [records] (newest first) with the
+   classes [cls], and a group with one member per site. *)
+let traced_group ~seed cls =
+  let w = World.create ~seed ~sites:3 () in
   let records = ref [] in
   let tr = Trace.obs (World.trace w) in
-  Tracer.set_classes tr [ Event.Proto ];
+  Tracer.set_classes tr cls;
   Tracer.add_sink tr (fun r -> records := r :: !records);
   Tracer.set_enabled tr true;
   let members =
@@ -130,6 +133,10 @@ let test_timeline_complete () =
         | Error e -> Alcotest.failf "join: %s" e)
   done;
   World.run w;
+  (w, records, members, gid)
+
+let test_timeline_complete () =
+  let w, records, members, gid = traced_group ~seed:0x0B5EL [ Event.Proto ] in
   let e_app = Vsync_msg.Entry.user 0 in
   Array.iter (fun m -> Runtime.bind m e_app (fun _ -> ())) members;
   World.run_task w members.(0) (fun () ->
@@ -163,6 +170,42 @@ let test_timeline_complete () =
   Alcotest.(check bool)
     "timeline survives jsonl" true
     (Timeline.complete (Timeline.of_uid stream' ~usite ~useq))
+
+(* --- site status: crash and restart of one site --------------------- *)
+
+(* Site 2 of a 3-site group crashes and later restarts.  On the Note
+   stream the victim reports its crash, both survivors then report it
+   down, the victim reports its restart, and only after that do both
+   survivors report it up again. *)
+let test_site_status_crash_restart () =
+  let w, records, _, _ = traced_group ~seed:0x5172L [ Event.Note ] in
+  World.crash_site w 2;
+  World.run_for w 10_000_000;
+  World.restart_site w 2;
+  World.run_for w 10_000_000;
+  let statuses =
+    List.filter_map
+      (fun r ->
+        match r.Event.ev with
+        | Event.Site_status { site; peer = 2; status } -> Some (site, status)
+        | _ -> None)
+      (List.rev !records)
+  in
+  let index_of ev =
+    let rec go i = function
+      | [] -> Alcotest.failf "no status %d:%s" (fst ev) (snd ev)
+      | x :: rest -> if x = ev then i else go (i + 1) rest
+    in
+    go 0 statuses
+  in
+  let crash = index_of (2, "crash") and restart = index_of (2, "restart") in
+  List.iter
+    (fun s ->
+      let down = index_of (s, "down") and up = index_of (s, "up") in
+      Alcotest.(check bool) (Printf.sprintf "site %d: crash < down" s) true (crash < down);
+      Alcotest.(check bool) (Printf.sprintf "site %d: down < restart" s) true (down < restart);
+      Alcotest.(check bool) (Printf.sprintf "site %d: restart < up" s) true (restart < up))
+    [ 0; 1 ]
 
 (* --- metrics registry ----------------------------------------------- *)
 
@@ -245,38 +288,6 @@ let test_reassembly_corruption_fails_channel () =
       (String.length reason > 0)
   | other -> Alcotest.failf "expected one Channel_fail event, saw %d" (List.length other)
 
-(* --- regression: Trace.emitf's disabled branch ----------------------- *)
-
-(* The old disabled branch formatted into the shared
-   [Format.str_formatter]: a caller mixing emitf with its own
-   str_formatter use would observe interleaved garbage.  Disabled (or
-   Note-masked) emitf must leave it untouched. *)
-let test_emitf_disabled_leaves_str_formatter () =
-  let e = Engine.create ~seed:1L () in
-  let trace = Trace.create e in
-  ignore (Format.flush_str_formatter ());
-  Format.fprintf Format.str_formatter "mine:%d" 1;
-  Trace.emitf trace ~category:"test" "noise %d %s" 42 "x";
-  Alcotest.(check string) "disabled emitf stays off str_formatter" "mine:1"
-    (Format.flush_str_formatter ());
-  (* Enabled but Note-masked: the scenario harness runs in exactly this
-     configuration, so formatting must still be skipped. *)
-  Tracer.set_classes (Trace.obs trace) [ Event.Proto ];
-  Trace.set_enabled trace true;
-  Format.fprintf Format.str_formatter "mine:%d" 2;
-  Trace.emitf trace ~category:"test" "noise %d" 43;
-  Alcotest.(check string) "masked emitf stays off str_formatter" "mine:2"
-    (Format.flush_str_formatter ());
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.records trace));
-  (* Fully on: the note is recorded. *)
-  Tracer.set_classes (Trace.obs trace) Event.all_classes;
-  Trace.emitf trace ~category:"test" "hello %d" 7;
-  match Trace.records trace with
-  | [ r ] ->
-    Alcotest.(check string) "category" "test" r.Trace.category;
-    Alcotest.(check string) "detail" "hello 7" r.Trace.detail
-  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
-
 (* --- regression: setup failures are values, not aborts --------------- *)
 
 let test_scenario_returns_ok () =
@@ -329,13 +340,13 @@ let suite =
     Alcotest.test_case "jsonl: round-trip all variants" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "jsonl: rejects garbage" `Quick test_jsonl_rejects_garbage;
     Alcotest.test_case "timeline: complete for every abcast uid" `Quick test_timeline_complete;
+    Alcotest.test_case "site status: crash, down, restart, up" `Quick
+      test_site_status_crash_restart;
     Alcotest.test_case "metrics: registry semantics" `Quick test_metrics_registry;
     Alcotest.test_case "metrics: runtime gauges registered" `Quick
       test_runtime_metrics_registered;
     Alcotest.test_case "regression: reassembly corruption is channel-fatal" `Quick
       test_reassembly_corruption_fails_channel;
-    Alcotest.test_case "regression: emitf leaves str_formatter alone" `Quick
-      test_emitf_disabled_leaves_str_formatter;
     Alcotest.test_case "regression: scenario setup failure is a value" `Quick
       test_scenario_returns_ok;
     Alcotest.test_case "regression: news join refusal reported, not fatal" `Quick

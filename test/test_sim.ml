@@ -2,7 +2,6 @@
 
 module Engine = Vsync_sim.Engine
 module Net = Vsync_sim.Net
-module Trace = Vsync_sim.Trace
 
 (* --- engine --- *)
 
@@ -140,23 +139,6 @@ let test_net_bandwidth_serialization () =
   let serialization = (4096 + 64) * 1_000_000 / 1_250_000 in
   Alcotest.(check int) "spacing = tx serialization" serialization (!t2 - !t1)
 
-(* --- trace --- *)
-
-let test_trace () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  Trace.emit tr ~category:"x" "dropped while disabled";
-  Trace.set_enabled tr true;
-  ignore (Engine.schedule e ~delay:5 (fun () -> Trace.emitf tr ~category:"x" "at %d" 5));
-  Engine.run e;
-  match Trace.records tr with
-  | [ r ] ->
-    Alcotest.(check string) "detail" "at 5" r.Trace.detail;
-    Alcotest.(check int) "timestamp" 5 r.Trace.at;
-    Alcotest.(check int) "by_category" 1 (List.length (Trace.by_category tr "x"));
-    Alcotest.(check int) "other category empty" 0 (List.length (Trace.by_category tr "y"))
-  | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)
-
 let test_engine_pending_exact () =
   (* With [debug_pending] set, every [pending] call also cross-checks
      the O(1) counter against the O(n) heap walk. *)
@@ -214,5 +196,4 @@ let suite =
     Alcotest.test_case "net partition" `Quick test_net_partition;
     Alcotest.test_case "net loss" `Quick test_net_loss;
     Alcotest.test_case "net bandwidth serialization" `Quick test_net_bandwidth_serialization;
-    Alcotest.test_case "trace" `Quick test_trace;
   ]
