@@ -57,8 +57,12 @@ let run_mode mode =
 let run () =
   let rows =
     List.map
-      (fun (mode, name, note) ->
+      (fun (mode, key, name, note) ->
         let ok, elapsed, rate, lat_ms = run_mode mode in
+        let m metric = Printf.sprintf "%s.%s" key metric in
+        Harness.metric (m "completion_s") "s" elapsed;
+        Harness.metric (m "updates_per_s") "op/s" rate;
+        Harness.metric (m "mean_latency_ms") "ms" lat_ms;
         [
           name;
           (if ok then "yes" else "NO");
@@ -68,9 +72,16 @@ let run () =
           note;
         ])
       [
-        (Types.Cbcast, "CBCAST (virtual synchrony's choice)", "async; per-sender FIFO is enough here");
-        (Types.Abcast, "ABCAST (synchronous system)", "pays an ordering round-trip per update");
+        ( Types.Cbcast,
+          "cbcast",
+          "CBCAST (virtual synchrony's choice)",
+          "async; per-sender FIFO is enough here" );
+        ( Types.Abcast,
+          "abcast",
+          "ABCAST (synchronous system)",
+          "pays an ordering round-trip per update" );
         ( Types.Gbcast,
+          "gbcast",
           "GBCAST (orders vs views too)",
           "full group flush; coordinator batches concurrent requests" );
       ]

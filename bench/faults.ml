@@ -123,6 +123,9 @@ let partition_table () =
       ]
     (List.map
        (fun r ->
+         let m name = Printf.sprintf "partition.0x%Lx.split%dms.%s" r.p_seed r.p_dur_ms name in
+         Harness.metric (m "teardown_ms") "ms" r.p_teardown_ms;
+         Harness.metric (m "recover_ms") "ms" r.p_recover_ms;
          [
            Printf.sprintf "0x%Lx" r.p_seed;
            string_of_int r.p_dur_ms;
@@ -132,46 +135,18 @@ let partition_table () =
            Printf.sprintf "%.1f" r.p_recover_ms;
          ])
        rows);
-  let ok =
-    List.for_all
-      (fun r ->
-        r.p_maj_split > 0 && r.p_min_split = 0
-        && Float.is_finite r.p_teardown_ms
-        && Float.is_finite r.p_recover_ms)
-      rows
-  in
-  Printf.printf
-    "partition recovery: majority progressed, minority silent, every split recovered: %s\n"
-    (if ok then "PASS" else "FAIL");
-  (match !Harness.json_path with
-  | None -> ()
-  | Some path ->
-    let module J = Harness.Json in
-    Harness.write_json path
-      (J.Obj
-         [
-           ("bench", J.Str "partition");
-           ("smoke", J.Bool !Harness.smoke);
-           ("sites", J.Int 5);
-           ( "rows",
-             J.List
-               (List.map
-                  (fun r ->
-                    J.Obj
-                      [
-                        ("seed", J.Str (Printf.sprintf "0x%Lx" r.p_seed));
-                        ("split_ms", J.Int r.p_dur_ms);
-                        ("majority_split_deliveries", J.Int r.p_maj_split);
-                        ("minority_split_deliveries", J.Int r.p_min_split);
-                        ("teardown_ms", J.Float r.p_teardown_ms);
-                        ("recover_ms", J.Float r.p_recover_ms);
-                      ])
-                  rows) );
-           ("pass", J.Bool ok);
-         ]));
-  ok
+  Harness.verdict
+    "partition recovery: majority progressed, minority silent, every split recovered:"
+    (List.for_all
+       (fun r ->
+         r.p_maj_split > 0 && r.p_min_split = 0
+         && Float.is_finite r.p_teardown_ms
+         && Float.is_finite r.p_recover_ms)
+       rows)
 
 let run () =
+  Harness.note_seed seed;
+  let clean = ref true in
   let row intensity =
     let r =
       match
@@ -183,11 +158,7 @@ let run () =
     in
     let secs = float_of_int r.elapsed_us /. 1_000_000. in
     let thru = float_of_int r.delivered /. secs in
-    let lat =
-      match Harness.latency_stats (Oracle.latencies_us r.oracle) with
-      | Some s -> s
-      | None -> { Harness.median_ms = nan; p99_ms = nan; max_ms = nan }
-    in
+    let lat = Harness.latency_stats (Oracle.latencies_us r.oracle) in
     let faults =
       List.length
         (List.filter
@@ -199,8 +170,15 @@ let run () =
              | _ -> true)
            r.plan)
     in
+    let label = if intensity = 0.0 then "clean" else Printf.sprintf "%.2f" intensity in
+    let m name = Printf.sprintf "intensity_%s.%s" label name in
+    Harness.metric (m "msgs_per_s") "msg/s" thru;
+    Harness.metric (m "latency_p50_ms") "ms" lat.Harness.median_ms;
+    Harness.metric (m "latency_p99_ms") "ms" lat.Harness.p99_ms;
+    Harness.metric (m "latency_max_ms") "ms" lat.Harness.max_ms;
+    if r.violations <> [] then clean := false;
     [
-      (if intensity = 0.0 then "clean" else Printf.sprintf "%.2f" intensity);
+      label;
       string_of_int faults;
       string_of_int r.sent;
       string_of_int r.delivered;
@@ -217,4 +195,5 @@ let run () =
         "intensity"; "faults"; "sent"; "delivered"; "msg/s"; "p50 ms"; "p99 ms"; "max ms"; "oracle";
       ]
     (List.map row [ 0.0; 0.25; 0.5; 0.75; 1.0 ]);
-  ignore (partition_table () : bool)
+  Harness.verdict "faults: oracle clean at every intensity:" !clean;
+  partition_table ()

@@ -42,7 +42,7 @@ let throughput_at size =
    member replies, the remote one sends a null reply.  The clock stops
    when the reply arrives, but ABCAST/GBCAST cannot even deliver
    locally before their ordering round trips complete. *)
-let latency_at ?(sites = 2) mode size =
+let latency_at ~sites mode size =
   let c = Harness.make_cluster ~seed:0x1A7EL ~sites () in
   let extra = World.proc c.w ~site:0 ~name:"local-member" in
   World.run_task c.w extra (fun () ->
@@ -71,6 +71,7 @@ let latency_at ?(sites = 2) mode size =
 
 let run () =
   let tput = List.map (fun s -> (s, throughput_at s)) sizes in
+  List.iter (fun (s, bps) -> Harness.metric (Printf.sprintf "cbcast_throughput.%dB" s) "B/s" bps) tput;
   Harness.print_table ~title:"Figure 2a: asynchronous CBCAST throughput vs message size"
     ~header:[ "payload bytes"; "throughput (bytes/s)"; "paper shape" ]
     (List.map
@@ -91,11 +92,19 @@ let run () =
   Printf.printf "throughput monotonically rising with size: %b\n" rising;
 
   let modes = [ (Types.Cbcast, "CBCAST"); (Types.Abcast, "ABCAST"); (Types.Gbcast, "GBCAST") ] in
-  let results =
+  let latencies sites =
     List.map
-      (fun (mode, name) -> (name, List.map (fun s -> (s, latency_at mode s)) sizes))
+      (fun (mode, name) ->
+        ( name,
+          List.map
+            (fun s ->
+              let ms = latency_at ~sites mode s in
+              Harness.metric (Printf.sprintf "latency_%dsites.%s.%dB" sites name s) "ms" ms;
+              (s, ms))
+            sizes ))
       modes
   in
+  let results = latencies 2 in
   Harness.print_table
     ~title:"Figure 2b: latency (ms), one reply from a local process (2 sites)"
     ~header:("primitive" :: List.map (fun s -> Printf.sprintf "%dB" s) sizes)
@@ -105,11 +114,7 @@ let run () =
   (* The paper's panels also vary the number of destinations: a wider
      group slows the ordered primitives (more proposals to collect),
      not the asynchronous one. *)
-  let results3 =
-    List.map
-      (fun (mode, name) -> (name, List.map (fun s -> (s, latency_at ~sites:3 mode s)) sizes))
-      modes
-  in
+  let results3 = latencies 3 in
   Harness.print_table
     ~title:"Figure 2b': same, group spanning 3 sites (more destinations)"
     ~header:("primitive" :: List.map (fun s -> Printf.sprintf "%dB" s) sizes)

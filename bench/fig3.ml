@@ -52,6 +52,12 @@ let run () =
      protocol processing at each step. *)
   let links = 3 * inter_us in
   let cpu = lat_ab - links in
+  List.iter
+    (fun (name, us) -> Harness.metric name "ms" (Harness.ms_of_us us))
+    [
+      ("cbcast_remote_delivery_ms", lat_cb); ("abcast_remote_delivery_ms", lat_ab);
+      ("gbcast_remote_delivery_ms", lat_gb); ("abcast_protocol_cpu_ms", cpu);
+    ];
   Harness.print_table ~title:"Figure 3: breakdown of ABCAST execution time (remote delivery)"
     ~header:[ "component"; "paper"; "measured" ]
     [

@@ -9,25 +9,19 @@ module Stats = Vsync_util.Stats
 let e_app = Entry.user 0
 
 (* Cross-experiment flags, set by [main] from the command line:
-   [--json PATH] asks JSON-capable experiments to write their results as
-   a machine-readable artifact; [--smoke] shrinks iteration counts so CI
-   can record a perf data point without burning minutes. *)
-let json_path : string option ref = ref None
+   [--smoke] shrinks iteration counts so CI can record a perf data point
+   without burning minutes; [--jobs N] lets sweep-shaped experiments (the
+   shard partition sweep, the parallel harness bench) run independent
+   points on N domains.  Parallel paths refuse to combine with
+   [--trace-out]: the JSONL sink is one shared channel. *)
 let smoke = ref false
+let jobs = ref 1
 
 (* [--trace-out PATH] streams the typed event layer of every cluster the
    harness builds to PATH as JSONL (one shared file across experiments;
    events carry timestamps and sites, so runs remain separable). *)
 let trace_out : string option ref = ref None
 let trace_oc : out_channel option ref = ref None
-
-(* [--jobs N] lets sweep-shaped experiments (the shard partition sweep,
-   the parallel harness bench) run independent points on N domains.
-   [--wall] asks wall-capable experiments (soak) to add a wall-clock
-   backend run alongside the simulated one.  Parallel paths refuse to
-   combine with [--trace-out]: the JSONL sink is one shared channel. *)
-let jobs = ref 1
-let wall = ref false
 
 let attach_trace w =
   match !trace_out with
@@ -46,23 +40,8 @@ let attach_trace w =
     Vsync_obs.Tracer.add_sink tr (Vsync_obs.Jsonl.sink_to_channel oc);
     Vsync_obs.Tracer.set_enabled tr true
 
-(* [--gc-stats] makes every JSON-writing bench record the peak live
-   heap: [note_gc] folds the current live size (after a full major)
-   into a running maximum, and [write_json] samples once more and
-   appends [max_live_words] to the artifact.  Benches with natural
-   checkpoints (end of a run, end of a decile) call [note_gc] there. *)
-let gc_stats = ref false
-let max_live_words = ref 0
-
-let note_gc () =
-  if !gc_stats then begin
-    Gc.full_major ();
-    let live = (Gc.stat ()).Gc.live_words in
-    if live > !max_live_words then max_live_words := live
-  end
-
-(* A minimal JSON emitter — enough for benchmark artifacts, so the
-   bench needs no external JSON dependency. *)
+(* A minimal JSON emitter — enough for the bench record, so the bench
+   needs no external JSON dependency. *)
 module Json = struct
   type t =
     | Bool of bool
@@ -118,25 +97,124 @@ module Json = struct
   let to_string j =
     let buf = Buffer.create 1024 in
     write buf j;
-    Buffer.add_char buf '\n';
     Buffer.contents buf
-
-  let to_file path j =
-    let oc = open_out path in
-    output_string oc (to_string j);
-    close_out oc
 end
 
-(* All benches write their artifacts through this, so the [--gc-stats]
-   annotation lands uniformly. *)
-let write_json path (j : Json.t) =
-  note_gc ();
-  let j =
-    match (j, !gc_stats) with
-    | Json.Obj fields, true -> Json.Obj (fields @ [ ("max_live_words", Json.Int !max_live_words) ])
-    | j, _ -> j
+(* The [p]th percentiles (0..100) of a sample, by nearest rank rounding
+   down: element [n * p / 100] of the sorted sample (nan when empty).
+   The record's median/q1/q3 and [latency_stats] both go through here. *)
+let percentiles xs ps =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  List.map (fun p -> if n = 0 then nan else a.(min (n - 1) (n * p / 100))) ps
+
+(* --- the bench record --------------------------------------------------
+
+   Every experiment run leaves one record: its id, the seeds it used,
+   whether every verdict passed, and its metrics.  A virtual-time metric
+   comes from the deterministic simulator, so it is measured once and its
+   quartiles equal its median; a wall-clock metric is measured
+   [wall_repeats] times.  [main] writes all records to the [--json] file
+   and exits 1 if any verdict failed. *)
+
+type clock = Virtual | Wall
+
+type metric = {
+  name : string;
+  unit_ : string;
+  clock : clock;
+  repeats : int;
+  median : float;
+  q1 : float;
+  q3 : float;
+}
+
+type record = {
+  experiment : string;
+  mutable seeds : int64 list;  (* distinct, newest first *)
+  mutable metrics : metric list;  (* newest first *)
+  mutable pass : bool;
+}
+
+let wall_repeats = 5
+let records : record list ref = ref []
+
+let start experiment = records := { experiment; seeds = []; metrics = []; pass = true } :: !records
+
+let current () =
+  match !records with
+  | r :: _ -> r
+  | [] -> invalid_arg "Harness: no experiment started"
+
+let note_seed s =
+  let r = current () in
+  if not (List.mem s r.seeds) then r.seeds <- s :: r.seeds
+
+let add_metric clock name unit_ samples =
+  match percentiles samples [ 25; 50; 75 ] with
+  | [ q1; median; q3 ] ->
+    let r = current () in
+    r.metrics <- { name; unit_; clock; repeats = List.length samples; median; q1; q3 } :: r.metrics;
+    median
+  | _ -> assert false
+
+(* A virtual-time (deterministic) number, recorded once. *)
+let metric name unit_ v = ignore (add_metric Virtual name unit_ [ v ] : float)
+
+(* Measure a wall-clock number [wall_repeats] times; record the sample
+   and return its median. *)
+let wall_metric name unit_ f =
+  add_metric Wall name unit_ (List.init wall_repeats (fun _ -> f ()))
+
+(* An acceptance check: prints "<label> PASS|FAIL" and marks the record
+   failed on FAIL. *)
+let verdict label ok =
+  Printf.printf "%s %s\n" label (if ok then "PASS" else "FAIL");
+  if not ok then (current ()).pass <- false
+
+let all_passed () = List.for_all (fun r -> r.pass) !records
+
+let git_rev () =
+  try
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let rev = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown"
+  with Unix.Unix_error _ | Sys_error _ -> "unknown"
+
+let record_json rev r =
+  let module J = Json in
+  let metric_json m =
+    J.Obj
+      [
+        ("name", J.Str m.name); ("unit", J.Str m.unit_);
+        ("clock", J.Str (match m.clock with Virtual -> "virtual" | Wall -> "wall"));
+        ("repeats", J.Int m.repeats); ("median", J.Float m.median); ("q1", J.Float m.q1);
+        ("q3", J.Float m.q3);
+      ]
   in
-  Json.to_file path j
+  J.Obj
+    [
+      ("experiment", J.Str r.experiment); ("git_rev", J.Str rev); ("smoke", J.Bool !smoke);
+      ("seeds", J.List (List.rev_map (fun s -> J.Int (Int64.to_int s)) r.seeds));
+      ("pass", J.Bool r.pass);
+      ("metrics", J.List (List.rev_map metric_json r.metrics));
+    ]
+
+(* One JSON array, one record per line, in run order. *)
+let write_records path =
+  let rev = git_rev () in
+  let oc = open_out path in
+  output_string oc "[\n";
+  List.iteri
+    (fun i r ->
+      if i > 0 then output_string oc ",\n";
+      output_string oc (Json.to_string (record_json rev r)))
+    (List.rev !records);
+  output_string oc "\n]\n";
+  close_out oc
 
 (* A group with one member per site, fully formed. *)
 type cluster = {
@@ -145,56 +223,26 @@ type cluster = {
   gid : Addr.group_id;
 }
 
-let make_cluster ?(seed = 0xBE5CL) ?(name = "bench") ?net_config ?runtime_config
-    ?(backend = World.Sim) ~sites () =
-  let w = World.create ~backend ~seed ?net_config ?runtime_config ~sites () in
+let make_cluster ?(seed = 0xBE5CL) ?(name = "bench") ?runtime_config ~sites () =
+  note_seed seed;
+  let w = World.create ~seed ?runtime_config ~sites () in
   attach_trace w;
   let members =
     Array.init sites (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "b%d" s))
   in
-  (* On the wall backend "run to the horizon" is real seconds, so
-     formation waits on predicates instead; the simulator path is the
-     historical one, untouched. *)
-  let is_wall = World.kind w = Vsync_backend.Backend.Wall in
   let gid = ref None in
   World.run_task w members.(0) (fun () -> gid := Some (Runtime.pg_create members.(0) name));
-  if is_wall then ignore (World.run_cond ~timeout_us:30_000_000 w (fun () -> !gid <> None))
-  else World.run w;
+  World.run w;
   let gid = Option.get !gid in
-  let joined = ref 0 in
   for i = 1 to sites - 1 do
     World.run_task w members.(i) (fun () ->
         ignore (Runtime.pg_lookup members.(i) name);
         match Runtime.pg_join members.(i) gid ~credentials:(Message.create ()) with
-        | Ok () -> incr joined
+        | Ok () -> ()
         | Error e -> failwith ("bench cluster join: " ^ e))
   done;
-  if is_wall then ignore (World.run_cond ~timeout_us:30_000_000 w (fun () -> !joined = sites - 1))
-  else World.run w;
+  World.run w;
   { w; members; gid }
-
-(* Per-site snapshot of the unified metrics registry, for embedding in
-   a JSON artifact: gauges sample live state, so take this while the
-   world of interest is still in scope. *)
-let metrics_json w =
-  Json.List
-    (List.init (World.n_sites w) (fun s ->
-         let snap = Vsync_obs.Metrics.snapshot (Runtime.metrics (World.runtime w s)) in
-         Json.Obj
-           (("site", Json.Int s)
-           :: List.map
-                (fun (name, v) ->
-                  match v with
-                  | Vsync_obs.Metrics.Counter_v n | Vsync_obs.Metrics.Gauge_v n ->
-                    (name, Json.Int n)
-                  | Vsync_obs.Metrics.Histo_v { count; sum; min; max } ->
-                    ( name,
-                      Json.Obj
-                        [
-                          ("count", Json.Int count); ("sum", Json.Int sum);
-                          ("min", Json.Int min); ("max", Json.Int max);
-                        ] ))
-                snap)))
 
 (* Messages padded to a target payload size. *)
 let padded_msg bytes =
@@ -282,9 +330,6 @@ let ms_of_us us = float_of_int us /. 1000.0
 type latency_stats = { median_ms : float; p99_ms : float; max_ms : float }
 
 let latency_stats us =
-  match List.sort compare us with
-  | [] -> None
-  | sorted ->
-    let n = List.length sorted in
-    let at i = ms_of_us (List.nth sorted (min (n - 1) i)) in
-    Some { median_ms = at (n / 2); p99_ms = at (n * 99 / 100); max_ms = at (n - 1) }
+  match percentiles (List.map ms_of_us us) [ 50; 99; 100 ] with
+  | [ median_ms; p99_ms; max_ms ] -> { median_ms; p99_ms; max_ms }
+  | _ -> assert false

@@ -81,6 +81,12 @@ let run () =
   let async_send, async_recv = utilization_during c1 (fun () -> flood_async c1 200) in
   let c2 = Harness.make_cluster ~seed:0x10AEL ~sites:2 () in
   let sync_send, sync_recv = utilization_during c2 (fun () -> flood_sync c2 30) in
+  List.iter
+    (fun (name, u) -> Harness.metric name "ratio" u)
+    [
+      ("async_sender_busy", async_send); ("async_remote_busy", async_recv);
+      ("blocking_sender_busy", sync_send); ("blocking_remote_busy", sync_recv);
+    ];
   Harness.print_table ~title:"CPU load (Sec 7): asynchronous vs blocking multicast streams"
     ~header:[ "workload"; "site"; "paper"; "measured" ]
     [

@@ -1,26 +1,25 @@
 (* Benchmark harness: regenerates every table and figure from the
    paper's evaluation (Sec 7) plus the Sec 5 application throughput and
-   an ablation, on the simulated testbed.
+   an ablation, on the simulated testbed, and the experiments that
+   measure what the performance ledger (bench/ledger) does not.
 
-     dune exec bench/main.exe            # all paper experiments + micro
+     dune exec bench/main.exe            # every experiment
      dune exec bench/main.exe table1     # just Table I
      dune exec bench/main.exe fig2 fig3  # a subset
 
    Experiments: table1 fig2 fig3 twentyq ablate load faults scale micro
-   msgpath wire soak shard parallel overload.
+   wire soak shard parallel.
 
    Flags (consumed before experiment names):
-     --json PATH    JSON-capable experiments (faults, msgpath, wire,
-                    soak, shard, parallel, overload) write results there
+     --json PATH    write one record per experiment run to PATH
+                    (Harness: experiment, git rev, seeds, pass, metrics)
      --trace-out P  stream the typed event layer of every harness
                     cluster to P as JSONL
      --smoke        reduced iteration counts, for CI perf tracking
-     --gc-stats     record the peak live heap (max_live_words) in every
-                    JSON artifact
      --jobs N       run sweep points of parallel-capable experiments
                     (shard, parallel) on N domains
-     --wall         add a wall-clock-backend run to wall-capable
-                    experiments (soak) *)
+
+   Exits 1 after the last experiment if any verdict failed. *)
 
 let experiments =
   [
@@ -33,19 +32,18 @@ let experiments =
     ("faults", Faults.run);
     ("scale", Scale.run);
     ("micro", Micro.run);
-    ("msgpath", Msgpath.run);
     ("wire", Wire.run);
     ("soak", Soak.run);
     ("shard", Shard.run);
     ("parallel", Parallel.run);
-    ("overload", Overload.run);
   ]
 
 let () =
+  let json_path = ref None in
   let rec parse args =
     match args with
     | "--json" :: path :: rest ->
-      Harness.json_path := Some path;
+      json_path := Some path;
       parse rest
     | "--json" :: [] ->
       Printf.eprintf "--json needs a path\n";
@@ -59,9 +57,6 @@ let () =
     | "--smoke" :: rest ->
       Harness.smoke := true;
       parse rest
-    | "--gc-stats" :: rest ->
-      Harness.gc_stats := true;
-      parse rest
     | "--jobs" :: n :: rest ->
       let n = int_of_string n in
       Harness.jobs := (if n <= 0 then Vsync_parallel.Pool.available_cores () else n);
@@ -69,9 +64,6 @@ let () =
     | "--jobs" :: [] ->
       Printf.eprintf "--jobs needs a count (0 = all cores)\n";
       exit 2
-    | "--wall" :: rest ->
-      Harness.wall := true;
-      parse rest
     | name :: rest -> name :: parse rest
     | [] -> []
   in
@@ -82,13 +74,25 @@ let () =
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        Printf.printf "\n################ experiment: %s ################\n" name;
-        f ()
-      | None ->
+      if not (List.mem_assoc name experiments) then begin
         Printf.eprintf "unknown experiment %S; known: %s\n" name
           (String.concat " " (List.map fst experiments));
-        exit 2)
+        exit 2
+      end)
     names;
-  Printf.printf "\nbench: done\n%!"
+  List.iter
+    (fun name ->
+      Printf.printf "\n################ experiment: %s ################\n" name;
+      Harness.start name;
+      (List.assoc name experiments) ())
+    names;
+  Option.iter
+    (fun path ->
+      Harness.write_records path;
+      Printf.printf "\nbench: records written to %s\n" path)
+    !json_path;
+  if Harness.all_passed () then Printf.printf "\nbench: done\n%!"
+  else begin
+    Printf.printf "\nbench: FAIL (a verdict failed)\n%!";
+    exit 1
+  end

@@ -72,6 +72,10 @@ let run () =
         let ab = ab_latency c in
         let gb = gb_latency c in
         let join = join_latency c in
+        let m name = Printf.sprintf "sites%d.%s" n name in
+        Harness.metric (m "abcast_all_delivered_ms") "ms" ab;
+        Harness.metric (m "gbcast_all_delivered_ms") "ms" gb;
+        Harness.metric (m "join_ms") "ms" join;
         [
           string_of_int n;
           Printf.sprintf "%.1f" ab;

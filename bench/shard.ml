@@ -21,7 +21,7 @@
    query throughput >= 3x the 1-partition flat-group baseline.
 
      dune exec bench/main.exe -- shard
-     dune exec bench/main.exe -- shard --smoke --json BENCH_shard.json *)
+     dune exec bench/main.exe -- --smoke --jobs 2 shard *)
 
 open Vsync_core
 open Twentyq
@@ -29,8 +29,6 @@ open Twentyq
 type point = {
   p_partitions : int;
   p_replicas : int;
-  p_updates : int;
-  p_queries : int;
   p_updates_per_s : float;
   p_queries_per_s : float;
   p_max_store : int;
@@ -46,9 +44,11 @@ let max_gauge w f =
   done;
   !best
 
+let seed = 0x5A4DL
+
 let bench_point ~sites ~partitions ~workers ~window_us =
   let replicas = if partitions = 1 then sites else 3 in
-  let w = World.create ~seed:0x5A4DL ~sites () in
+  let w = World.create ~seed ~sites () in
   Harness.attach_trace w;
   let d = Sharded.Deployment.deploy w ~partitions ~replicas () in
   if not (Sharded.Deployment.settle ~timeout_us:240_000_000 d) then
@@ -115,13 +115,10 @@ let bench_point ~sites ~partitions ~workers ~window_us =
           loop 0))
     clients;
   World.run ~until:(stop_q + 30_000_000) w;
-  Harness.note_gc ();
   let per_s n = float_of_int n /. (float_of_int window_us /. 1e6) in
   {
     p_partitions = partitions;
     p_replicas = replicas;
-    p_updates = !updates;
-    p_queries = !queries;
     p_updates_per_s = per_s !updates;
     p_queries_per_s = per_s !queries;
     p_max_store = max_gauge w Runtime.pending_store;
@@ -139,6 +136,7 @@ let run () =
      shared JSONL trace channel is not domain-safe, so [--trace-out]
      forces the sequential path. *)
   let jobs = if !Harness.trace_out <> None then 1 else !Harness.jobs in
+  Harness.note_seed seed;
   let points =
     Array.to_list
       (Vsync_parallel.Pool.map ~jobs
@@ -162,6 +160,12 @@ let run () =
       ]
     (List.map
        (fun p ->
+         let m name = Printf.sprintf "partitions%d.%s" p.p_partitions name in
+         Harness.metric (m "updates_per_s") "op/s" p.p_updates_per_s;
+         Harness.metric (m "queries_per_s") "op/s" p.p_queries_per_s;
+         Harness.metric (m "max_store") "count" (float_of_int p.p_max_store);
+         Harness.metric (m "max_residue") "count" (float_of_int p.p_max_residue);
+         Harness.metric (m "max_unstable") "count" (float_of_int p.p_max_unstable);
          [
            string_of_int p.p_partitions;
            string_of_int p.p_replicas;
@@ -174,60 +178,11 @@ let run () =
            string_of_int p.p_max_unstable;
          ])
        points);
-  let accept =
-    match List.find_opt (fun p -> p.p_partitions = 64) points with
-    | None -> None
-    | Some p64 ->
-      let u = upd_speedup p64 and q = q_speedup p64 in
-      let ok = u >= 3.0 && q >= 3.0 in
-      Printf.printf "64-partition speedup: %.2fx updates, %.2fx queries (acceptance: >= 3x) %s\n"
-        u q
-        (if ok then "PASS" else "FAIL");
-      Some (u, q, ok)
-  in
-  match !Harness.json_path with
+  (* The 64-partition point exists only in the full run. *)
+  match List.find_opt (fun p -> p.p_partitions = 64) points with
   | None -> ()
-  | Some path ->
-    let module J = Harness.Json in
-    let point_json p =
-      J.Obj
-        [
-          ("partitions", J.Int p.p_partitions);
-          ("replicas", J.Int p.p_replicas);
-          ("updates", J.Int p.p_updates);
-          ("queries", J.Int p.p_queries);
-          ("updates_per_s", J.Float p.p_updates_per_s);
-          ("update_speedup", J.Float (upd_speedup p));
-          ("queries_per_s", J.Float p.p_queries_per_s);
-          ("query_speedup", J.Float (q_speedup p));
-          ("max_pending_store", J.Int p.p_max_store);
-          ("max_dedup_residue", J.Int p.p_max_residue);
-          ("max_pending_unstable", J.Int p.p_max_unstable);
-        ]
-    in
-    let fields =
-      [
-        ("bench", J.Str "shard");
-        ("smoke", J.Bool !Harness.smoke);
-        ("sites", J.Int sites);
-        ("workers_per_site", J.Int workers);
-        ("window_us", J.Int window_us);
-        ("points", J.List (List.map point_json points));
-      ]
-      @
-      match accept with
-      | None -> []
-      | Some (u, q, ok) ->
-        [
-          ( "acceptance",
-            J.Obj
-              [
-                ("update_speedup_64", J.Float u);
-                ("query_speedup_64", J.Float q);
-                ("threshold", J.Float 3.0);
-                ("ok", J.Bool ok);
-              ] );
-        ]
-    in
-    Harness.write_json path (J.Obj fields);
-    Printf.printf "shard: JSON written to %s\n" path
+  | Some p64 ->
+    let u = upd_speedup p64 and q = q_speedup p64 in
+    Harness.verdict
+      (Printf.sprintf "64-partition speedup: %.2fx updates, %.2fx queries (acceptance: >= 3x)" u q)
+      (u >= 3.0 && q >= 3.0)

@@ -18,7 +18,12 @@ let measure (c : Harness.cluster) f =
 
 let run () =
   let rows = ref [] in
-  let note routine paper diffs = rows := (routine, paper, Harness.render_prims diffs) :: !rows in
+  let note routine paper diffs =
+    List.iter
+      (fun (k, d) -> Harness.metric (Printf.sprintf "%s %s" routine k) "count" (float_of_int d))
+      diffs;
+    rows := (routine, paper, Harness.render_prims diffs) :: !rows
+  in
 
   let c = Harness.make_cluster ~sites:3 () in
   let m0 = c.members.(0) and m1 = c.members.(1) in
@@ -163,7 +168,9 @@ let run () =
     (measure c5 (fun () -> ignore (Config_tool.read cfg_tools.(0) ~key:"k")));
 
   (* --- news --- *)
-  let w6 = World.create ~seed:0x9E05L ~sites:2 () in
+  let news_seed = 0x9E05L in
+  Harness.note_seed news_seed;
+  let w6 = World.create ~seed:news_seed ~sites:2 () in
   let agents = Array.init 2 (fun s -> News.start_agent (World.runtime w6 s)) in
   World.run w6;
   let sub = World.proc w6 ~site:1 ~name:"t1sub" in

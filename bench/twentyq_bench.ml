@@ -12,8 +12,10 @@ open Vsync_core
 open Twentyq
 module Message = Vsync_msg.Message
 
+let seed = 0x7E57L
+
 let make () =
-  let w = World.create ~seed:0x7E57L ~sites:4 () in
+  let w = World.create ~seed ~sites:4 () in
   let members = Array.init 4 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "tq%d" s)) in
   World.run_task w members.(0) (fun () ->
       ignore (Service.create members.(0) ~db:(Database.demo_cars ()) ~nmembers:4 ()));
@@ -92,6 +94,9 @@ let run () =
   let qps = measure_queries w clients handles ~window_us in
   let w2, clients2, handles2 = make () in
   let ups = measure_updates w2 clients2 handles2 ~window_us in
+  Harness.note_seed seed;
+  Harness.metric "queries_per_s" "op/s" qps;
+  Harness.metric "updates_per_s" "op/s" ups;
   Harness.print_table
     ~title:"Twenty questions: aggregate throughput (4 sites, members at all sites)"
     ~header:[ "workload"; "paper"; "measured" ]
