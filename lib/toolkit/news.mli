@@ -42,10 +42,12 @@ val unsubscribe : agent -> Runtime.proc -> subject:string -> unit
 
 (** [post p ~subject m] publishes (1 ABCAST to the agents).  Any
     process on any site may post; the poster need not subscribe.
-    Posting honors runtime backpressure: under overload the calling
-    task blocks until the agents' group has pipeline room
-    ({!Runtime.bcast_wait}); [on_backpressure] runs once per post that
-    had to wait. *)
+    Posting honors runtime backpressure ({!Runtime.bcast_wait}): when
+    the poster's site holds a copy of the agents' group, the calling
+    task blocks while the multicasts the site has accepted for that
+    group but not yet handed on reach two origination windows;
+    [on_backpressure] runs once per post that had to wait.  A post from
+    a site with no copy is relayed and never held back. *)
 val post :
   ?on_backpressure:(Addr.group_id -> unit) ->
   Runtime.proc -> subject:string -> Message.t -> unit

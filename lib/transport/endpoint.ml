@@ -9,8 +9,6 @@ type config = {
   suspect_after : int;
   frame_header_bytes : int;
   max_retransmits : int;
-  credit_bytes : int;
-  credit_frames : int;
 }
 
 let default_config =
@@ -19,8 +17,6 @@ let default_config =
     suspect_after = 4;
     frame_header_bytes = 24;
     max_retransmits = 16;
-    credit_bytes = 0;
-    credit_frames = 0;
   }
 
 (* How long a receiver waits for reverse data to carry its cumulative
@@ -62,23 +58,14 @@ type 'p frame =
 type 'p pending_msg = {
   seq : int;
   frames : 'p frame list;
-  cost_bytes : int; (* wire bytes charged against the credit budget *)
   first_sent_at : int; (* backend µs *)
   mutable attempts : int;
 }
 
-(* [fly_bytes]/[fly_frames] track the credit the channel's unacked
-   window currently consumes; [waitq] holds payloads admitted by [send]
-   but not yet launched because the budget is spent.  Cumulative acks
-   trim the window, refund the credit and drain the waitq — credit flow
-   control in the classic sliding-budget form. *)
 type 'p out_chan = {
   gen : int;
   mutable next_seq : int;
   unacked : 'p pending_msg Queue.t; (* oldest first *)
-  waitq : 'p Queue.t; (* oldest first; nonempty only with credits on *)
-  mutable fly_bytes : int;
-  mutable fly_frames : int;
   out_rtt : Rtt.t;
   mutable rto_timer : Backend.handle option;
 }
@@ -127,9 +114,6 @@ type 'p t = {
   mutable on_failure : site -> unit;
   mutable on_recovery : site -> unit;
   mutable on_peer_restart : site -> unit;
-  mutable on_credit : site -> unit;
-      (* a cumulative ack refunded credit toward the site; blocked
-         originators may retry. *)
   outs : (site, 'p out_chan) Hashtbl.t;
   ins : (site, 'p in_chan) Hashtbl.t;
   sendqs : (site, 'p sendq) Hashtbl.t;
@@ -170,7 +154,6 @@ let create ?(config = default_config) fabric ~site ~size () =
       on_failure = (fun _ -> ());
       on_recovery = (fun _ -> ());
       on_peer_restart = (fun _ -> ());
-      on_credit = (fun _ -> ());
       outs = Hashtbl.create 8;
       ins = Hashtbl.create 8;
       sendqs = Hashtbl.create 8;
@@ -207,7 +190,6 @@ let trace_transport t mk =
 let set_failure_handler t f = t.on_failure <- f
 let set_recovery_handler t f = t.on_recovery <- f
 let set_restart_handler t f = t.on_peer_restart <- f
-let set_credit_handler t f = t.on_credit <- f
 let frames_sent t = t.n_frames_sent
 let acks_sent t = t.n_acks_sent
 let packets_sent t = t.n_packets_sent
@@ -222,30 +204,9 @@ let channel_failures t = t.n_channel_failures
 let inflight t = Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.unacked) t.outs 0
 let recv_pending t = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.pending) t.ins 0
 
-(* Flow-control gauges: all three drain to zero at quiescence (every
-   send acked refunds its credit, every waiting payload launches, every
-   staged frame flushes within its engine instant). *)
+(* Quiescence gauge: every staged frame flushes within its engine
+   instant. *)
 let sendq_depth t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q.sq) t.sendqs 0
-let credit_waiting t = Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.waitq) t.outs 0
-let credit_used_bytes t = Hashtbl.fold (fun _ ch acc -> acc + ch.fly_bytes) t.outs 0
-
-let credits_enabled t = t.cfg.credit_bytes > 0 || t.cfg.credit_frames > 0
-
-let backpressured t ~dst =
-  credits_enabled t
-  &&
-  match Hashtbl.find_opt t.outs dst with
-  | Some ch -> not (Queue.is_empty ch.waitq)
-  | None -> false
-
-(* A message fits the budget if it leaves both dimensions within their
-   limits — except on an idle channel, where even an oversized message
-   must launch (a budget smaller than one message must degrade to
-   stop-and-wait, not wedge forever). *)
-let credit_fits t ch ~bytes ~frames =
-  (ch.fly_bytes = 0 && ch.fly_frames = 0)
-  || ((t.cfg.credit_bytes <= 0 || ch.fly_bytes + bytes <= t.cfg.credit_bytes)
-     && (t.cfg.credit_frames <= 0 || ch.fly_frames + frames <= t.cfg.credit_frames))
 
 let frame_bytes t = function
   | Data { chunk; _ } -> chunk + t.cfg.frame_header_bytes
@@ -283,11 +244,6 @@ let frame_plan t p =
     else chunks (remaining - chunk_cap) (chunk_cap :: acc)
   in
   chunks (max total 0) []
-
-(* Credit cost of a payload: (wire bytes incl. headers, frame count). *)
-let msg_cost t p =
-  let sizes = frame_plan t p in
-  (List.fold_left (fun acc c -> acc + c + t.cfg.frame_header_bytes) 0 sizes, List.length sizes)
 
 (* Forward declaration dance: transmit needs handle_packet of the peer. *)
 let rec transmit t ~dst frame =
@@ -359,9 +315,6 @@ and out_chan t dst =
         gen;
         next_seq = 0;
         unacked = Queue.create ();
-        waitq = Queue.create ();
-        fly_bytes = 0;
-        fly_frames = 0;
         out_rtt = Rtt.create ();
         rto_timer = None;
       }
@@ -369,8 +322,8 @@ and out_chan t dst =
     Hashtbl.replace t.outs dst ch;
     ch
 
-(* Assign a sequence number, fragment, charge the credit budget and put
-   the message on the wire.  Callers have already passed admission. *)
+(* Assign a sequence number, fragment and put the message on the
+   wire. *)
 and launch_msg t ~dst ch p =
   let seq = ch.next_seq in
   ch.next_seq <- seq + 1;
@@ -393,28 +346,10 @@ and launch_msg t ~dst ch p =
           })
       sizes
   in
-  let cost_bytes = List.fold_left (fun acc c -> acc + c + t.cfg.frame_header_bytes) 0 sizes in
-  let msg = { seq; frames; cost_bytes; first_sent_at = Backend.now (backend t); attempts = 0 } in
+  let msg = { seq; frames; first_sent_at = Backend.now (backend t); attempts = 0 } in
   Queue.push msg ch.unacked;
-  ch.fly_bytes <- ch.fly_bytes + cost_bytes;
-  ch.fly_frames <- ch.fly_frames + nfrags;
   List.iter (fun f -> transmit t ~dst f) frames;
   arm_rto t ~dst ch
-
-(* Launch as much of the waitq as the refreshed budget admits, in FIFO
-   order (head-of-line blocking is the point: credits pace, never
-   reorder). *)
-and drain_waitq t ~dst ch =
-  let blocked = ref false in
-  while (not !blocked) && not (Queue.is_empty ch.waitq) do
-    let p = Queue.peek ch.waitq in
-    let bytes, frames = msg_cost t p in
-    if credit_fits t ch ~bytes ~frames then begin
-      ignore (Queue.pop ch.waitq);
-      launch_msg t ~dst ch p
-    end
-    else blocked := true
-  done
 
 and in_chan t src =
   match Hashtbl.find_opt t.ins src with
@@ -470,12 +405,6 @@ and fail_channel t ~dst ch =
   Option.iter Backend.cancel ch.rto_timer;
   ch.rto_timer <- None;
   Queue.clear ch.unacked;
-  (* Payloads still waiting on credit die with the channel: go-back-N
-     already drops the unacked window, and the failure handler tells the
-     membership layer the peer is unreachable either way. *)
-  Queue.clear ch.waitq;
-  ch.fly_bytes <- 0;
-  ch.fly_frames <- 0;
   Hashtbl.remove t.outs dst;
   (* The next send to [dst] opens a fresh FIFO stream under gen+1; the
      receiver discards any leftovers of this generation when it sees it. *)
@@ -484,10 +413,6 @@ and fail_channel t ~dst ch =
   trace_transport t (fun () ->
       Event.Channel_fail
         { site = t.my_site; peer = dst; dir = "out"; reason = "retransmit budget exhausted" });
-  (* The dropped waitq changed the credit picture for [dst]: wake any
-     blocked originator so it re-evaluates against the failure rather
-     than sleeping on credit that will never be refunded. *)
-  if credits_enabled t then t.on_credit dst;
   t.on_failure dst
 
 (* Inbound analogue of [fail_channel], for a receive stream whose
@@ -600,8 +525,6 @@ and handle_ack t ~src ~gen ~upto =
     let trimmed = ref false in
     while (not (Queue.is_empty ch.unacked)) && (Queue.peek ch.unacked).seq <= upto do
       let m = Queue.pop ch.unacked in
-      ch.fly_bytes <- ch.fly_bytes - m.cost_bytes;
-      ch.fly_frames <- ch.fly_frames - List.length m.frames;
       trimmed := true;
       if m.attempts > 0 then clean := false
       else if !clean then Rtt.observe ch.out_rtt (now - m.first_sent_at)
@@ -613,11 +536,7 @@ and handle_ack t ~src ~gen ~upto =
          window on a lossless path. *)
       Option.iter Backend.cancel ch.rto_timer;
       ch.rto_timer <- None;
-      arm_rto t ~dst:src ch;
-      if credits_enabled t then begin
-        drain_waitq t ~dst:src ch;
-        t.on_credit src
-      end
+      arm_rto t ~dst:src ch
     end
 
 (* Record that [src] is owed a cumulative ack.  The dedicated frame goes
@@ -742,19 +661,7 @@ let send t ~dst p =
              if t.is_alive && t.my_epoch = my_epoch then
                match t.receiver with Some deliver -> deliver ~src:t.my_site [ p ] | None -> ()))
     end
-    else begin
-      let ch = out_chan t dst in
-      if credits_enabled t then begin
-        let bytes, frames = msg_cost t p in
-        (* FIFO admission: if anything is already waiting, queue behind
-           it even when the budget momentarily fits — launching around
-           the waitq would reorder the stream. *)
-        if (not (Queue.is_empty ch.waitq)) || not (credit_fits t ch ~bytes ~frames) then
-          Queue.push p ch.waitq
-        else launch_msg t ~dst ch p
-      end
-      else launch_msg t ~dst ch p
-    end
+    else launch_msg t ~dst (out_chan t dst) p
   end
 
 (* --- Failure detection --- *)

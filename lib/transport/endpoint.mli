@@ -33,6 +33,17 @@
     timeout {!Rtt.default_min_timeout_us}) only when no reverse traffic
     carried it first.
 
+    {2 No transport flow control}
+
+    The endpoint holds no send budget: {!send} launches at once, and
+    the unacked window is bounded only by what the layer above
+    originates.  That layer's admission control paces every primitive
+    the same way: a group admits a multicast only while the sends it
+    accepted but has not yet handed on (send CPU queue plus ABCAST
+    window queue) stay under two origination windows.  Senders that go
+    through admission therefore keep the transport window bounded under
+    a CBCAST flood as under an ABCAST one.
+
     {2 Retransmission exhaustion}
 
     Go-back-N cannot drop one message and keep sending later ones: the
@@ -73,16 +84,6 @@ type config = {
   suspect_after : int;      (** consecutive lost pings before declaring failure. *)
   frame_header_bytes : int; (** per-frame header charged to the wire. *)
   max_retransmits : int;    (** give up resending after this many attempts. *)
-  credit_bytes : int;
-      (** per-destination credit budget in wire bytes: sends beyond it
-          wait in a FIFO queue until cumulative acks refund credit.
-          [0] disables byte credits (default). *)
-  credit_frames : int;
-      (** per-destination credit budget in frames; [0] disables frame
-          credits (default).  Flow control is on iff either budget is
-          positive.  An idle channel always admits one message even if
-          it exceeds the budget (degrades to stop-and-wait, never
-          wedges). *)
 }
 
 val default_config : config
@@ -120,25 +121,12 @@ val set_tracer : _ t -> Vsync_obs.Tracer.t -> unit
     complete several.  Must be set before any traffic arrives. *)
 val set_receiver : 'p t -> (src:site -> 'p list -> unit) -> unit
 
-(** [send t ~dst p] queues [p] for reliable FIFO delivery at [dst].
-    Sends from a crashed endpoint are silently dropped (a dead process
-    sends nothing).  With credit flow control on, a send past the budget
-    is held in a per-destination wait queue (never dropped, never
-    reordered) until acks refund credit. *)
+(** [send t ~dst p] puts [p] on the wire at once for reliable FIFO
+    delivery at [dst]; the transport never holds a send back.  Sends
+    from a crashed endpoint are silently dropped (a dead process sends
+    nothing).  Pacing is the layer above's job (see "No transport flow
+    control" above). *)
 val send : 'p t -> dst:site -> 'p -> unit
-
-(** {1 Flow control} *)
-
-(** [backpressured t ~dst] is true when credit flow control is on and
-    at least one payload for [dst] is waiting on credit — the signal
-    originators should throttle on. *)
-val backpressured : _ t -> dst:site -> bool
-
-(** [set_credit_handler t f] runs [f dst] each time a cumulative ack
-    from [dst] refunds credit (after the wait queue has been drained
-    into the refreshed budget) — blocked originators retry on this
-    signal. *)
-val set_credit_handler : _ t -> (site -> unit) -> unit
 
 (** {1 Failure detection} *)
 
@@ -219,15 +207,9 @@ val inflight : _ t -> int
 val recv_pending : _ t -> int
 
 (** [sendq_depth t] — frames staged in coalescing queues (flushed within
-    the same engine instant, so zero whenever the engine is quiescent);
-    [credit_waiting t] — payloads held back by exhausted credit;
-    [credit_used_bytes t] — wire bytes the unacked windows currently
-    charge against their budgets.  All three are quiescence gauges: the
-    oracle asserts they drain to zero. *)
+    the same engine instant, so zero whenever the engine is quiescent).
+    A quiescence gauge: the oracle asserts it drains to zero. *)
 val sendq_depth : _ t -> int
-
-val credit_waiting : _ t -> int
-val credit_used_bytes : _ t -> int
 
 (** {1 Test hooks} *)
 

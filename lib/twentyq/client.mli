@@ -33,9 +33,12 @@ val vertical : ?retries:int -> t -> string -> (Database.answer, string) result
 val horizontal : ?retries:int -> t -> string -> (Database.answer list, string) result
 
 (** [add_row t values] appends a row (1 GBCAST, Step 5; asynchronous).
-    Honors runtime backpressure: under overload the calling task blocks
-    until the group has pipeline room ({!Runtime.bcast_wait});
-    [on_backpressure] runs once per call that had to wait. *)
+    Honors runtime backpressure ({!Runtime.bcast_wait}): a bulk loader
+    on a site that hosts a member parks while the multicasts the site
+    has accepted for the group but not yet handed on reach two
+    origination windows, GBCASTs counting like any other primitive;
+    [on_backpressure] runs once per call that had to wait.  A row of the
+    wrong arity is rejected by every member and never logged. *)
 val add_row : ?on_backpressure:(Addr.group_id -> unit) -> t -> string list -> unit
 
 (** [add_row_sync t values] appends a row and waits until every member

@@ -66,18 +66,30 @@ let log_update t m =
     end
   | None -> ()
 
+(* Every member holds the same schema when an update is delivered, so a
+   malformed one (a row of the wrong arity, an unknown column) is
+   rejected at every member alike — and, never applied, it is never
+   logged either. *)
 let apply_update t m =
-  (match Message.get_str m f_op with
-  | Some "add_row" -> (
-    match Message.get_str m f_values with
-    | Some packed -> Database.add_row t.database (String.split_on_char '\x1f' packed)
-    | None -> ())
-  | Some "remove_rows" -> (
-    match Message.get_str m f_column, Message.get_str m f_value with
-    | Some column, Some value -> ignore (Database.remove_rows t.database ~column ~value)
-    | _ -> ())
-  | Some _ | None -> ());
-  log_update t m
+  let applied =
+    match Message.get_str m f_op with
+    | Some "add_row" -> (
+      match Message.get_str m f_values with
+      | Some packed -> (
+        match Database.add_row t.database (String.split_on_char '\x1f' packed) with
+        | () -> true
+        | exception Invalid_argument _ -> false)
+      | None -> false)
+    | Some "remove_rows" -> (
+      match Message.get_str m f_column, Message.get_str m f_value with
+      | Some column, Some value -> (
+        match Database.remove_rows t.database ~column ~value with
+        | _ -> true
+        | exception Not_found -> false)
+      | _ -> false)
+    | Some _ | None -> false
+  in
+  if applied then log_update t m
 
 (* Answering rule of Step 2.  A member that is not responsible (or is a
    standby, Step 4) sends a null reply so the caller never hangs. *)

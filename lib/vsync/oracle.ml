@@ -640,17 +640,14 @@ let check ?(hygiene = true) t =
              path was missed and state would accrete forever). *)
           gauge "runtime.pending_store";
           gauge "runtime.dedup_residue";
-          (* Flow control: at quiescence no accepted ABCAST waits on
-             the send CPU queue, no round is queued or in flight and no
-             frame is staged for coalescing — a nonzero reading means
-             admission leaked.  The credit gauges
-             ([transport.credit_waiting] / [credit_used_bytes]) mirror
-             the unacked window and are exempt for the same reason
-             [transport.inflight] is: frames toward a site that died
-             sit in the window until the retransmit budget exhausts,
-             which can outlast any settle period.  Their drain on
-             clean runs is pinned by the flow-control tests. *)
-          gauge "runtime.ab_accepted";
+          (* Flow control: at quiescence no accepted multicast waits
+             on the send CPU queue, no round is queued or in flight and
+             no frame is staged for coalescing — a nonzero reading
+             means admission leaked.  [transport.inflight] is exempt:
+             frames toward a site that died sit in the unacked window
+             until the retransmit budget exhausts, which can outlast
+             any settle period. *)
+          gauge "runtime.accepted";
           gauge "runtime.ab_queue";
           gauge "runtime.ab_inflight";
           gauge "transport.sendq_depth"

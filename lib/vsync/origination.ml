@@ -363,18 +363,18 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
         | (Some _ | None), _ -> ());
         let sess = session_for ~responders:(Some g.view.View.members) ~relay_site:None in
         p.pending_inits <- p.pending_inits + 1;
-        (* An accepted ABCAST counts against admission from now until
-           the CPU queue hands it on, whichever way [origin_multicast]
-           then routes it; the wake-up follows the hand-off, so a woken
-           sender sees it in [ab_queue] or already dispatched. *)
-        let ab = mode = Abcast in
-        if ab then g.ab_accepted <- g.ab_accepted + 1;
+        (* An accepted multicast, whatever its mode, counts against
+           admission from now until the CPU queue hands it on, whichever
+           way [origin_multicast] then routes it; the wake-up follows
+           the hand-off, so a woken sender sees it in [ab_queue] or
+           already dispatched. *)
+        g.accepted <- g.accepted + 1;
         let size = Message.size body in
         let cbcast = if mode = Cbcast then Some (gi gid, size) else None in
         on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us size) (fun () ->
-            if ab then g.ab_accepted <- g.ab_accepted - 1;
+            g.accepted <- g.accepted - 1;
             origin_multicast t g mode ~owner:(Some p) body;
-            if ab then Condition.broadcast t.admission);
+            Condition.broadcast t.admission);
         await sess
       | None -> (
         match contact_site_for t gid with
@@ -395,20 +395,16 @@ type send_verdict =
   | Backpressure of Addr.group_id
 
 (* A group is overloaded when its origination pipeline is saturated:
-   the ABCASTs accepted but not yet dispatched into the window (on the
-   send CPU queue or in [ab_queue]) reach two windows, or the
-   transport is holding frames for some member site on exhausted
-   credit.  Two windows is one in flight plus one ready, so the
-   half-window bursts of [dispatch_abcasts] always find work; any more
-   only lengthens the FIFO CPU queue in front of the Ab_prio/Ab_commit
-   receptions that finish rounds, until new work starves them.  Only
-   signals — nothing here blocks or drops. *)
-let group_overloaded t g =
-  g.ab_accepted + Queue.length g.ab_queue >= 2 * t.cfg.ab_window
-  ||
-  match t.ep with
-  | Some ep -> List.exists (fun dst -> Endpoint.backpressured ep ~dst) (remote_member_sites t g)
-  | None -> false
+   the multicasts of every mode accepted but not yet handed on (on the
+   send CPU queue, or ABCASTs in [ab_queue]) reach two windows.  Two
+   windows is one in flight plus one ready, so the half-window bursts
+   of [dispatch_abcasts] always find work; any more only lengthens the
+   FIFO CPU queue in front of the receptions that finish rounds and
+   acknowledge CBCASTs, until new work starves them.  The one rule
+   paces every primitive: an asynchronous CBCAST flood would otherwise
+   grow the CPU queue without bound.  Only signals — nothing here
+   blocks or drops. *)
+let group_overloaded t g = g.accepted + Queue.length g.ab_queue >= 2 * t.cfg.ab_window
 
 let overloaded_dest t dest =
   match dest with
@@ -427,8 +423,8 @@ let bcast_try p mode ~dest ~entry msg ~(want : want) =
   | None -> Admitted (bcast p mode ~dest ~entry msg ~want)
 
 (* Blocking admission: park the calling task until the overload clears
-   (a credit refund, a CPU-queue hand-off or a pipeline dispatch wakes
-   [t.admission]), then send.
+   (a CPU-queue hand-off or a pipeline dispatch wakes [t.admission]),
+   then send.
    [on_backpressure] fires once when the call actually has to wait, so
    callers can count or log sheds without wrapping the call. *)
 let bcast_wait ?on_backpressure p mode ~dest ~entry msg ~(want : want) =

@@ -167,10 +167,7 @@ let wire_endpoint t =
      incarnation (members, channels, unstable acks) is dead state: treat
      the incarnation change as a site failure.  The revived site rejoins
      groups explicitly, like any newcomer. *)
-  Endpoint.set_restart_handler ep (fun s -> if t.running then on_site_down ~certain:true t s);
-  (* Close the flow-control loop: credit refunds wake originators
-     blocked in [bcast_wait]. *)
-  Endpoint.set_credit_handler ep (fun _ -> if t.running then Condition.broadcast t.admission)
+  Endpoint.set_restart_handler ep (fun s -> if t.running then on_site_down ~certain:true t s)
 
 (* Gauges for leak tests: all three drain to zero once traffic
    quiesces. *)
@@ -201,14 +198,11 @@ let register_metrics t =
   Metrics.gauge m "runtime.pending_store" (fun () -> pending_store t);
   Metrics.gauge m "runtime.dedup_residue" (fun () -> dedup_residue t);
   Metrics.gauge m "runtime.cpu_busy_us" (fun () -> t.cpu_busy);
-  Metrics.gauge m "runtime.ab_accepted" (fun () -> sum (fun g -> g.ab_accepted));
+  Metrics.gauge m "runtime.accepted" (fun () -> sum (fun g -> g.accepted));
   Metrics.gauge m "runtime.ab_queue" (fun () -> sum (fun g -> Queue.length g.ab_queue));
   Metrics.gauge m "runtime.ab_inflight" (fun () -> sum (fun g -> g.ab_inflight));
   Metrics.gauge m "transport.inflight" (fun () -> Endpoint.inflight (endpoint t));
   Metrics.gauge m "transport.sendq_depth" (fun () -> Endpoint.sendq_depth (endpoint t));
-  Metrics.gauge m "transport.credit_waiting" (fun () -> Endpoint.credit_waiting (endpoint t));
-  Metrics.gauge m "transport.credit_used_bytes" (fun () ->
-      Endpoint.credit_used_bytes (endpoint t));
   Metrics.gauge m "transport.recv_pending" (fun () -> Endpoint.recv_pending (endpoint t));
   Metrics.gauge m "transport.data_frames" (fun () -> Endpoint.frames_sent (endpoint t));
   Metrics.gauge m "transport.ack_frames" (fun () -> Endpoint.acks_sent (endpoint t));

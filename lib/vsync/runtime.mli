@@ -263,9 +263,9 @@ val bcast_multi :
 type send_verdict =
   | Admitted of outcome  (** the send went through; the usual outcome. *)
   | Backpressure of Addr.group_id
-      (** the destination group is overloaded — its ABCAST backlog is
-          at the admission limit, or transport credit is exhausted
-          toward a member site — and the message was {e not} sent. *)
+      (** the destination group is overloaded — its origination
+          backlog is at the admission limit — and the message was
+          {e not} sent. *)
 
 (** [bcast_try] is {!bcast} with non-blocking admission control: if the
     destination group is overloaded it returns {!Backpressure} without
@@ -273,22 +273,24 @@ type send_verdict =
     destinations and relayed (not locally visible) groups are never
     backpressured.
 
-    The admission limit is derived, not configured: a group is
-    overloaded once the ABCASTs this site accepted for it but has not
-    yet dispatched into the origination window — still waiting on the
-    modelled send CPU, or queued for a window slot — reach twice the
-    origination window ([config.ab_window]).  Two windows is one in
-    flight plus one ready to launch, so the half-window dispatch bursts
-    never run dry; a longer backlog only queues send CPU work in front
-    of the protocol frames that finish rounds. *)
+    The admission limit is derived, not configured, and is the same for
+    every primitive: a group is overloaded once the multicasts this site
+    accepted for it but has not yet handed on — CBCASTs, ABCASTs and
+    GBCASTs still waiting on the modelled send CPU, plus ABCASTs queued
+    for a window slot — reach twice the origination window
+    ([config.ab_window]).  Two windows is one in flight plus one ready
+    to launch, so the half-window dispatch bursts never run dry; a
+    longer backlog only queues send CPU work in front of the protocol
+    frames that finish rounds and acknowledge messages.  The transport
+    holds no budget of its own, so this rule alone paces a flood of any
+    mode. *)
 val bcast_try :
   proc -> mode -> dest:Addr.t -> entry:Entry.t -> Message.t -> want:want -> send_verdict
 
 (** [bcast_wait] is {!bcast} with blocking admission control: the
-    calling task parks until the overload clears (woken by transport
-    credit refunds, accepted ABCASTs leaving the send CPU queue, and
-    pipeline dispatches, including the one that follows a view
-    change), then sends.
+    calling task parks until the overload clears (woken by accepted
+    multicasts leaving the send CPU queue and by pipeline dispatches,
+    including the one that follows a view change), then sends.
     [on_backpressure gid] runs once if the call actually had to wait —
     the hook applications use to count shed/slowed requests.  Must run
     inside a task, like any blocking primitive. *)

@@ -18,8 +18,8 @@ type result = {
 
 let run ?(sites = 4) ?(horizon_us = 20_000_000) ?(settle_us = 30_000_000)
     ?(send_interval_us = 150_000) ?(payload_bytes = 256) ?plan ?(intensity = 0.5) ?trace_sink
-    ?runtime_config ~seed () =
-  let w = World.create ~seed ?runtime_config ~sites () in
+    ~seed () =
+  let w = World.create ~seed ~sites () in
   (* Run with the typed protocol events on (and only those — the mask
      excludes Note's anomaly and site-status events), so every sweep
      also exercises the event layer and the oracle's typed-stream checks

@@ -35,9 +35,8 @@ type result = {
     (e.g. a member's group join was refused) — setup failures surface
     as values rather than aborting the whole sweep.
 
-    [?runtime_config] overrides every site's runtime configuration (the
-    flow-control sweep A/Bs a transport-credit config against the
-    default under identical seeds). *)
+    Every site runs {!Runtime.default_config}: a scenario exercises the
+    one configuration the runtime ships. *)
 val run :
   ?sites:int ->
   ?horizon_us:int ->
@@ -47,7 +46,6 @@ val run :
   ?plan:Vsync_sim.Nemesis.plan ->
   ?intensity:float ->
   ?trace_sink:(Vsync_obs.Event.record -> unit) ->
-  ?runtime_config:Runtime.config ->
   seed:int64 ->
   unit ->
   (result, string) Stdlib.result

@@ -101,10 +101,10 @@ and group = {
       (* ABCASTs accepted for origination but waiting for a pipeline
          slot: at most [ab_window] phase-1 rounds originated here may be
          outstanding at once *)
-  mutable ab_accepted : int;
-      (* ABCASTs [bcast] accepted that are still on the send CPU queue,
-         not yet handed to [origin_multicast]; with [ab_queue] this is
-         the backlog admission control bounds *)
+  mutable accepted : int;
+      (* multicasts of any mode [bcast] accepted that are still on the
+         send CPU queue, not yet handed to [origin_multicast]; with
+         [ab_queue] this is the backlog admission control bounds *)
   mutable ab_inflight : int;
   mutable g_monitors : (proc * (View.t -> View.change list -> unit)) list;
   mutable join_validator : (proc * (Addr.proc -> Message.t -> bool)) option;
@@ -247,9 +247,8 @@ and t = {
   mon_refs : (int, int) Hashtbl.t;
   admission : Condition.t;
       (* originators blocked in [bcast_wait] sleep here; woken whenever
-         transport credit is refunded, an accepted ABCAST leaves the CPU
-         queue, the ABCAST pipeline dispatches queued rounds, or a group
-         copy goes away *)
+         an accepted multicast leaves the CPU queue, the ABCAST pipeline
+         dispatches queued rounds, or a group copy goes away *)
   mutable cpu_free : int; (* backend µs *)
   mutable cpu_busy : int;
   send_jobs : int Queue.t;
@@ -548,7 +547,7 @@ let make_group t ~gid ~gname ~view =
     wedge = None;
     blocked_sends = [];
     ab_queue = Queue.create ();
-    ab_accepted = 0;
+    accepted = 0;
     ab_inflight = 0;
     g_monitors = [];
     join_validator = None;

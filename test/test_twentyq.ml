@@ -112,6 +112,50 @@ let test_dynamic_update () =
       Alcotest.(check int) "update applied at every member" 14 (Database.n_rows (Service.db s)))
     services
 
+let test_wrong_arity_row_rejected () =
+  (* A 4-value row against the 6-column demo table, and a removal keyed
+     on a column the table lacks, arrive in GBCASTs at every member:
+     each rejects them, none logs them, the world keeps running, and a
+     valid row sent afterwards lands everywhere. *)
+  let store = Stable_store.create ~sites:3 () in
+  let w, procs, services, client_proc, client = make ~store () in
+  let log_lengths () =
+    List.init 3 (fun site -> Stable_store.log_length store ~site ~log:"twentyq.updates")
+  in
+  let logged = log_lengths () in
+  World.run_task w client_proc (fun () ->
+      Client.add_row client [ "car"; "red"; "sport"; "1" ];
+      Client.remove_rows client ~column:"wheels" ~value:"4");
+  World.run w;
+  Array.iter
+    (fun s -> Alcotest.(check int) "bad updates rejected at every member" 13 (Database.n_rows (Service.db s)))
+    services;
+  Alcotest.(check (list int)) "bad updates never logged" logged (log_lengths ());
+  Alcotest.(check bool) "members still alive" true (Array.for_all Runtime.proc_alive procs);
+  World.run_task w client_proc (fun () ->
+      Client.add_row client [ "car"; "red"; "sport"; "99999"; "Ferrari"; "F40" ]);
+  World.run w;
+  Array.iter
+    (fun s -> Alcotest.(check int) "valid row lands afterwards" 14 (Database.n_rows (Service.db s)))
+    services
+
+let test_bulk_loader_parks () =
+  (* One task slams the database with 200 back-to-back asynchronous
+     rows: admission parks it whenever the group's origination backlog
+     reaches two windows, and every row still reaches every member. *)
+  let w, _procs, services, client_proc, client = make () in
+  let parked = ref 0 in
+  World.run_task w client_proc (fun () ->
+      for i = 1 to 200 do
+        Client.add_row ~on_backpressure:(fun _ -> incr parked) client
+          [ "car"; "grey"; "bulk"; string_of_int i; "Loader"; "B" ^ string_of_int i ]
+      done);
+  World.run w;
+  Alcotest.(check bool) (Printf.sprintf "loader parked (%d times)" !parked) true (!parked > 0);
+  Array.iter
+    (fun s -> Alcotest.(check int) "all 200 rows at every member" 213 (Database.n_rows (Service.db s)))
+    services
+
 let test_reconfigure_nmembers () =
   let w, _procs, services, client_proc, client = make () in
   World.run_task w client_proc (fun () ->
@@ -203,6 +247,8 @@ let suite =
     Alcotest.test_case "horizontal query" `Quick test_horizontal_query;
     Alcotest.test_case "standby takeover" `Quick test_standby_takeover;
     Alcotest.test_case "dynamic update" `Quick test_dynamic_update;
+    Alcotest.test_case "wrong-arity row rejected everywhere" `Quick test_wrong_arity_row_rejected;
+    Alcotest.test_case "bulk loader parks under admission" `Quick test_bulk_loader_parks;
     Alcotest.test_case "reconfigure NMEMBERS" `Quick test_reconfigure_nmembers;
     Alcotest.test_case "game secret" `Quick test_game_secret;
     Alcotest.test_case "total failure restart" `Quick test_total_failure_restart;
