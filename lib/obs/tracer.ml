@@ -19,8 +19,9 @@ let default_mask =
     (fun m c -> if c = Event.Engine then m else m lor Event.cls_bit c)
     0 Event.all_classes
 
-let create ?(capacity = 200_000) ~now () =
-  { now; on = false; mask = default_mask; ring = Ring.create ~capacity; sinks = []; n_emitted = 0 }
+let create ~now =
+  let ring = Ring.create ~capacity:200_000 in
+  { now; on = false; mask = default_mask; ring; sinks = []; n_emitted = 0 }
 
 let enabled t = t.on
 let set_enabled t b = t.on <- b

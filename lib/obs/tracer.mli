@@ -26,9 +26,9 @@
 type sink = Event.record -> unit
 type t
 
-(** [create ~now ()] makes a disabled tracer reading timestamps from
-    [now].  [capacity] bounds the ring (default 200_000 records). *)
-val create : ?capacity:int -> now:(unit -> int) -> unit -> t
+(** [create ~now] makes a disabled tracer reading timestamps from
+    [now].  Its ring keeps the last 200_000 records. *)
+val create : now:(unit -> int) -> t
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

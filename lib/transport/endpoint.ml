@@ -4,20 +4,14 @@ module Event = Vsync_obs.Event
 
 type site = int
 
-type config = {
-  ping_interval_us : int;
-  suspect_after : int;
-  frame_header_bytes : int;
-  max_retransmits : int;
-}
-
-let default_config =
-  {
-    ping_interval_us = 500_000;
-    suspect_after = 4;
-    frame_header_bytes = 24;
-    max_retransmits = 16;
-  }
+(* A monitored site is probed every [ping_interval_us] and suspected
+   after [suspect_after] lost probes in a row; every frame is charged a
+   [frame_header_bytes] header on the wire; a channel fails when one of
+   its messages would be resent more than [max_retransmits] times. *)
+let ping_interval_us = 500_000
+let suspect_after = 4
+let frame_header_bytes = 24
+let max_retransmits = 16
 
 (* How long a receiver waits for reverse data to carry its cumulative
    ack before sending a dedicated [Ack] frame.  Long enough for the next
@@ -92,10 +86,10 @@ type 'p sendq = { sq : 'p frame Queue.t; mutable flush_scheduled : bool }
 
 type monitor_state = {
   mon_rtt : Rtt.t;
+  mutable refs : int; (* [monitor] calls not yet matched by [unmonitor]; 0 once stopped *)
   mutable missed : int;
   mutable outstanding : (int * int) option; (* ping id, sent at (backend µs) *)
   mutable mon_timer : Backend.handle option;
-  mutable active : bool;
   mutable suspected : bool;
       (* failure declared but probing continues: a later pong revokes
          the suspicion via [on_recovery].  A suspicion is a verdict
@@ -103,23 +97,31 @@ type monitor_state = {
          (membership says the site is really gone) stops the probes. *)
 }
 
+(* Everything this endpoint knows about one remote site. *)
+type 'p peer = {
+  mutable out : 'p out_chan option;
+  mutable inb : 'p in_chan option;
+  staged : 'p sendq;
+  mutable next_gen : int; (* generation of the next re-opened out channel *)
+  mutable peer_epoch : int; (* last incarnation seen; 0 before first contact *)
+  mutable mon : monitor_state option;
+}
+
+let new_peer () =
+  let staged = { sq = Queue.create (); flush_scheduled = false } in
+  { out = None; inb = None; staged; next_gen = 0; peer_epoch = 0; mon = None }
+
 type 'p t = {
   fabric : 'p fabric;
   my_site : site;
   size : 'p -> int;
-  cfg : config;
   mutable my_epoch : int;
   mutable is_alive : bool;
   mutable receiver : (src:site -> 'p list -> unit) option;
   mutable on_failure : site -> unit;
   mutable on_recovery : site -> unit;
   mutable on_peer_restart : site -> unit;
-  outs : (site, 'p out_chan) Hashtbl.t;
-  ins : (site, 'p in_chan) Hashtbl.t;
-  sendqs : (site, 'p sendq) Hashtbl.t;
-  out_gens : (site, int) Hashtbl.t; (* next generation for a re-opened channel *)
-  peer_epochs : (site, int) Hashtbl.t;
-  monitors : (site, monitor_state) Hashtbl.t;
+  peers : 'p peer array; (* indexed by site; our own entry stays empty *)
   mutable next_ping_id : int;
   mutable n_frames_sent : int;
   mutable n_acks_sent : int;
@@ -136,7 +138,7 @@ and 'p fabric = {
 
 let fabric bk = { fbk = bk; endpoints = Array.make (Backend.n_sites bk) None }
 
-let create ?(config = default_config) fabric ~site ~size () =
+let create fabric ~site ~size =
   if site < 0 || site >= Array.length fabric.endpoints then
     invalid_arg "Endpoint.create: bad site";
   (match fabric.endpoints.(site) with
@@ -147,19 +149,13 @@ let create ?(config = default_config) fabric ~site ~size () =
       fabric;
       my_site = site;
       size;
-      cfg = config;
       my_epoch = 1;
       is_alive = true;
       receiver = None;
       on_failure = (fun _ -> ());
       on_recovery = (fun _ -> ());
       on_peer_restart = (fun _ -> ());
-      outs = Hashtbl.create 8;
-      ins = Hashtbl.create 8;
-      sendqs = Hashtbl.create 8;
-      out_gens = Hashtbl.create 8;
-      peer_epochs = Hashtbl.create 8;
-      monitors = Hashtbl.create 8;
+      peers = Array.init (Array.length fabric.endpoints) (fun _ -> new_peer ());
       next_ping_id = 0;
       n_frames_sent = 0;
       n_acks_sent = 0;
@@ -201,20 +197,35 @@ let channel_failures t = t.n_channel_failures
    receive-side reassembly buffers (partials above [next_deliver] —
    the receive dedup itself is a per-channel watermark, so it holds no
    per-message state at all). *)
-let inflight t = Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.unacked) t.outs 0
-let recv_pending t = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.pending) t.ins 0
+let sum_peers t f = Array.fold_left (fun acc p -> acc + f p) 0 t.peers
+
+let inflight t =
+  sum_peers t (fun p -> match p.out with Some ch -> Queue.length ch.unacked | None -> 0)
+
+let recv_pending t =
+  sum_peers t (fun p -> match p.inb with Some ch -> Hashtbl.length ch.pending | None -> 0)
 
 (* Quiescence gauge: every staged frame flushes within its engine
    instant. *)
-let sendq_depth t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q.sq) t.sendqs 0
+let sendq_depth t = sum_peers t (fun p -> Queue.length p.staged.sq)
 
-let frame_bytes t = function
-  | Data { chunk; _ } -> chunk + t.cfg.frame_header_bytes
-  | Ack _ | Ping _ | Pong _ -> t.cfg.frame_header_bytes
+let frame_bytes = function
+  | Data { chunk; _ } -> chunk + frame_header_bytes
+  | Ack _ | Ping _ | Pong _ -> frame_header_bytes
 
 let cancel_ack_timer ch =
   Option.iter Backend.cancel ch.ack_timer;
   ch.ack_timer <- None
+
+(* Forget the channels to [p]'s current incarnation: cancel their
+   timers and drop its unacked, undelivered and staged frames (a flush
+   already scheduled finds the staging queue empty). *)
+let drop_channels p =
+  Option.iter (fun ch -> Option.iter Backend.cancel ch.rto_timer) p.out;
+  Option.iter cancel_ack_timer p.inb;
+  Queue.clear p.staged.sq;
+  p.out <- None;
+  p.inb <- None
 
 (* Stamp the piggybacked cumulative ack for [dst] onto an outgoing data
    frame, at wire time.  Clearing [ack_owed] suppresses the pending
@@ -222,7 +233,7 @@ let cancel_ack_timer ch =
 let stamp_ack t ~dst frame =
   match frame with
   | Data d -> (
-    match Hashtbl.find_opt t.ins dst with
+    match t.peers.(dst).inb with
     | Some ch ->
       d.ack_gen <- ch.in_gen;
       d.ack_upto <- ch.next_deliver - 1;
@@ -238,7 +249,7 @@ let account_frame t = function
 (* Fragment sizes for a payload: every chunk fits its own packet. *)
 let frame_plan t p =
   let total = t.size p in
-  let chunk_cap = Backend.max_packet_bytes t.fabric.fbk - t.cfg.frame_header_bytes in
+  let chunk_cap = Backend.max_packet_bytes t.fabric.fbk - frame_header_bytes in
   let rec chunks remaining acc =
     if remaining <= chunk_cap then List.rev (remaining :: acc)
     else chunks (remaining - chunk_cap) (chunk_cap :: acc)
@@ -248,14 +259,7 @@ let frame_plan t p =
 (* Forward declaration dance: transmit needs handle_packet of the peer. *)
 let rec transmit t ~dst frame =
   if t.is_alive then begin
-    let q =
-      match Hashtbl.find_opt t.sendqs dst with
-      | Some q -> q
-      | None ->
-        let q = { sq = Queue.create (); flush_scheduled = false } in
-        Hashtbl.replace t.sendqs dst q;
-        q
-    in
+    let q = t.peers.(dst).staged in
     Queue.push frame q.sq;
     if not q.flush_scheduled then begin
       q.flush_scheduled <- true;
@@ -279,7 +283,7 @@ and flush_sendq t ~dst q =
     let full = ref false in
     while (not !full) && not (Queue.is_empty q.sq) do
       let f = Queue.peek q.sq in
-      let fb = frame_bytes t f in
+      let fb = frame_bytes f in
       if !frames = [] || !bytes + fb <= max_bytes then begin
         ignore (Queue.pop q.sq);
         stamp_ack t ~dst f;
@@ -306,20 +310,20 @@ and send_packet t ~dst frames ~bytes =
       | Some _ | None -> ())
 
 and out_chan t dst =
-  match Hashtbl.find_opt t.outs dst with
+  let p = t.peers.(dst) in
+  match p.out with
   | Some ch -> ch
   | None ->
-    let gen = Option.value ~default:0 (Hashtbl.find_opt t.out_gens dst) in
     let ch =
       {
-        gen;
+        gen = p.next_gen;
         next_seq = 0;
         unacked = Queue.create ();
         out_rtt = Rtt.create ();
         rto_timer = None;
       }
     in
-    Hashtbl.replace t.outs dst ch;
+    p.out <- Some ch;
     ch
 
 (* Assign a sequence number, fragment and put the message on the
@@ -352,13 +356,14 @@ and launch_msg t ~dst ch p =
   arm_rto t ~dst ch
 
 and in_chan t src =
-  match Hashtbl.find_opt t.ins src with
+  let p = t.peers.(src) in
+  match p.inb with
   | Some ch -> ch
   | None ->
     let ch =
       { in_gen = 0; next_deliver = 0; pending = Hashtbl.create 8; ack_owed = false; ack_timer = None }
     in
-    Hashtbl.replace t.ins src ch;
+    p.inb <- Some ch;
     ch
 
 and arm_rto t ~dst ch =
@@ -380,7 +385,7 @@ and retransmit t ~dst ch =
   if not (Queue.is_empty ch.unacked) then begin
     Rtt.backoff ch.out_rtt;
     let exhausted =
-      Queue.fold (fun acc m -> acc || m.attempts + 1 > t.cfg.max_retransmits) false ch.unacked
+      Queue.fold (fun acc m -> acc || m.attempts + 1 > max_retransmits) false ch.unacked
     in
     if exhausted then
       (* Go-back-N cannot drop one message and keep sending later ones:
@@ -405,10 +410,11 @@ and fail_channel t ~dst ch =
   Option.iter Backend.cancel ch.rto_timer;
   ch.rto_timer <- None;
   Queue.clear ch.unacked;
-  Hashtbl.remove t.outs dst;
   (* The next send to [dst] opens a fresh FIFO stream under gen+1; the
      receiver discards any leftovers of this generation when it sees it. *)
-  Hashtbl.replace t.out_gens dst (ch.gen + 1);
+  let p = t.peers.(dst) in
+  p.out <- None;
+  p.next_gen <- ch.gen + 1;
   t.n_channel_failures <- t.n_channel_failures + 1;
   trace_transport t (fun () ->
       Event.Channel_fail
@@ -423,7 +429,7 @@ and fail_channel t ~dst ch =
 and fail_in_channel t ~src ch ~reason =
   cancel_ack_timer ch;
   Hashtbl.reset ch.pending;
-  Hashtbl.remove t.ins src;
+  t.peers.(src).inb <- None;
   t.n_channel_failures <- t.n_channel_failures + 1;
   trace_transport t (fun () ->
       Event.Channel_fail { site = t.my_site; peer = src; dir = "in"; reason });
@@ -453,48 +459,35 @@ and handle_frame t ~src ~sink frame =
       | Data { epoch; _ } | Ack { epoch; _ } | Ping { epoch; id = _ } | Pong { epoch; id = _ } ->
         epoch
     in
-    let known = Hashtbl.find_opt t.peer_epochs src in
-    let stale = match known with Some k -> frame_epoch < k | None -> false in
-    if stale then () (* stale incarnation *)
+    let p = t.peers.(src) in
+    if frame_epoch < p.peer_epoch then () (* stale incarnation *)
     else begin
-      (match known with
-      | None ->
-        (* First contact with this peer: adopt its epoch. *)
-        Hashtbl.replace t.peer_epochs src frame_epoch
-      | Some k when frame_epoch > k ->
-        (* The peer restarted: all channel state for the old incarnation
-           is garbage.  Outbound unacked traffic was addressed to the
-           dead incarnation; the membership layer handles the fallout. *)
-        Hashtbl.replace t.peer_epochs src frame_epoch;
-        (match Hashtbl.find_opt t.ins src with
-        | Some ch ->
-          cancel_ack_timer ch;
-          Hashtbl.remove t.ins src
-        | None -> ());
-        (match Hashtbl.find_opt t.outs src with
-        | Some ch ->
-          Option.iter Backend.cancel ch.rto_timer;
-          Hashtbl.remove t.outs src
-        | None -> ());
-        (* A restart can beat the failure detector (crash + revive inside
-           the suspicion window).  Whoever relied on the old incarnation
+      if frame_epoch > p.peer_epoch then begin
+        (* First contact adopts the peer's epoch; a newer one means the
+           peer restarted, and all channel state for the old incarnation
+           is garbage: unacked and staged traffic was addressed to it.
+           The membership layer handles the fallout.  A restart can
+           beat the failure detector (crash + revive inside the
+           suspicion window), so whoever relied on the old incarnation
            must hear about it regardless.  The monitor's history is of
-           the OLD incarnation, so it restarts from scratch: the standing
-           suspicion must not be retracted by a pong from the new
-           incarnation (recovery means "same incarnation reachable
-           again"; a restart confirms the old one is dead for good), and
-           the accumulated miss count and any in-flight ping must not be
-           held against the new one — a stale ping's backed-off timeout
-           firing over a still-huge [missed] would re-declare the fresh
-           incarnation down the moment it came up. *)
-        (match Hashtbl.find_opt t.monitors src with
-        | Some mon ->
-          mon.suspected <- false;
-          mon.missed <- 0;
-          mon.outstanding <- None
-        | None -> ());
-        t.on_peer_restart src
-      | Some _ -> ());
+           the OLD incarnation too, so it restarts from scratch: a pong
+           from the new incarnation must not retract the standing
+           suspicion (a restart confirms the old one is dead for good),
+           and a stale ping's backed-off timeout firing over a
+           still-huge [missed] must not declare the new one down. *)
+        let restarted = p.peer_epoch > 0 in
+        p.peer_epoch <- frame_epoch;
+        if restarted then begin
+          drop_channels p;
+          Option.iter
+            (fun mon ->
+              mon.suspected <- false;
+              mon.missed <- 0;
+              mon.outstanding <- None)
+            p.mon;
+          t.on_peer_restart src
+        end
+      end;
       match frame with
       | Ping { id; _ } -> transmit t ~dst:src (Pong { epoch = t.my_epoch; id })
       | Pong { id; _ } -> handle_pong t ~src ~id
@@ -505,7 +498,7 @@ and handle_frame t ~src ~sink frame =
     end
 
 and handle_ack t ~src ~gen ~upto =
-  match Hashtbl.find_opt t.outs src with
+  match t.peers.(src).out with
   | None -> ()
   | Some ch when ch.gen <> gen -> () (* ack for an abandoned channel generation *)
   | Some ch ->
@@ -620,7 +613,7 @@ and handle_data t ~src ~gen ~seq ~frag ~nfrags ~payload ~sink =
   end
 
 and handle_pong t ~src ~id =
-  match Hashtbl.find_opt t.monitors src with
+  match t.peers.(src).mon with
   | None -> ()
   | Some mon -> (
     match mon.outstanding with
@@ -670,9 +663,9 @@ let rec schedule_ping t ~site mon =
   let my_epoch = t.my_epoch in
   mon.mon_timer <-
     Some
-      (Backend.schedule (backend t) ~delay:t.cfg.ping_interval_us (fun () ->
+      (Backend.schedule (backend t) ~delay:ping_interval_us (fun () ->
            mon.mon_timer <- None;
-           if t.is_alive && t.my_epoch = my_epoch && mon.active then send_ping t ~site mon))
+           if t.is_alive && t.my_epoch = my_epoch && mon.refs > 0 then send_ping t ~site mon))
 
 and send_ping t ~site mon =
   let id = t.next_ping_id in
@@ -683,7 +676,7 @@ and send_ping t ~site mon =
   let timeout = Rtt.timeout_us mon.mon_rtt in
   ignore
     (Backend.schedule (backend t) ~delay:timeout (fun () ->
-         if t.is_alive && t.my_epoch = my_epoch && mon.active then begin
+         if t.is_alive && t.my_epoch = my_epoch && mon.refs > 0 then begin
            (match mon.outstanding with
            | Some (expected, _) when expected = id ->
              (* Probe lost or peer slow: back the timeout off and count
@@ -692,7 +685,7 @@ and send_ping t ~site mon =
              mon.missed <- mon.missed + 1;
              Rtt.backoff mon.mon_rtt
            | Some _ | None -> ());
-           if mon.missed >= t.cfg.suspect_after && not mon.suspected then begin
+           if mon.missed >= suspect_after && not mon.suspected then begin
              (* Declare the suspicion but KEEP probing: a suspicion of a
                 site that is merely unreachable (loss window, partition)
                 must be revocable, or a stale report circulates forever
@@ -701,63 +694,65 @@ and send_ping t ~site mon =
                 really evicted the site. *)
              mon.suspected <- true;
              t.on_failure site;
-             if mon.active then schedule_ping t ~site mon
+             if mon.refs > 0 then schedule_ping t ~site mon
            end
            else schedule_ping t ~site mon
          end))
 
 let monitor t ~site =
-  if t.is_alive && not (Hashtbl.mem t.monitors site) && site <> t.my_site then begin
-    let mon =
-      {
-        mon_rtt = Rtt.create ();
-        missed = 0;
-        outstanding = None;
-        mon_timer = None;
-        active = true;
-        suspected = false;
-      }
-    in
-    Hashtbl.replace t.monitors site mon;
-    send_ping t ~site mon
+  if t.is_alive && site <> t.my_site then begin
+    let p = t.peers.(site) in
+    match p.mon with
+    | Some mon -> mon.refs <- mon.refs + 1
+    | None ->
+      let mon =
+        {
+          mon_rtt = Rtt.create ();
+          refs = 1;
+          missed = 0;
+          outstanding = None;
+          mon_timer = None;
+          suspected = false;
+        }
+      in
+      p.mon <- Some mon;
+      send_ping t ~site mon
   end
 
+let stop_probing mon =
+  mon.refs <- 0;
+  Option.iter Backend.cancel mon.mon_timer
+
 let unmonitor t ~site =
-  match Hashtbl.find_opt t.monitors site with
-  | None -> ()
+  let p = t.peers.(site) in
+  match p.mon with
+  | Some mon when mon.refs > 1 -> mon.refs <- mon.refs - 1
   | Some mon ->
-    mon.active <- false;
-    Option.iter Backend.cancel mon.mon_timer;
-    mon.mon_timer <- None;
-    Hashtbl.remove t.monitors site
+    stop_probing mon;
+    p.mon <- None
+  | None -> ()
 
 let rtt_us t ~site =
-  match Hashtbl.find_opt t.monitors site with
+  match t.peers.(site).mon with
   | Some mon when Rtt.samples mon.mon_rtt > 0 -> Some (Rtt.srtt_us mon.mon_rtt)
   | Some _ | None -> None
 
 let out_rtt_stats t ~dst =
-  match Hashtbl.find_opt t.outs dst with
+  match t.peers.(dst).out with
   | Some ch -> Some (Rtt.samples ch.out_rtt, Rtt.srtt_us ch.out_rtt)
   | None -> None
 
 let crash t =
   t.is_alive <- false;
-  Hashtbl.iter (fun _ ch -> Option.iter Backend.cancel ch.rto_timer) t.outs;
-  Hashtbl.iter (fun _ ch -> cancel_ack_timer ch) t.ins;
-  Hashtbl.iter (fun _ mon -> Option.iter Backend.cancel mon.mon_timer) t.monitors;
-  Hashtbl.reset t.outs;
-  Hashtbl.reset t.ins;
-  Hashtbl.reset t.sendqs;
-  Hashtbl.reset t.monitors
+  Array.iter
+    (fun p ->
+      drop_channels p;
+      Option.iter stop_probing p.mon;
+      p.mon <- None)
+    t.peers
 
 let restart t =
   if t.is_alive then invalid_arg "Endpoint.restart: endpoint is alive";
   t.is_alive <- true;
   t.my_epoch <- t.my_epoch + 1;
-  Hashtbl.reset t.outs;
-  Hashtbl.reset t.ins;
-  Hashtbl.reset t.sendqs;
-  Hashtbl.reset t.out_gens;
-  Hashtbl.reset t.peer_epochs;
-  Hashtbl.reset t.monitors
+  Array.iteri (fun site _ -> t.peers.(site) <- new_peer ()) t.peers

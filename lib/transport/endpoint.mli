@@ -49,44 +49,39 @@
     Go-back-N cannot drop one message and keep sending later ones: the
     receiver would wait forever on the sequence gap, silently breaking
     FIFO.  When the oldest unacked message exhausts [max_retransmits]
-    the endpoint instead fails the {e whole channel}: outbound state is
-    discarded, the failure handler runs for the destination (so the
-    membership layer can turn the wedge into a clean failure event), and
-    the next send to that site opens a fresh FIFO stream under a new
-    {e channel generation}.  Data and ack frames carry the generation;
-    a receiver that sees a newer generation discards undelivered
-    leftovers of the old stream and resequences from zero, and stale
-    generation frames are ignored.  Exactly-once in-order delivery thus
-    holds {e within} a generation, and generation turnover is always
-    surfaced as a failure event, never silent loss.
+    (16 resends) the endpoint instead fails the {e whole channel}:
+    outbound state is discarded, the failure handler runs for the
+    destination (so the membership layer can turn the wedge into a
+    clean failure event), and the next send to that site opens a fresh
+    FIFO stream under a new {e channel generation}.  Data and ack
+    frames carry the generation; a receiver that sees a newer
+    generation discards undelivered leftovers of the old stream and
+    resequences from zero, and stale generation frames are ignored.
+    Exactly-once in-order delivery thus holds {e within} a generation,
+    and generation turnover is always surfaced as a failure event,
+    never silent loss.
 
     {2 Incarnations}
 
     Every endpoint has an {e epoch}, bumped by {!restart}.  Frames carry
     the sender's epoch; a receiver that sees a newer epoch from a peer
-    discards all channel state for the old incarnation (the dead
-    incarnation's undelivered traffic is gone for good — the membership
+    discards all channel state for the old incarnation, staged frames
+    included (its undelivered traffic is gone for good — the membership
     layer turns that into a clean failure/rejoin event).  Frames from an
     older epoch are dropped.
 
     {2 Failure detection}
 
-    The endpoint pings {!monitor}ed sites periodically.  Ping timeouts
-    use the adaptive {!Rtt} estimator; after [suspect_after] consecutive
-    losses the site is declared failed and the failure handler runs.
-    Detection is {e local suspicion} — turning suspicions into a
-    system-wide consistent failure event is the membership layer's job. *)
+    The endpoint pings {!monitor}ed sites every [ping_interval_us]
+    (500 ms).  Ping timeouts use the adaptive {!Rtt} estimator; after
+    [suspect_after] (4) consecutive losses the site is declared failed
+    and the failure handler runs.  Detection is {e local suspicion} —
+    turning suspicions into a system-wide consistent failure event is
+    the membership layer's job.  These figures, the retransmission
+    budget and the 24-byte frame header are constants: the transport
+    takes no configuration. *)
 
 type site = int
-
-type config = {
-  ping_interval_us : int;   (** gap between liveness probes. *)
-  suspect_after : int;      (** consecutive lost pings before declaring failure. *)
-  frame_header_bytes : int; (** per-frame header charged to the wire. *)
-  max_retransmits : int;    (** give up resending after this many attempts. *)
-}
-
-val default_config : config
 
 type 'p t
 
@@ -99,10 +94,10 @@ type 'p fabric
 
 val fabric : Vsync_backend.Backend.t -> 'p fabric
 
-(** [create fabric ~site ~size ()] attaches an endpoint to [site].
+(** [create fabric ~site ~size] attaches an endpoint to [site].
     [size] gives the wire size of a payload in bytes.
     @raise Invalid_argument if the site already has an endpoint. *)
-val create : ?config:config -> 'p fabric -> site:site -> size:('p -> int) -> unit -> 'p t
+val create : 'p fabric -> site:site -> size:('p -> int) -> 'p t
 
 val site : _ t -> site
 val epoch : _ t -> int
@@ -130,10 +125,13 @@ val send : 'p t -> dst:site -> 'p -> unit
 
 (** {1 Failure detection} *)
 
-(** [monitor t ~site] starts probing [site]. Idempotent. *)
+(** [monitor t ~site] subscribes to failure detection of [site]; the
+    first of these counted subscriptions starts probing.  No-op when
+    crashed or for the endpoint's own site. *)
 val monitor : _ t -> site:site -> unit
 
-(** [unmonitor t ~site] stops probing and clears suspicion state. *)
+(** [unmonitor t ~site] drops one subscription; dropping the last
+    stops probing and clears suspicion state. *)
 val unmonitor : _ t -> site:site -> unit
 
 (** [set_failure_handler t f] runs [f site] once per detected failure
@@ -170,7 +168,8 @@ val out_rtt_stats : _ t -> dst:site -> (int * int) option
 (** {1 Lifecycle} *)
 
 (** [crash t] silences the endpoint: no more sends, receives, probes or
-    retransmissions.  In-flight state is dropped. *)
+    retransmissions.  In-flight state and monitor subscriptions are
+    dropped. *)
 val crash : _ t -> unit
 
 (** [restart t] revives a crashed endpoint under a new epoch with empty

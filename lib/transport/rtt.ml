@@ -9,8 +9,7 @@ let default_min_timeout_us = 10_000
 let min_timeout_us = float_of_int default_min_timeout_us
 let max_timeout_us = 10_000_000.0
 
-let create ?(initial_us = 50_000) () =
-  { srtt = float_of_int initial_us; rttvar = float_of_int initial_us /. 2.0; shift = 0; n = 0 }
+let create () = { srtt = 50_000.0; rttvar = 25_000.0; shift = 0; n = 0 }
 
 let observe t rtt_us =
   let rtt = float_of_int rtt_us in
@@ -27,7 +26,6 @@ let observe t rtt_us =
   t.n <- t.n + 1
 
 let srtt_us t = int_of_float t.srtt
-let rttvar_us t = int_of_float t.rttvar
 
 let timeout_us t =
   let base = t.srtt +. (4.0 *. t.rttvar) in

@@ -14,17 +14,14 @@ type t
     this constant rather than hardcoded next to it. *)
 val default_min_timeout_us : int
 
-(** [create ~initial_us ()] seeds the estimator with a guess. *)
-val create : ?initial_us:int -> unit -> t
+(** [create ()] seeds the estimator with a 50 ms guess. *)
+val create : unit -> t
 
 (** [observe t rtt_us] folds in a measurement. *)
 val observe : t -> int -> unit
 
 (** [srtt_us t] is the smoothed estimate. *)
 val srtt_us : t -> int
-
-(** [rttvar_us t] is the smoothed mean deviation. *)
-val rttvar_us : t -> int
 
 (** [timeout_us t] is [srtt + 4*rttvar], floored at
     {!default_min_timeout_us} — the per-probe suspicion/retransmission

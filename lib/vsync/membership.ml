@@ -689,7 +689,7 @@ let on_fetch_reply t g ~from_site ~attempt bodies =
    its failure-detector subscriptions to [sites]. *)
 let drop_copy t g sites =
   drop_ab_queue g;
-  List.iter (fun s -> mon_release t s) sites;
+  List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sites;
   Hashtbl.remove t.groups (gi g.gid)
 
 let rec on_commit t ~src g_opt frame =
@@ -876,9 +876,9 @@ let rec on_commit t ~src g_opt frame =
         events;
       (* 6. Failure detector subscriptions follow the membership. *)
       if local_members t g <> [] then begin
-        let old_site_set = Int_set.of_list old_sites in
-        List.iter (fun s -> if not (Int_set.mem s old_site_set) then mon_acquire t s) new_sites;
-        List.iter (fun s -> if not (Int_set.mem s new_site_set) then mon_release t s) old_sites
+        let ep = endpoint t and old_site_set = Int_set.of_list old_sites in
+        Int_set.iter (fun site -> Endpoint.monitor ep ~site) (Int_set.diff new_site_set old_site_set);
+        Int_set.iter (fun site -> Endpoint.unmonitor ep ~site) (Int_set.diff old_site_set new_site_set)
       end;
       (* 7. Unwedge: rerun blocked operations in order, then replay any
          frames that arrived for the new view early.  Re-origination

@@ -706,8 +706,8 @@ let check ?(hygiene = true) t =
      primary-partition rule.  One exemption: a sender that was itself
      evicted from the group at some later view change (e.g. a post-heal
      loss window got it suspected) loses its still-buffered sends with
-     the partition teardown, which is the documented Buffer-policy
-     contract, not a wedge.  A genuinely wedged majority installs no
+     the partition teardown, which is the documented contract for a
+     minority's sends, not a wedge.  A genuinely wedged majority installs no
      views at all, so no eviction is ever observed and the check still
      fires. *)
   let evicted_senders =

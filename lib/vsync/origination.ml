@@ -227,11 +227,6 @@ let origin_multicast t g mode ~owner body =
     | None -> false
   in
   if sender_failed then init_done owner
-  else if g.minority <> None && t.cfg.minority_policy = Reject then
-    (* Minority component under the reject policy: fail fast (the owner
-       fiber sees [Partitioned] at the API layer; relays just drop)
-       instead of buffering behind a wedge that may never lift. *)
-    init_done owner
   else if g.wedge <> None then
     (* Wedged: the group is between views; queue the operation and rerun
        it once the new view is installed. *)
@@ -333,6 +328,16 @@ let send_to_proc t p sess (q : Addr.proc) body =
 
 let await = function None -> Replies [] | Some s -> Ivar.read s.done_ivar
 
+(* Accept [p]'s multicast into its site's copy [g]: until the send CPU
+   queue runs the returned hand-off to [origin_multicast], the send
+   counts against [g]'s admission limit and holds off [p]'s [flush]. *)
+let accept_into p g mode body =
+  p.pending_inits <- p.pending_inits + 1;
+  g.accepted <- g.accepted + 1;
+  fun () ->
+    g.accepted <- g.accepted - 1;
+    origin_multicast p.rt g mode ~owner:(Some p) body
+
 let bcast p mode ~dest ~entry msg ~(want : want) =
   let t = p.rt in
   if not (proc_alive p) then All_failed
@@ -355,25 +360,14 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
     | Addr.Group gid -> (
       match group_of t gid with
       | Some g ->
-        (* Reject-policy minority: surface the partition to the caller
-           as a typed error instead of parking the send behind a wedge
-           that may never lift. *)
-        (match g.minority, t.cfg.minority_policy with
-        | Some _, Reject -> raise (Partitioned gid)
-        | (Some _ | None), _ -> ());
         let sess = session_for ~responders:(Some g.view.View.members) ~relay_site:None in
-        p.pending_inits <- p.pending_inits + 1;
-        (* An accepted multicast, whatever its mode, counts against
-           admission from now until the CPU queue hands it on, whichever
-           way [origin_multicast] then routes it; the wake-up follows
-           the hand-off, so a woken sender sees it in [ab_queue] or
-           already dispatched. *)
-        g.accepted <- g.accepted + 1;
+        let hand_off = accept_into p g mode body in
         let size = Message.size body in
         let cbcast = if mode = Cbcast then Some (gi gid, size) else None in
+        (* The wake-up follows the hand-off, so a woken sender sees the
+           send in [ab_queue] or already dispatched. *)
         on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us size) (fun () ->
-            g.accepted <- g.accepted - 1;
-            origin_multicast t g mode ~owner:(Some p) body;
+            hand_off ();
             Condition.broadcast t.admission);
         await sess
       | None -> (
@@ -445,18 +439,6 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
   if not (proc_alive p) then All_failed
   else begin
     let body = stamp_body p mode ~entry msg ~want in
-    (* Reject-policy minority: any locally-visible destination group
-       sitting in a minority component fails the whole send. *)
-    List.iter
-      (fun dest ->
-        match dest with
-        | Addr.Group gid -> (
-          match group_of t gid with
-          | Some g when g.minority <> None && t.cfg.minority_policy = Reject ->
-            raise (Partitioned gid)
-          | Some _ | None -> ())
-        | Addr.Proc _ -> ())
-      dests;
     (* Responders across all destinations, when every group is locally
        visible; otherwise leave them to the relays. *)
     let local_responders =
@@ -478,28 +460,28 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
         Some (open_session t ~want ~responders:local_responders ~relay_site:None)
     in
     (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
-    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
-        List.iter
-          (fun dest ->
-            match dest with
-            | Addr.Proc q -> send_to_proc t p sess q body
-            | Addr.Group gid -> (
-              match group_of t gid with
-              | Some g -> origin_multicast t g mode ~owner:(Some p) body
-              | None -> (
+    (* Locally visible groups accept the send now, as in [bcast]. *)
+    let jobs =
+      List.map
+        (fun dest ->
+          match dest with
+          | Addr.Proc q -> fun () -> send_to_proc t p sess q body
+          | Addr.Group gid -> (
+            match group_of t gid with
+            | Some g -> accept_into p g mode body
+            | None -> (
+              fun () ->
                 match contact_site_for t gid with
                 | Some relay ->
+                  (* Responders are resolved locally or not at all. *)
                   send_frame t ~dst:relay
-                    (Proto.Relay
-                       {
-                         group = gid;
-                         mode;
-                         body;
-                         session = None (* responders resolved locally or not at all *);
-                         caller = p.addr;
-                       })
+                    (Proto.Relay { group = gid; mode; body; session = None; caller = p.addr })
                 | None -> ())))
-          dests);
+        dests
+    in
+    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+        List.iter (fun job -> job ()) jobs;
+        Condition.broadcast t.admission);
     await sess
   end
 

@@ -66,7 +66,7 @@ let partition_teardown t g ~new_view_id =
   Hashtbl.iter
     (fun _ pr -> pr.memberships <- List.filter (fun g' -> g' <> gid_int) pr.memberships)
     t.procs;
-  List.iter (fun s -> mon_release t s) (View.sites g.view);
+  List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) (View.sites g.view);
   Hashtbl.remove t.groups gid_int;
   (* The local copy is gone, so this site must stop advertising itself
      as a contact for the group.  During the partition the failure

@@ -135,9 +135,7 @@ let handle_frame t ~src frame =
    ================================================================== *)
 
 let wire_endpoint t =
-  let ep =
-    Endpoint.create ~config:t.cfg.endpoint t.fab.ep_fabric ~site:t.my_site ~size:Proto.size ()
-  in
+  let ep = Endpoint.create t.fab.ep_fabric ~site:t.my_site ~size:Proto.size in
   t.ep <- Some ep;
   Endpoint.set_tracer ep (Trace.obs t.tracer);
   Endpoint.set_receiver ep (fun ~src frames ->
@@ -249,7 +247,6 @@ let create ?(config = default_config) fab ~site ~trace () =
       join_pending = Hashtbl.create 8;
       leave_waiters = Hashtbl.create 8;
       site_watchers = [];
-      mon_refs = Hashtbl.create 8;
       admission = Condition.create ();
       cpu_free = 0;
       cpu_busy = 0;
@@ -290,7 +287,6 @@ let crash t =
     Hashtbl.reset t.join_waiters;
     Hashtbl.reset t.join_pending;
     Hashtbl.reset t.leave_waiters;
-    Hashtbl.reset t.mon_refs;
     Queue.clear t.send_jobs;
     t.packed <- [];
     t.packed_bytes <- 0;

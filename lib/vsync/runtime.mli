@@ -40,15 +40,6 @@ module Message = Vsync_msg.Message
 type t
 type proc
 
-(** What happens to multicasts originated inside a minority-wedged
-    partition component.  [Buffer] (the default) queues them like any
-    wedge does: they replay if the component recovers its primacy
-    (false alarm / fast heal) and are dropped with the rest of the
-    minority state on eviction.  [Reject] fails the send immediately
-    with {!Partitioned}, for callers that prefer an error over an
-    open-ended stall. *)
-type minority_policy = Buffer | Reject
-
 type config = {
   cpu_send_us : int;
       (** CPU cost to initiate a protocol operation (calibrated so the
@@ -74,18 +65,9 @@ type config = {
       (** this site's wall-clock skew from true simulation time
           (unknown to the site itself; the real-time tool estimates
           it). *)
-  minority_policy : minority_policy;
-      (** see {!minority_policy}; default [Buffer]. *)
-  endpoint : Vsync_transport.Endpoint.config;
 }
 
 val default_config : config
-
-(** Raised by {!bcast} / {!bcast_multi} under [minority_policy = Reject]
-    when the destination group's local copy sits in a minority partition
-    component: the send cannot be delivered view-synchronously until the
-    partition heals, and the caller asked not to wait. *)
-exception Partitioned of Addr.group_id
 
 (** The transport fabric shared by all runtimes of one world.  Built
     over an execution backend ({!Vsync_backend.Backend}); the runtime
@@ -246,14 +228,17 @@ type outcome =
     continue computing — yet may program as if the delivery were
     instantaneous (virtual synchrony).  Otherwise the calling task
     blocks until enough replies arrive or the remaining destinations
-    fail. *)
+    fail.  A send into a wedged group copy (between views, or in a
+    minority partition component) waits for the next view, and dies
+    with the copy if a partition evicts it. *)
 val bcast :
   proc -> mode -> dest:Addr.t -> entry:Entry.t -> Message.t -> want:want -> outcome
 
 (** [bcast_multi p mode ~dests ~entry msg ~want] — the paper's full
     mcast signature: one message to a {e list} of destinations (groups
-    and processes mixed), one shared reply session.  Reply collection
-    needs every group destination locally visible (be a member or have
+    and processes mixed), one shared reply session, counted against
+    admission and {!flush} as {!bcast} is.  Reply collection needs
+    every group destination locally visible (be a member or have
     delivered to it before); otherwise collect per group with
     {!bcast}. *)
 val bcast_multi :

@@ -8,7 +8,7 @@ open State
 let close_session t sess outcome =
   if Hashtbl.mem t.sessions sess.sess_id then begin
     Hashtbl.remove t.sessions sess.sess_id;
-    List.iter (fun s -> mon_release t s) sess.mon_sites;
+    List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sess.mon_sites;
     Ivar.fill sess.done_ivar outcome
   end
 
@@ -64,7 +64,7 @@ let open_session t ~want ~responders ~relay_site =
     @ (match relay_site with Some s -> [ s ] | None -> [])
   in
   let watch = List.sort_uniq compare (List.filter (fun s -> s <> t.my_site) watch) in
-  List.iter (fun s -> mon_acquire t s) watch;
+  List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) watch;
   sess.mon_sites <- watch;
   sess
 
@@ -81,7 +81,7 @@ let note_responders t sess responders =
              else None)
            responders)
     in
-    List.iter (fun s -> mon_acquire t s) extra;
+    List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) extra;
     sess.mon_sites <- extra @ sess.mon_sites;
     check_session t sess
   end

@@ -1,7 +1,6 @@
-(* The per-site protocols process's state: the record types every
-   protocol module shares, and the basic helpers over them (indexes,
-   directory, failure-detector subscriptions, frame sending, typed
-   tracing).  Nothing here runs a protocol step. *)
+(* The per-site protocols process's state: the record types every protocol
+   module shares, and the basic helpers over them (indexes, directory, frame
+   sending, typed tracing).  Nothing here runs a protocol step. *)
 
 open Types
 module Addr = Vsync_msg.Addr
@@ -20,13 +19,6 @@ module Obs_event = Vsync_obs.Event
 module Metrics = Vsync_obs.Metrics
 module Int_set = Set.Make (Int)
 
-(* What happens to multicasts originated inside a minority-wedged
-   component: [Buffer] queues them like any wedge does (they replay if
-   the component recovers its primacy, and are dropped with the state
-   on eviction); [Reject] fails them immediately with the typed
-   [Partitioned] exception. *)
-type minority_policy = Buffer | Reject
-
 type config = {
   cpu_send_us : int;
   cpu_recv_us : int;
@@ -34,8 +26,6 @@ type config = {
   cpu_us_per_extra_packet : int;
   ab_window : int;
   clock_offset_us : int;
-  minority_policy : minority_policy;
-  endpoint : Endpoint.config;
 }
 
 let default_config =
@@ -46,11 +36,7 @@ let default_config =
     cpu_us_per_extra_packet = 8_000;
     ab_window = 16;
     clock_offset_us = 0;
-    minority_policy = Buffer;
-    endpoint = Endpoint.default_config;
   }
-
-exception Partitioned of Addr.group_id
 
 (* System fields riding on application messages (in addition to the
    $sender/$session/$entry fields managed by Vsync_msg.Message). *)
@@ -130,8 +116,8 @@ and group = {
   mutable minority : minority_state option;
       (* Some when a view-change attempt found this component below
          quorum (the primary-partition rule): the group is wedged with
-         no change in flight, origination is blocked or rejected per
-         [config.minority_policy], and a probe loop watches for the
+         no change in flight, origination is blocked like behind any
+         wedge, and a probe loop watches for the
          heal — either the primary's newer view (eviction: discard
          state, rejoin fresh) or the suspicion clearing (false alarm:
          resume) *)
@@ -244,7 +230,6 @@ and t = {
          in flight for this group?" per unknown-group frame *)
   leave_waiters : (int * int, unit Ivar.t) Hashtbl.t;
   mutable site_watchers : ([ `Down of int | `Up of int ] -> unit) list;
-  mon_refs : (int, int) Hashtbl.t;
   admission : Condition.t;
       (* originators blocked in [bcast_wait] sleep here; woken whenever
          an accepted multicast leaves the CPU queue, the ABCAST pipeline
@@ -451,24 +436,6 @@ let fresh_session t =
   let s = t.next_session in
   t.next_session <- s + 1;
   s
-
-(* --- refcounted failure-detector subscriptions --- *)
-
-let mon_acquire t s =
-  if s <> t.my_site && t.running then begin
-    let n = Option.value ~default:0 (Hashtbl.find_opt t.mon_refs s) in
-    Hashtbl.replace t.mon_refs s (n + 1);
-    if n = 0 then Endpoint.monitor (endpoint t) ~site:s
-  end
-
-let mon_release t s =
-  if s <> t.my_site then
-    match Hashtbl.find_opt t.mon_refs s with
-    | None -> ()
-    | Some n when n <= 1 ->
-      Hashtbl.remove t.mon_refs s;
-      if t.running then Endpoint.unmonitor (endpoint t) ~site:s
-    | Some n -> Hashtbl.replace t.mon_refs s (n - 1)
 
 (* --- processes and groups: lookups --- *)
 

@@ -239,6 +239,57 @@ let test_bcast_multi () =
       [ "a1"; "a2"; "b1"; "b2"; "solo" ] names
   | _ -> Alcotest.fail "multi-destination rpc failed"
 
+let test_bcast_multi_holds_flush () =
+  (* An ABCAST parked behind a wedge holds off [flush] until it is
+     delivered.  A [bcast_multi] issued after it, into another group,
+     must count against [flush] like any send, not cancel the parked
+     ABCAST's count when its own send leaves the CPU queue. *)
+  let w = World.create ~seed:7L ~sites:3 () in
+  let m = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "m%d" s)) in
+  let tag1_at_m1 = ref false in
+  Runtime.bind m.(1) e_app (fun msg -> if Message.get_int msg "tag" = Some 1 then tag1_at_m1 := true);
+  Runtime.bind m.(0) e_app ignore;
+  Runtime.bind m.(2) e_app ignore;
+  let g = ref None and h = ref None in
+  World.run_task w m.(0) (fun () ->
+      g := Some (Runtime.pg_create m.(0) "g");
+      h := Some (Runtime.pg_create m.(0) "h"));
+  World.run w;
+  let g = Option.get !g and h = Option.get !h in
+  let join p name gid =
+    World.run_task w p (fun () ->
+        ignore (Runtime.pg_lookup p name);
+        ignore (Runtime.pg_join p gid ~credentials:(Message.create ())))
+  in
+  join m.(1) "g" g;
+  join m.(2) "g" g;
+  join m.(1) "h" h;
+  World.run w;
+  (* Site 2 is cut off, so the join wedges g until site 2 is declared
+     failed. *)
+  World.partition w [ 0; 1 ] [ 2 ];
+  join (World.proc w ~site:1 ~name:"j") "g" g;
+  World.run_for w 100_000;
+  let tagged k =
+    let msg = Message.create () in
+    Message.set_int msg "tag" k;
+    msg
+  in
+  let flushed = ref None in
+  World.run_task w m.(0) (fun () ->
+      ignore
+        (Runtime.bcast m.(0) Types.Abcast ~dest:(Addr.Group g) ~entry:e_app (tagged 1)
+           ~want:Types.No_reply);
+      ignore
+        (Runtime.bcast_multi m.(0) Types.Cbcast ~dests:[ Addr.Group h ] ~entry:e_app (tagged 2)
+           ~want:Types.No_reply);
+      Runtime.flush m.(0);
+      flushed := Some !tag1_at_m1);
+  World.run w;
+  match !flushed with
+  | Some delivered -> Alcotest.(check bool) "the parked ABCAST delivered before flush returns" true delivered
+  | None -> Alcotest.fail "flush never returned"
+
 let test_remote_exec () =
   let w = World.create ~seed:9L ~sites:2 () in
   ignore (Remote_exec.start (World.runtime w 0));
@@ -281,5 +332,6 @@ let suite =
     Alcotest.test_case "unbound entry dropped" `Quick test_unbound_entry_is_dropped;
     Alcotest.test_case "kill idempotent" `Quick test_kill_idempotent;
     Alcotest.test_case "bcast to multiple destinations" `Quick test_bcast_multi;
+    Alcotest.test_case "bcast_multi holds flush" `Quick test_bcast_multi_holds_flush;
     Alcotest.test_case "remote exec" `Quick test_remote_exec;
   ]

@@ -20,7 +20,7 @@ open Vsync_core
 (* --- tracer: allocation-free when disabled -------------------------- *)
 
 let test_disabled_no_alloc () =
-  let tr = Tracer.create ~now:(fun () -> 0) () in
+  let tr = Tracer.create ~now:(fun () -> 0) in
   Alcotest.(check bool) "starts disabled" false (Tracer.enabled tr);
   (* The guard-then-construct idiom: the event is only built after
      [wants] says someone is listening. *)
@@ -42,7 +42,7 @@ let test_disabled_no_alloc () =
   Alcotest.(check int) "nothing recorded" 0 (List.length (Tracer.records tr))
 
 let test_mask_filters_classes () =
-  let tr = Tracer.create ~now:(fun () -> 7) () in
+  let tr = Tracer.create ~now:(fun () -> 7) in
   Tracer.set_classes tr [ Event.Proto ];
   Tracer.set_enabled tr true;
   Alcotest.(check bool) "wants proto" true (Tracer.wants tr Event.Proto);
@@ -254,9 +254,9 @@ let test_reassembly_corruption_fails_channel () =
   let n = Net.create e Net.default_config ~sites:2 in
   let fab = Endpoint.fabric (Net.backend n) in
   let eps =
-    Array.init 2 (fun site -> Endpoint.create fab ~site ~size:(fun p -> p.size) ())
+    Array.init 2 (fun site -> Endpoint.create fab ~site ~size:(fun p -> p.size))
   in
-  let tr = Tracer.create ~now:(fun () -> Engine.now e) () in
+  let tr = Tracer.create ~now:(fun () -> Engine.now e) in
   Tracer.set_enabled tr true;
   let fails = ref [] in
   Tracer.add_sink tr (fun r ->

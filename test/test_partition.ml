@@ -1,8 +1,8 @@
 (* Primary-partition membership under network splits: the majority
-   component keeps delivering, minority components wedge (rejecting or
-   buffering origination), healed minorities rejoin through state
-   transfer, and the oracle's no-split-brain / primary-partition-
-   progress invariants hold across seeded partition/heal plans.
+   component keeps delivering, minority components wedge (parking
+   origination), healed minorities rejoin through state transfer, and
+   the oracle's no-split-brain / primary-partition-progress invariants
+   hold across seeded partition/heal plans.
 
    The deterministic tests drive {!World.partition}/{!World.heal}
    directly; timings leave the ~2s failure-detection window plus a
@@ -114,29 +114,30 @@ let test_majority_progress () =
   Alcotest.(check bool) "evicted member still alive" true (Runtime.proc_alive members.(3));
   assert_oracle_clean oracle
 
-(* Under [minority_policy = Reject], origination inside the wedged
-   minority fails fast with {!Runtime.Partitioned}; after the heal the
-   evicted member rejoins through the state-transfer tool and catches
-   up with zero duplicate or lost deliveries (the oracle re-baselines
-   it via [retrack]). *)
-let test_minority_reject_and_rejoin () =
-  let config = { Runtime.default_config with minority_policy = Runtime.Reject } in
-  let w, gid, members, oracle, got = setup ~runtime_config:config ~seed:0xB112L ~sites:3 "rej" in
+(* Origination inside the wedged minority is parked behind the wedge
+   and dies with the evicted copy; after the heal the evicted member
+   rejoins through the state-transfer tool and catches up with zero
+   duplicate or lost deliveries (the oracle re-baselines it via
+   [retrack]). *)
+let test_minority_parks_sends_and_rejoins () =
+  let w, gid, members, oracle, got = setup ~seed:0xB112L ~sites:3 "rej" in
   send w oracle members.(0) ~gid ~tag:0;
   World.run_for w 2_000_000;
   World.partition w [ 0; 1 ] [ 2 ];
   World.run_for w 8_000_000;
-  (* Origination at the minority member is refused, typed. *)
-  let refused = ref false in
+  (* Origination at the minority member returns at once, but the
+     send is parked: not even the sender delivers it. *)
+  let returned = ref false in
   World.run_task w members.(2) (fun () ->
-      match
-        Runtime.bcast members.(2) Types.Cbcast ~dest:(Addr.Group gid) ~entry:e_app
-          (Message.create ()) ~want:Types.No_reply
-      with
-      | _ -> ()
-      | exception Runtime.Partitioned g -> refused := Addr.group_to_int g = Addr.group_to_int gid);
+      let msg = Message.create () in
+      Message.set_int msg "tag" 99;
+      ignore
+        (Runtime.bcast members.(2) Types.Cbcast ~dest:(Addr.Group gid) ~entry:e_app msg
+           ~want:Types.No_reply);
+      returned := true);
   World.run_for w 1_000_000;
-  Alcotest.(check bool) "minority send rejected with Partitioned" true !refused;
+  Alcotest.(check bool) "minority send returned" true !returned;
+  Alcotest.(check bool) "minority send parked" false (List.mem 99 got.(2));
   send w oracle members.(0) ~gid ~tag:1;
   send w oracle members.(1) ~gid ~tag:2;
   World.run_for w 3_000_000;
@@ -144,6 +145,12 @@ let test_minority_reject_and_rejoin () =
   World.run_for w 10_000_000;
   Alcotest.(check bool) "evicted copy torn down after heal" true
     (Runtime.pg_view members.(2) gid = None);
+  Array.iteri
+    (fun i tags ->
+      Alcotest.(check bool)
+        (Printf.sprintf "parked send died with the evicted copy (m%d)" i)
+        false (List.mem 99 tags))
+    got;
   (* Rejoin with state transfer: the donor ships the tag history, so
      the rejoined member resumes with the majority's state. *)
   let state = ref [] in
@@ -311,8 +318,8 @@ let test_partition_nemesis_sweep () =
 let suite =
   [
     Alcotest.test_case "majority progress under a 3/2 split" `Quick test_majority_progress;
-    Alcotest.test_case "minority Reject + rejoin via state transfer" `Quick
-      test_minority_reject_and_rejoin;
+    Alcotest.test_case "minority parks sends + rejoin via state transfer" `Quick
+      test_minority_parks_sends_and_rejoins;
     Alcotest.test_case "stale coordinator is fenced, not split-brained" `Quick
       test_stale_coordinator_fenced;
     Alcotest.test_case "concurrent joins on both sides of a split" `Quick

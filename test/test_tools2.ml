@@ -229,8 +229,8 @@ let prop_transport_loss =
           ~sites:2
       in
       let fab = Endpoint.fabric (Net.backend n) in
-      let a = Endpoint.create fab ~site:0 ~size:(fun _ -> 64) () in
-      let b = Endpoint.create fab ~site:1 ~size:(fun _ -> 64) () in
+      let a = Endpoint.create fab ~site:0 ~size:(fun _ -> 64) in
+      let b = Endpoint.create fab ~site:1 ~size:(fun _ -> 64) in
       Endpoint.set_receiver a (fun ~src:_ _ -> ());
       let got = ref [] in
       Endpoint.set_receiver b (fun ~src:_ tags -> List.iter (fun tag -> got := tag :: !got) tags);

@@ -14,7 +14,7 @@ let setup ?(sites = 2) ?(loss = 0.0) ?(seed = 1L) () =
   let n = Net.create e { Net.default_config with Net.loss_probability = loss } ~sites in
   let fab = Endpoint.fabric (Net.backend n) in
   let eps =
-    Array.init sites (fun site -> Endpoint.create fab ~site ~size:(fun p -> p.size) ())
+    Array.init sites (fun site -> Endpoint.create fab ~site ~size:(fun p -> p.size))
   in
   (e, n, eps)
 
@@ -71,13 +71,7 @@ let test_retransmit_exhaustion_fails_channel () =
      forever on the sequence gap; now the whole channel must fail
      loudly, and post-heal traffic must restart cleanly under a new
      channel generation. *)
-  let e = Engine.create ~seed:11L () in
-  let n = Net.create e Net.default_config ~sites:2 in
-  let fab = Endpoint.fabric (Net.backend n) in
-  let cfg = { Endpoint.default_config with Endpoint.max_retransmits = 4 } in
-  let eps =
-    Array.init 2 (fun site -> Endpoint.create ~config:cfg fab ~site ~size:(fun p -> p.size) ())
-  in
+  let e, n, eps = setup ~seed:11L () in
   let log = collect eps.(1) in
   sink eps.(0);
   let failed = ref [] in
@@ -164,6 +158,44 @@ let test_restart_new_incarnation () =
   Alcotest.(check (list (pair int int))) "both incarnations' sends arrived" [ (0, 1); (0, 2) ]
     (List.rev !log)
 
+let test_peer_restart_drops_staged_frames () =
+  (* Site 1 crashes and restarts; its first packet (sent the instant it
+     comes back) reaches site 0 at the very instant site 0 stages tag 4,
+     the send scheduled ahead of the arrival.  Tag 4 was staged for the
+     dead incarnation on its channel, as seq 3: the restart must drop
+     it with the rest of that channel, or it reaches the new
+     incarnation's fresh channel and later stands in for the new seq 3
+     — delivered out of FIFO order, and the real seq 3 (tag 8)
+     acknowledged but never delivered. *)
+  let e, n, eps = setup () in
+  let log = collect eps.(1) in
+  sink eps.(0);
+  for tag = 1 to 3 do
+    Endpoint.send eps.(0) ~dst:1 { tag; size = 100 }
+  done;
+  Engine.run ~until:2_000_000 e;
+  Endpoint.crash eps.(1);
+  Net.crash_site n 1;
+  Net.restart_site n 1;
+  Endpoint.restart eps.(1);
+  log := [];
+  let t0 = Engine.now e in
+  Endpoint.send eps.(1) ~dst:0 { tag = 0; size = 10 };
+  (* Its packet arrives after 78 µs on the wire (10 B of payload, a
+     24 B frame header and 64 B of packet overhead at 1.25 MB/s) and
+     the link's 16 ms latency. *)
+  let arrival = t0 + 78 + 16_000 in
+  ignore
+    (Engine.schedule_at e arrival (fun () ->
+         Endpoint.send eps.(0) ~dst:1 { tag = 4; size = 100 }));
+  Engine.run ~until:(arrival + 1_000) e;
+  for tag = 5 to 8 do
+    Endpoint.send eps.(0) ~dst:1 { tag; size = 100 }
+  done;
+  Engine.run ~until:(Engine.now e + 5_000_000) e;
+  Alcotest.(check (list int)) "new incarnation gets the post-restart sends in order" [ 5; 6; 7; 8 ]
+    (List.rev_map snd !log)
+
 let test_failure_detector_detects_crash () =
   let e, n, eps = setup () in
   ignore (collect eps.(1));
@@ -195,7 +227,7 @@ let test_failure_detector_unmonitor () =
   Alcotest.(check (list int)) "no report after unmonitor" [] !failed
 
 let test_rtt_estimator () =
-  let r = Rtt.create ~initial_us:50_000 () in
+  let r = Rtt.create () in
   Alcotest.(check int) "no samples yet" 0 (Rtt.samples r);
   Rtt.observe r 32_000;
   Alcotest.(check int) "first sample adopted" 32_000 (Rtt.srtt_us r);
@@ -344,6 +376,8 @@ let suite =
     Alcotest.test_case "reordered fragments" `Quick test_reordered_fragments;
     Alcotest.test_case "crash silences endpoint" `Quick test_crash_silences;
     Alcotest.test_case "restart new incarnation" `Quick test_restart_new_incarnation;
+    Alcotest.test_case "peer restart drops staged frames" `Quick
+      test_peer_restart_drops_staged_frames;
     Alcotest.test_case "failure detector detects crash" `Quick test_failure_detector_detects_crash;
     Alcotest.test_case "failure detector unmonitor" `Quick test_failure_detector_unmonitor;
     Alcotest.test_case "coalescing packs frames" `Quick test_coalescing_packs_frames;
