@@ -1,10 +1,11 @@
 (* Wall-clock micro-benchmarks of the building blocks the runtime leans
    on: message field access, copy-on-write mutation and the codec, frame
    sizing, vector clocks, the heap, the two ordering engines and the
-   event engine.  These measure the implementation itself (real
-   nanoseconds), not the simulated testbed.  Message construction, copy
-   and size are the ledger's msg.build_ns / copy_ns / size_ns and are not
-   repeated here.
+   event engine, plus how late the wall-clock backend fires a timer.
+   These measure the implementation itself in real time, not the
+   simulated testbed.  Message construction, copy and size are the
+   ledger's msg.build_ns / copy_ns / size_ns and are not repeated
+   here.
 
      dune exec bench/main.exe -- micro
      dune exec bench/main.exe -- --smoke micro *)
@@ -15,6 +16,8 @@ module Message = Vsync_msg.Message
 module Vclock = Vsync_util.Vclock
 module Heap = Vsync_util.Heap
 module Engine = Vsync_sim.Engine
+module Backend = Vsync_backend.Backend
+module Wallclock = Vsync_backend.Wallclock
 
 (* ns per call of [f], from one timed batch of [iters] calls; the
    harness repeats the batch [Harness.wall_repeats] times. *)
@@ -24,6 +27,24 @@ let time_ns ~iters f () =
     f ()
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+
+(* Median µs past its deadline at which a wall-clock timer armed 500 µs
+   out fires, over [n] timers each armed by the one before. *)
+let timer_lateness_us ~n () =
+  let wc = Wallclock.create ~sites:1 () in
+  let bk = Wallclock.backend wc in
+  let late = Array.make n 0 in
+  let rec arm k =
+    let at = Wallclock.now wc + 500 in
+    ignore
+      (Backend.schedule_at bk at (fun () ->
+           late.(k) <- Wallclock.now wc - at;
+           if k + 1 < n then arm (k + 1) else Wallclock.stop wc))
+  in
+  arm 0;
+  ignore (Wallclock.run_until wc (Wallclock.now wc + 10_000_000));
+  Array.sort compare late;
+  float_of_int late.(n / 2)
 
 let sample_msg () =
   let m = Message.create () in
@@ -126,9 +147,11 @@ let run () =
     List.map
       (fun (name, iters, f) ->
         let ns = Harness.wall_metric name "ns" (time_ns ~iters:(scale iters) f) in
-        [ name; Printf.sprintf "%.1f" ns ])
+        [ name; Printf.sprintf "%.1f ns" ns ])
       ops
   in
+  let late = Harness.wall_metric "wall_timer_500us_late" "us" (timer_lateness_us ~n:(scale 200)) in
   Harness.print_table
     ~title:(Printf.sprintf "micro (wall clock, median of %d batches)" Harness.wall_repeats)
-    ~header:[ "operation"; "ns/op" ] rows
+    ~header:[ "operation"; "median" ]
+    (rows @ [ [ "wall_timer_500us_late"; Printf.sprintf "%.1f us" late ] ])

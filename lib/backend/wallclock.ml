@@ -69,34 +69,57 @@ let send t src dst bytes deliver =
   let _cancel : unit -> unit = schedule_at t (now t + delay) deliver in
   ()
 
+(* How much of a wait [sleep_until] spins instead of sleeping.  The OS
+   wakes a sleeper late, about 70 µs at the median and 150 µs at p99 on
+   a 2-core Linux container, so the last 200 µs of every wait are spent
+   polling the clock: a timer then fires within a few µs of its
+   deadline, at the price of a busy core for that stretch. *)
+let spin_margin_us = 200
+
 let sleep_until t at =
   let gap = at - now t in
-  if gap > 0 then Unix.sleepf (float_of_int gap *. 1e-6)
+  if gap > spin_margin_us then Unix.sleepf (float_of_int (gap - spin_margin_us) *. 1e-6);
+  while now t < at do
+    Domain.cpu_relax ()
+  done
+
+let fire t e =
+  if not e.cell.dead then begin
+    e.cell.dead <- true;
+    t.live <- t.live - 1;
+    t.fired <- t.fired + 1;
+    e.action ()
+  end
+
+(* The one event loop.  Each pass fires the earliest event if it is
+   due and inside the horizon; otherwise it asks [pred], then sleeps
+   to the next event or the deadline, whichever is first.  An event due
+   after [deadline] is left for a later call, and one scheduled during
+   the run is due at [now] or later, so a backlog of events that keep
+   rescheduling themselves ends once the clock passes the deadline. *)
+let run_while t ~deadline pred =
+  t.stopped <- false;
+  let rec loop () =
+    if t.stopped then false
+    else
+      match Heap.peek t.queue with
+      | Some e when e.at <= deadline && e.at <= now t ->
+        ignore (Heap.pop t.queue);
+        fire t e;
+        loop ()
+      | head ->
+        if pred () then true
+        else if now t >= deadline then false
+        else begin
+          sleep_until t (match head with Some e -> min e.at deadline | None -> deadline);
+          loop ()
+        end
+  in
+  loop ()
 
 let run_until t until =
-  t.stopped <- false;
   let fired0 = t.fired in
-  let continue = ref true in
-  while !continue && not t.stopped do
-    match Heap.peek t.queue with
-    | Some e when e.at <= until ->
-      sleep_until t e.at;
-      (match Heap.pop t.queue with
-      | Some e ->
-        if not e.cell.dead then begin
-          e.cell.dead <- true;
-          t.live <- t.live - 1;
-          t.fired <- t.fired + 1;
-          e.action ()
-        end
-      | None -> ())
-    | Some _ | None ->
-      (* Nothing due inside the horizon: honour it like the simulator
-         honours [run ~until] — the caller asked for this much time to
-         pass. *)
-      sleep_until t until;
-      continue := false
-  done;
+  ignore (run_while t ~deadline:until (fun () -> false));
   t.fired - fired0
 
 let stop t = t.stopped <- true

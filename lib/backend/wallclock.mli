@@ -2,9 +2,12 @@
 
     The same microsecond timeline the simulator fabricates, read off the
     machine's real clock instead: {!Backend.now} is elapsed real time
-    since {!create}, timers actually wait (the driver sleeps until the
-    next deadline), and frame I/O is in-process delivery after a small
-    configurable real latency.  Protocol behaviour — retransmission
+    since {!create}, timers actually wait, and frame I/O is in-process
+    delivery after a small configurable real latency.  A timer fires on
+    its microsecond: the driver asks the OS to sleep for all of a wait
+    but its last 200 µs, which it spends polling the clock, because the
+    OS wakes a sleeper tens of µs late.  The core is busy for that
+    stretch.  Protocol behaviour — retransmission
     timeouts, delayed acks, failure-detector probes — runs against real
     asynchrony: scheduling jitter, GC pauses and OS preemption replace
     the simulator's fabricated delays, so nothing is deterministic and
@@ -44,14 +47,25 @@ val backend : t -> Backend.t
 (** Elapsed real microseconds since {!create}. *)
 val now : t -> int
 
-(** [run_until t until] drives the event loop — sleeping to each
-    deadline, firing overdue events immediately — until the clock
-    passes [until] (elapsed µs) or {!stop} is called.  Returns the
-    number of events fired. *)
+(** [run_while t ~deadline pred] drives the event loop until [pred ()]
+    holds, the clock passes [deadline] (elapsed µs) or {!stop} is
+    called, and returns whether [pred ()] held.  Due events fire first,
+    overdue ones immediately and each other one on its microsecond;
+    [pred] is asked whenever nothing is due, before the loop waits for
+    the next event or the deadline.  Every pass checks the deadline: an
+    event due after it is left for a later call, so a backlog of events
+    that keep rescheduling themselves ends once the clock passes it. *)
+val run_while : t -> deadline:int -> (unit -> bool) -> bool
+
+(** [run_until t until] is {!run_while} with a predicate that never
+    holds: it fires every event due up to [until], sleeps to [until]
+    and returns the number of events fired, unless {!stop} ends it
+    first. *)
 val run_until : t -> int -> int
 
-(** [stop t] makes the innermost {!run_until} return after the event
-    currently executing; callable from inside an event. *)
+(** [stop t] makes the innermost {!run_while} or {!run_until} return
+    after the event currently executing; callable from inside an
+    event.  The next call of either runs again. *)
 val stop : t -> unit
 
 (** Events executed so far. *)

@@ -107,16 +107,21 @@ let run_for t us = run ~until:(now t + us) t
 
 (* Wall-clock worlds can't run to a virtual horizon and ask questions
    after — 60 µs-accounted seconds is 60 real seconds.  Instead: drive
-   in short slices, checking a completion predicate between slices. *)
+   until a completion predicate holds.  The simulator asks it between
+   [slice_us] slices of virtual time; the wall clock asks it whenever
+   no event is due, and at the end of every slice, so a backlog that
+   never leaves the loop idle still has it asked every [slice_us]. *)
 let run_cond ?(slice_us = 2_000) ~timeout_us t pred =
   let deadline = now t + timeout_us in
   let rec go () =
     if pred () then true
     else if now t >= deadline then pred ()
-    else begin
-      run_for t (min slice_us (deadline - now t));
-      go ()
-    end
+    else
+      match t.driver with
+      | Dsim _ ->
+        run_for t (min slice_us (deadline - now t));
+        go ()
+      | Dwall w -> Wallclock.run_while w ~deadline:(min deadline (now t + slice_us)) pred || go ()
   in
   go ()
 

@@ -74,11 +74,17 @@ val run : ?until:int -> t -> unit
 (** [run_for w us] advances backend time by [us]. *)
 val run_for : t -> int -> unit
 
-(** [run_cond ~timeout_us w pred] drives the world in [slice_us] slices
-    (default 2 ms) until [pred ()] holds or [timeout_us] elapses;
-    returns the predicate's final verdict.  The only sane way to wait
-    for a condition (group formed, N messages delivered) on the
-    wall-clock backend, and works identically on the simulator. *)
+(** [run_cond ~timeout_us w pred] drives the world until [pred ()]
+    holds or [timeout_us] elapses; returns the predicate's final
+    verdict.  The only sane way to wait for a condition (group formed,
+    N messages delivered) on the wall-clock backend, and works
+    identically on the simulator.  [slice_us] (default 2 ms) means:
+    - on the simulator, the virtual time run between askings of
+      [pred];
+    - on the wall clock, the longest [pred] goes unasked.  It is asked
+      whenever no event is due, so the call returns as soon as it
+      holds; the slice only matters under a backlog, when events are
+      always due. *)
 val run_cond : ?slice_us:int -> timeout_us:int -> t -> (unit -> bool) -> bool
 
 (** [now w] is the current backend time (virtual µs on the simulator,

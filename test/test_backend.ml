@@ -11,12 +11,20 @@
    - Isolation: two simulations run concurrently on separate domains
      must produce exactly the digests they produce sequentially — the
      proof that no shared mutable state (interner, pools, registries,
-     uid counters) leaks between domains. *)
+     uid counters) leaks between domains.
+
+   - Wall-clock timing: timers fire on their microsecond, [run_cond]
+     returns as soon as its predicate holds, [Wallclock.stop] ends
+     either loop, and a backlog cannot run past [run_cond]'s timeout.
+     The timing checks take medians, so one preempted trial cannot fail
+     them. *)
 
 open Vsync_core
 module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
+module Backend = Vsync_backend.Backend
+module Wallclock = Vsync_backend.Wallclock
 
 let e_app = Entry.user 0
 
@@ -140,6 +148,82 @@ let test_parallel_digest_equality () =
       Alcotest.(check int) "delivered identical" delivered pdel)
     sequential
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let wall_world () = World.create ~backend:(World.Wall Wallclock.default_config) ~sites:1 ()
+
+(* A predicate that an event turns true 200 µs out holds long before
+   [run_cond]'s default 2 ms slice ends. *)
+let test_run_cond_prompt () =
+  let trial () =
+    let w = wall_world () in
+    let flag = ref false in
+    let t0 = World.now w in
+    ignore (Backend.schedule (World.backend w) ~delay:200 (fun () -> flag := true));
+    Alcotest.(check bool) "predicate held" true
+      (World.run_cond ~timeout_us:1_000_000 w (fun () -> !flag));
+    World.now w - t0
+  in
+  let took = median (List.init 11 (fun _ -> trial ())) in
+  if took > 1_000 then Alcotest.failf "run_cond returned after %d us at the median (want <= 1000)" took
+
+(* 200 timers, each armed 500 µs out by the one before it. *)
+let test_timer_lateness () =
+  let wc = Wallclock.create ~sites:1 () in
+  let bk = Wallclock.backend wc in
+  let n = 200 and late = ref [] in
+  let rec arm k =
+    let at = Wallclock.now wc + 500 in
+    ignore
+      (Backend.schedule_at bk at (fun () ->
+           late := (Wallclock.now wc - at) :: !late;
+           if k + 1 < n then arm (k + 1) else Wallclock.stop wc))
+  in
+  arm 0;
+  ignore (Wallclock.run_until wc (Wallclock.now wc + 10_000_000));
+  Alcotest.(check int) "every timer fired" n (List.length !late);
+  let p50 = median !late in
+  if p50 > 20 then Alcotest.failf "timers fired %d us late at the median (want <= 20)" p50
+
+let test_stop_ends_both_loops () =
+  let wc = Wallclock.create ~sites:1 () in
+  let bk = Wallclock.backend wc in
+  let fired = ref [] in
+  let at delay tag f = ignore (Backend.schedule bk ~delay (fun () -> fired := tag :: !fired; f ())) in
+  let stop () = Wallclock.stop wc in
+  at 100 "stop1" stop;
+  at 50_000 "after" ignore;
+  let t0 = Wallclock.now wc in
+  Alcotest.(check int) "run_until fired only the stopping event" 1
+    (Wallclock.run_until wc (t0 + 1_000_000));
+  Alcotest.(check bool) "run_until returned before the next event" true
+    (Wallclock.now wc - t0 < 50_000);
+  at 100 "stop2" stop;
+  Alcotest.(check bool) "run_while reports the predicate unmet" false
+    (Wallclock.run_while wc ~deadline:(Wallclock.now wc + 1_000_000) (fun () -> false));
+  Alcotest.(check (list string)) "events fired" [ "stop1"; "stop2" ] (List.rev !fired);
+  Alcotest.(check int) "the later event is still pending" 1 (Wallclock.pending wc)
+
+(* An event that reschedules itself at delay 0 keeps the loop busy
+   forever; [run_cond] still returns by its timeout, asking its
+   predicate along the way. *)
+let test_backlog_deadline () =
+  let w = wall_world () in
+  let bk = World.backend w in
+  let rec busy () = ignore (Backend.schedule bk ~delay:0 busy) in
+  busy ();
+  let asked = ref 0 in
+  let timeout_us = 20_000 in
+  let t0 = World.now w in
+  let held = World.run_cond ~timeout_us w (fun () -> incr asked; false) in
+  let took = World.now w - t0 in
+  Alcotest.(check bool) "predicate never held" false held;
+  if took > timeout_us + 50_000 then Alcotest.failf "run_cond returned after %d us" took;
+  if !asked < 5 then Alcotest.failf "predicate asked %d times under the backlog" !asked
+
 let suite =
   [
     Alcotest.test_case "seam: fixed scenario on simulator (deterministic)" `Quick
@@ -148,4 +232,10 @@ let suite =
       test_wall_conformance;
     Alcotest.test_case "parallel: per-seed digests equal sequential" `Slow
       test_parallel_digest_equality;
+    Alcotest.test_case "wall: run_cond returns when its predicate holds" `Quick
+      test_run_cond_prompt;
+    Alcotest.test_case "wall: timers fire on their microsecond" `Quick test_timer_lateness;
+    Alcotest.test_case "wall: stop ends run_until and run_while" `Quick test_stop_ends_both_loops;
+    Alcotest.test_case "wall: run_cond deadline holds under a backlog" `Quick
+      test_backlog_deadline;
   ]
