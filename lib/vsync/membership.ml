@@ -24,9 +24,8 @@ open Partition
 type ack_resolution = {
   r_missing_cb : uid list; (* CBCASTs some wedged site has not received *)
   r_ab_finalize : (uid * prio) list; (* final priorities, sorted by uid *)
-  r_final : (uid, prio) Hashtbl.t; (* same, keyed for per-uid lookups *)
   r_ab_drop : uid list; (* uncommitted ABCASTs from dead originators *)
-  r_ab_missing : uid list; (* finalized ABCASTs some site lacks *)
+  r_ab_missing : (uid * prio) list; (* the finalized ABCASTs some site lacks *)
 }
 
 let resolve_acks ~gid ~view_id (c : change_state) =
@@ -96,47 +95,63 @@ let resolve_acks ~gid ~view_id (c : change_state) =
       (fun (u, _) ->
         List.exists (fun s -> not (Uid_set.mem u (info_of s).a_ab_uids)) c.c_sites)
       ab_finalize
-    |> List.map fst
   in
-  let final_tbl = Hashtbl.create (List.length ab_finalize) in
-  List.iter (fun (u, p) -> Hashtbl.replace final_tbl u p) ab_finalize;
   {
     r_missing_cb = Uid_set.elements missing_cb;
     r_ab_finalize = ab_finalize;
-    r_final = final_tbl;
     r_ab_drop = ab_drop;
     r_ab_missing = ab_missing;
   }
 
 (* --- routing membership events --- *)
 
+(* The only way into [g.pending_events]: an event already queued or in
+   the running change's batch is dropped, so no batch carries one event
+   twice. *)
 let enqueue_event g ev =
   let in_flight pred =
-    Deque.exists pred g.pending_events
+    List.exists pred g.pending_events
     || match g.change with Some c -> List.exists pred c.c_batch | None -> false
   in
-  let dup =
-    match ev with
-    | Ev_fail (p, certain) ->
-      (* A certain death upgrades a queued suspicion of the same process
-         (certainty matters to the quorum rule), so only an equally- or
-         more-certain record counts as a duplicate. *)
-      in_flight (function
-        | Ev_fail (q, c') -> Addr.equal_proc p q && (c' || not certain)
-        | Ev_leave q -> Addr.equal_proc p q
-        | Ev_join _ | Ev_gb _ -> false)
-    | Ev_leave p ->
-      in_flight (function
-        | Ev_fail (q, _) | Ev_leave q -> Addr.equal_proc p q
-        | Ev_join _ | Ev_gb _ -> false)
-    | Ev_join (p, _) ->
-      in_flight (function Ev_join (q, _) -> Addr.equal_proc p q | _ -> false)
-    | Ev_gb (u, _) ->
-      (* Re-routed copies of an undelivered GBCAST (see
-         [gb_outstanding]) collapse onto the queued original. *)
-      in_flight (function Ev_gb (u2, _) -> u2 = u | _ -> false)
-  in
-  if not dup then g.pending_events <- Deque.push_back g.pending_events ev
+  let suspicion_of p = function Ev_fail (q, false) -> Addr.equal_proc p q | _ -> false in
+  match ev with
+  | Ev_fail (p, true) when List.exists (suspicion_of p) g.pending_events ->
+    (* A certain death upgrades a queued suspicion of the same process
+       in place: certainty matters to the quorum rule. *)
+    g.pending_events <- List.map (fun e -> if suspicion_of p e then ev else e) g.pending_events
+  | _ ->
+    let dup =
+      match ev with
+      | Ev_fail (p, certain) ->
+        (* Only an equally- or more-certain record counts as a
+           duplicate of a failure. *)
+        in_flight (function
+          | Ev_fail (q, c') -> Addr.equal_proc p q && (c' || not certain)
+          | Ev_leave q -> Addr.equal_proc p q
+          | Ev_join _ | Ev_gb _ -> false)
+      | Ev_leave p ->
+        in_flight (function
+          | Ev_fail (q, _) | Ev_leave q -> Addr.equal_proc p q
+          | Ev_join _ | Ev_gb _ -> false)
+      | Ev_join (p, _) ->
+        in_flight (function Ev_join (q, _) -> Addr.equal_proc p q | _ -> false)
+      | Ev_gb (u, _) ->
+        (* Re-routed copies of an undelivered GBCAST (see
+           [gb_outstanding]) collapse onto the queued original. *)
+        in_flight (function Ev_gb (u2, _) -> u2 = u | _ -> false)
+    in
+    if not dup then g.pending_events <- g.pending_events @ [ ev ]
+
+(* Put an unprocessed [batch] back at the head of the queue, ahead of
+   the events queued since it was taken.  Those go back through
+   [enqueue_event], so a re-routed copy of a batch entry collapses onto
+   it.  The running change is cleared first: its batch is the one being
+   requeued. *)
+let requeue g batch =
+  g.change <- None;
+  let queued = g.pending_events in
+  g.pending_events <- batch;
+  List.iter (enqueue_event g) queued
 
 (* A flush can starve on participants that could not ack the original
    Wedge: a site still catching up on an OLDER view (it held a
@@ -164,31 +179,8 @@ let rec wedge_retry t g ~attempt =
 (* --- the view-change / GBCAST flush --- *)
 
 let start_change t g =
-  let batch = Deque.to_list g.pending_events in
-  g.pending_events <- Deque.empty;
-  (* Collapse duplicate failure records of one process, keeping the
-     strongest certainty: a local kill may race an earlier suspicion of
-     the same process, and certainty matters to the quorum rule. *)
-  let batch =
-    List.rev
-      (List.fold_left
-         (fun acc ev ->
-           match ev with
-           | Ev_fail (p, c) ->
-             let merged = ref false in
-             let acc =
-               List.map
-                 (function
-                   | Ev_fail (q, c') when Addr.equal_proc p q ->
-                     merged := true;
-                     Ev_fail (q, c' || c)
-                   | e -> e)
-                 acc
-             in
-             if !merged then acc else ev :: acc
-           | e -> e :: acc)
-         [] batch)
-  in
+  let batch = g.pending_events in
+  g.pending_events <- [];
   (* A suspicion of a member hosted HERE that is demonstrably alive is
      stale by construction (a heal delivered someone's partition-era
      report after the fact): processing it would evict a live local
@@ -229,8 +221,10 @@ let start_change t g =
         && (m.Addr.site = t.my_site || not (Int_set.mem m.Addr.site g.suspects)))
       g.view.View.members
   in
-  if not (View.quorum_met ~prev:g.view ~survivors ~certain) then
-    enter_minority t g ~batch ~survivors ~certain
+  if not (View.quorum_met ~prev:g.view ~survivors ~certain) then begin
+    requeue g batch;
+    enter_minority t g ~survivors ~certain
+  end
   else begin
     let attempt = g.last_attempt + 1 in
     g.last_attempt <- attempt;
@@ -251,7 +245,7 @@ let maybe_start_change t g =
   if
     g.change = None
     && g.minority = None
-    && (not (Deque.is_empty g.pending_events))
+    && g.pending_events <> []
     && i_am_coord t g
   then start_change t g
 
@@ -279,7 +273,8 @@ let rec route_event t g ev =
         | Ev_join (p, cred) -> Proto.Join_req { group = g.gid; joiner = p; credentials = cred }
         | Ev_leave p -> Proto.Leave_req { group = g.gid; who = p }
         | Ev_fail (p, certain) -> Proto.Proc_failed { group = g.gid; who = p; certain }
-        | Ev_gb (uid, body) -> Proto.Gb_req { group = g.gid; uid; body }
+        | Ev_gb (uid, body) ->
+          Proto.Gb_req { group = g.gid; view_id = g.view.View.view_id; uid; body }
       in
       send_frame t ~dst:c frame
     | None ->
@@ -300,8 +295,8 @@ let rec route_event t g ev =
 
 (* Hand every queued event to whoever coordinates now. *)
 and reroute_pending t g =
-  let evs = Deque.to_list g.pending_events in
-  g.pending_events <- Deque.empty;
+  let evs = g.pending_events in
+  g.pending_events <- [];
   List.iter (fun ev -> route_event t g ev) evs
 
 (* Drop the failure suspicions of [site]'s members, whose suspicion has
@@ -310,23 +305,17 @@ let not_suspicion_of site = function Ev_fail (p, false) -> p.Addr.site <> site |
 
 (* A probe reply showed [site] is reachable and still at our view:
    clear the suspicion, drop its members' suspicion-based failure
-   records, and rerun the change — if quorum now holds, the ordinary
-   flush commits (its commit unwedges the whole component, even with an
-   empty event batch); otherwise we re-enter the minority state and
-   keep probing. *)
-let minority_recover t g m ~site =
+   records from the queue (which holds the minority's batch), and rerun
+   the change — if quorum now holds, the ordinary flush commits (its
+   commit unwedges the whole component, even with an empty event
+   batch); otherwise we re-enter the minority state and keep probing. *)
+let minority_recover t g ~site =
   g.suspects <- Int_set.remove site g.suspects;
-  m.m_batch <- List.filter (not_suspicion_of site) m.m_batch;
-  (* Stale suspicions of the recovered site may also sit in the pending
-     queue — e.g. a copy routed here by a peer after it healed — and
-     would sail into the next change untouched by the batch filter. *)
-  g.pending_events <-
-    Deque.of_list (List.filter (not_suspicion_of site) (Deque.to_list g.pending_events));
+  g.pending_events <- List.filter (not_suspicion_of site) g.pending_events;
   g.minority <- None;
   trace_event t Obs_event.Partition (fun () ->
       Obs_event.Partition_exit
         { site = t.my_site; group = gi g.gid; view_id = g.view.View.view_id });
-  g.pending_events <- Deque.prepend m.m_batch g.pending_events;
   (* Clearing the suspicion may hand coordinatorship back to the
      recovered site: route the parked events instead of running the
      change from here. *)
@@ -336,9 +325,8 @@ let restart_change t g =
   (* A failure interrupted the flush: requeue the unprocessed batch and
      run again with fresh suspicions folded in. *)
   (match g.change with
-  | Some c when not c.c_committed -> g.pending_events <- Deque.prepend c.c_batch g.pending_events
-  | Some _ | None -> ());
-  g.change <- None;
+  | Some c when not c.c_committed -> requeue g c.c_batch
+  | Some _ | None -> g.change <- None);
   maybe_start_change t g
 
 let on_wedge t ~src g ~view_id ~attempt ~coord_site ~coord_epoch =
@@ -389,8 +377,7 @@ let on_wedge t ~src g ~view_id ~attempt ~coord_site ~coord_epoch =
          with undrained state until the end of time. *)
       (match g.change with
       | Some c when coord_site <> t.my_site ->
-        if not c.c_committed then g.pending_events <- Deque.prepend c.c_batch g.pending_events;
-        g.change <- None;
+        if c.c_committed then g.change <- None else requeue g c.c_batch;
         after t g ~delay:500_000 (fun () -> maybe_start_change t g)
       | Some _ | None -> ());
       let cb_known = Uid_map.fold (fun uid s acc -> match s with Proto.Scb _ -> uid :: acc | Proto.Sab _ -> acc) g.store [] in
@@ -474,17 +461,6 @@ let build_commit t g c events gb_bodies =
      and pair them with the bodies: local store/engine plus fetched,
      with the Sab priorities fixed to the final values. *)
   let r = resolve_acks ~gid:(gi g.gid) ~view_id:g.view.View.view_id c in
-  let final_of u =
-    match Hashtbl.find_opt r.r_final u with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Runtime.build_commit: no final priority for uid %d.%d (group g%d view %d attempt \
-            %d; %d finalized)"
-           u.usite u.useq (gi g.gid) g.view.View.view_id c.c_attempt
-           (List.length r.r_ab_finalize))
-  in
   let fetched = c.c_fetched in
   let lookup u =
     match List.find_opt (fun s -> uid_equal (Proto.stored_uid s) u) fetched with
@@ -494,9 +470,9 @@ let build_commit t g c events gb_bodies =
   let stab_cb = List.filter_map lookup r.r_missing_cb in
   let stab_ab =
     List.filter_map
-      (fun u ->
+      (fun (u, prio) ->
         match lookup u with
-        | Some (Proto.Sab { uid; body; _ }) -> Some (Proto.Sab { uid; prio = final_of uid; body })
+        | Some (Proto.Sab { uid; body; _ }) -> Some (Proto.Sab { uid; prio; body })
         | Some (Proto.Scb _) | None -> None)
       r.r_ab_missing
   in
@@ -612,13 +588,12 @@ let proceed_with_acks t g c =
       c.c_acks None
   with
   | Some commit_frame ->
-    g.pending_events <- Deque.prepend c.c_batch g.pending_events;
-    g.change <- None;
+    requeue g c.c_batch;
     List.iter (fun dst -> send_frame t ~dst commit_frame) c.c_sites
   | None ->
     (* Which CBCAST / finalized-ABCAST bodies are missing somewhere? *)
     let r = resolve_acks ~gid:(gi g.gid) ~view_id:g.view.View.view_id c in
-    let needed = r.r_missing_cb @ r.r_ab_missing in
+    let needed = r.r_missing_cb @ List.map fst r.r_ab_missing in
     (* Who holds each needed body?  Prefer ourselves. *)
     let holder_of u =
       let has s =
@@ -752,9 +727,7 @@ let rec on_commit t ~src g_opt frame =
          (superseded) change, requeue its batch for another round. *)
       (match g.change with
       | Some c when c.c_committed -> g.change <- None
-      | Some c ->
-        g.pending_events <- Deque.prepend c.c_batch g.pending_events;
-        g.change <- None
+      | Some c -> requeue g c.c_batch
       | None -> ());
       (* Every member site can answer directory queries for its groups,
          so the name outlives the creator site. *)
@@ -833,12 +806,15 @@ let rec on_commit t ~src g_opt frame =
               Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq });
           deliver_to_members t body ~members:(local_members t g))
         gb_bodies;
-      (* GBCASTs of ours this commit delivered are done; the rest are
-         re-routed below once the new view's coordinator is known. *)
-      g.gb_outstanding <-
-        List.filter
-          (fun (u, _) -> not (List.exists (fun (u', _) -> u' = u) gb_bodies))
-          g.gb_outstanding;
+      (* GBCASTs this commit delivered are done, wherever they still
+         wait: ours in [gb_outstanding], and queued requests (a
+         minority's batch, or a superseded change's) in the queue.  The
+         rest of ours are re-routed below once the new view's
+         coordinator is known. *)
+      let delivered u = List.exists (fun (u', _) -> u' = u) gb_bodies in
+      g.gb_outstanding <- List.filter (fun (u, _) -> not (delivered u)) g.gb_outstanding;
+      g.pending_events <-
+        List.filter (function Ev_gb (u, _) -> not (delivered u) | _ -> true) g.pending_events;
       (* 4b. Open reply collections waiting on a removed member will
          never hear from it: discount it now. *)
       List.iter
@@ -1069,13 +1045,16 @@ and handle_group_frame t ~src frame =
       if certain || List.mem src (View.sites g.view) then route_event t g (Ev_fail (who, certain))
       else send_current_view t ~dst:src g
     | None -> ())
-  | Proto.Gb_req { group; uid; body } ->
+  | Proto.Gb_req { group; view_id; uid; body } ->
     (* A GBCAST request from a site outside the current view: the
        sender was evicted while its request sat in a retransmit queue
        (partition).  Honouring it would deliver a message from the
        evicted member AFTER the view change that removed it — exactly
-       what the flush exists to forbid. *)
-    from_member group (fun g -> route_event t g (Ev_gb (uid, body)))
+       what the flush exists to forbid.  A request routed in an older
+       view is dropped, as data frames are: an install in between may
+       have delivered it, and if not, its origin re-routes it. *)
+    from_member group (fun g ->
+        if view_id >= g.view.View.view_id then route_event t g (Ev_gb (uid, body)))
   | Proto.Wedge { group; view_id; attempt; coord_site; coord_epoch } ->
     with_copy group (fun g -> on_wedge t ~src g ~view_id ~attempt ~coord_site ~coord_epoch)
   | Proto.Wedge_ack { group; attempt; from_site; cb_known; ab_report; ab_counter; already_committed; _ } ->
@@ -1128,17 +1107,10 @@ let on_site_down ?(certain = false) t s =
           | Some _ -> ()
           | None -> maybe_start_change t g
         end
-        else begin
+        else
           (* Tell the acting coordinator (it may not share our failure
              detector's view yet). *)
-          List.iter (fun v -> route_event t g (Ev_fail (v, certain))) victims;
-          (* If the dead site was the coordinator, we may have just
-             become it. *)
-          if i_am_coord t g then begin
-            List.iter (fun v -> enqueue_event g (Ev_fail (v, certain))) victims;
-            maybe_start_change t g
-          end
-        end
+          List.iter (fun v -> route_event t g (Ev_fail (v, certain))) victims
       end)
     groups
 
@@ -1163,11 +1135,10 @@ let on_site_recovered t s =
     (fun g ->
       if List.mem s (View.sites g.view) && Int_set.mem s g.suspects then
         match g.minority with
-        | Some m -> minority_recover t g m ~site:s
+        | Some _ -> minority_recover t g ~site:s
         | None ->
           g.suspects <- Int_set.remove s g.suspects;
-          g.pending_events <-
-            Deque.of_list (List.filter (not_suspicion_of s) (Deque.to_list g.pending_events));
+          g.pending_events <- List.filter (not_suspicion_of s) g.pending_events;
           (* Coordinatorship may have moved back to the recovered site:
              hand it any events parked here. *)
           if not (i_am_coord t g) then reroute_pending t g)

@@ -95,18 +95,18 @@ let rec schedule_minority_probe t g m =
           trace_event t Obs_event.Partition (fun () ->
               Obs_event.Partition_probe
                 { site = t.my_site; group = gi g.gid; view_id = g.view.View.view_id });
-          (* Probe the suspects AND the sites of members this batch
-             would have evicted: a stale suspicion can put a member in
-             the batch without its site being in [suspects], and probing
-             nobody would let the copy run dry against a perfectly
-             healthy peer. *)
+          (* Probe the suspects AND the sites of members a queued
+             suspicion would evict: a stale suspicion can queue a member
+             without its site being in [suspects], and probing nobody
+             would let the copy run dry against a perfectly healthy
+             peer. *)
           let targets =
             List.fold_left
               (fun acc ev ->
                 match ev with
                 | Ev_fail (p, false) when p.Addr.site <> t.my_site -> Int_set.add p.Addr.site acc
                 | _ -> acc)
-              g.suspects m.m_batch
+              g.suspects g.pending_events
           in
           Int_set.iter
             (fun s ->
@@ -119,12 +119,12 @@ let rec schedule_minority_probe t g m =
       | Some _ | None -> ())
 
 (* A view-change attempt found this component below quorum: wedge it
-   and start probing. *)
-let enter_minority t g ~batch ~survivors ~certain =
+   and start probing.  Its batch is already back in the queue. *)
+let enter_minority t g ~survivors ~certain =
   let attempt = g.last_attempt + 1 in
   g.last_attempt <- attempt;
   g.change <- None;
-  let m = { m_attempt = attempt; m_batch = batch; m_rounds = 0 } in
+  let m = { m_attempt = attempt; m_rounds = 0 } in
   g.minority <- Some m;
   let base =
     List.filter

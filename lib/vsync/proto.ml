@@ -43,7 +43,15 @@ type frame =
              unreachable site.  Certain deaths shrink the quorum
              denominator of the primary-partition rule. *)
     }
-  | Gb_req of { group : Addr.group_id; uid : uid; body : Message.t }
+  | Gb_req of {
+      group : Addr.group_id;
+      view_id : int;
+          (* the sender's view when it routed the request: a receiver
+             already past it drops the request, because the origin
+             re-routes every undelivered GBCAST at each install *)
+      uid : uid;
+      body : Message.t;
+    }
   | Wedge of {
       group : Addr.group_id;
       view_id : int;
@@ -141,6 +149,8 @@ let size = function
   | Join_req { credentials; _ } -> header + sz_addr + Message.size credentials
   | Join_refused { reason; _ } -> header + sz_addr + String.length reason
   | Leave_req _ | Proc_failed _ -> header + sz_addr
+  (* [view_id] is not counted: like the group ids and the
+     [Wedge]/[Commit] epochs, it rides in [header]. *)
   | Gb_req { body; _ } -> header + sz_uid + Message.size body
   | Wedge _ -> header + (3 * sz_int)
   | Wedge_ack { cb_known; ab_report; _ } ->

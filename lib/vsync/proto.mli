@@ -71,7 +71,14 @@ type frame =
               (same-site monitor): certain deaths shrink the
               primary-partition quorum base; suspicions never do. *)
     }
-  | Gb_req of { group : Addr.group_id; uid : uid; body : Message.t }
+  | Gb_req of {
+      group : Addr.group_id;
+      view_id : int;
+          (** the sender's view when it routed the request; a receiver
+              in a later view drops it *)
+      uid : uid;
+      body : Message.t;
+    }
   (* --- the view-change / GBCAST flush protocol --- *)
   | Wedge of {
       group : Addr.group_id;

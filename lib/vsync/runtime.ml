@@ -97,7 +97,7 @@ let handle_frame t ~src frame =
           Partition.partition_teardown t g ~new_view_id:peer_vid
         else (
           match g.minority with
-          | Some m when peer_vid = g.view.View.view_id -> minority_recover t g m ~site:src
+          | Some _ when peer_vid = g.view.View.view_id -> minority_recover t g ~site:src
           | Some _ | None -> ()))
     | Proto.Relay { group; mode; body; session; caller } -> (
       match group_of t group with
@@ -505,7 +505,7 @@ let state_stats t =
       cb_tail := !cb_tail + Causal.dedup_residue g.causal;
       ab_tail := !ab_tail + Total.dedup_residue g.total;
       ab_entries := !ab_entries + List.length (Total.pending g.total);
-      events := !events + Deque.length g.pending_events;
+      events := !events + List.length g.pending_events;
       blocked := !blocked + List.length g.blocked_sends)
     t.groups;
   [

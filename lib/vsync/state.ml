@@ -13,7 +13,6 @@ module Ivar = Vsync_tasks.Ivar
 module Condition = Vsync_tasks.Condition
 module Endpoint = Vsync_transport.Endpoint
 module Stats = Vsync_util.Stats
-module Deque = Vsync_util.Deque
 module Obs_tracer = Vsync_obs.Tracer
 module Obs_event = Vsync_obs.Event
 module Metrics = Vsync_obs.Metrics
@@ -101,35 +100,38 @@ and group = {
          suspected process is still alive and will keep multicasting
          (directly or through the client relay), so origination rejects
          its messages until a rejoin clears it *)
-  mutable pending_events : pending_event Deque.t; (* oldest first *)
+  mutable pending_events : pending_event list;
+      (* oldest first: the one place an unprocessed membership event or
+         GBCAST lives (a running change holds its batch; a minority
+         leaves its batch here).  Only [Membership.enqueue_event] and
+         [Membership.requeue] add to it; every other write removes *)
   mutable gb_outstanding : (uid * Message.t) list;
       (* GBCASTs this site originated that no installed view has
          delivered yet (newest first).  The origin keeps responsibility:
          a [Gb_req] routed to a coordinator that a partition (or its
          eviction) swallowed would otherwise vanish — the request lives
          only in that coordinator's queue.  Each install prunes the
-         delivered ones and re-routes the rest at the new view's
-         coordinator; [enqueue_event] dedups re-routed copies by uid. *)
+         delivered ones (here and from [pending_events]) and re-routes
+         the rest at the new view's coordinator, tagged with that view:
+         [enqueue_event] collapses re-routed copies by uid, and a
+         receiver already past the tagged view drops the request *)
   mutable change : change_state option;
   mutable last_attempt : int;
   mutable last_commit : Proto.frame option;
   mutable minority : minority_state option;
       (* Some when a view-change attempt found this component below
          quorum (the primary-partition rule): the group is wedged with
-         no change in flight, origination is blocked like behind any
-         wedge, and a probe loop watches for the
-         heal — either the primary's newer view (eviction: discard
-         state, rejoin fresh) or the suspicion clearing (false alarm:
-         resume) *)
+         no change in flight, its batch is back in [pending_events],
+         origination is blocked like behind any wedge, and a probe loop
+         watches for the heal — either the primary's newer view
+         (eviction: discard state, rejoin fresh) or the suspicion
+         clearing (false alarm: rerun the change) *)
 }
 
 and wedge_state = { w_attempt : int; w_coord : int; w_epoch : int }
 
 and minority_state = {
   m_attempt : int;
-  mutable m_batch : pending_event list;
-      (* the membership batch whose application would have lost quorum;
-         re-played through [start_change] if suspicion clears *)
   mutable m_rounds : int; (* probe rounds sent so far *)
 }
 
@@ -520,7 +522,7 @@ let make_group t ~gid ~gname ~view =
     join_validator = None;
     suspects = Int_set.empty;
     failed_procs = [];
-    pending_events = Deque.empty;
+    pending_events = [];
     change = None;
     last_attempt = 0;
     last_commit = None;

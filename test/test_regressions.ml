@@ -155,6 +155,26 @@ let test_no_hang_on_dead_responder () =
   | Some (Runtime.Replies _) -> Alcotest.fail "reply from a dead process?"
   | None -> Alcotest.fail "caller hung on a dead responder"
 
+(* Bug 6: one GBCAST uid could be delivered twice, in one commit or in
+   two.  An unprocessed batch went back in the queue by four hand-written
+   prepends and the minority kept a private batch, all skipping the
+   queue's duplicate test, so a re-routed copy rode the next commit
+   beside the original.  And a request forwarded in an older view could
+   reach the coordinator after the install that delivered it.  Each
+   case is the [vsim --sites N --nemesis SEED] run that showed it: four
+   queue paths, then the stale request. *)
+let test_gbcast_delivered_once () =
+  List.iter
+    (fun (sites, seed) ->
+      match Scenario.run ~sites ~seed () with
+      | Error e -> Alcotest.failf "%d sites, seed %Ld: setup failed: %s" sites seed e
+      | Ok r ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%d sites, seed %Ld: no violations" sites seed)
+          []
+          (List.map (fun (v : Oracle.violation) -> v.invariant) r.violations))
+    [ (4, 1113L); (4, 1007L); (4, 1151L); (4, 2490L); (3, 1066L) ]
+
 (* The message-path rework (interned fields, copy-on-write bodies,
    cached frame sizes) must not perturb protocol behaviour in any way:
    two fixed-seed scenarios have their complete oracle delivery
@@ -207,5 +227,7 @@ let suite =
     Alcotest.test_case "fresh channel second message" `Quick test_fresh_channel_second_message;
     Alcotest.test_case "failure cascade dissolves group" `Quick test_failure_cascade_dissolves;
     Alcotest.test_case "no hang on dead responder" `Quick test_no_hang_on_dead_responder;
+    Alcotest.test_case "GBCAST delivered once through requeues and re-routes" `Quick
+      test_gbcast_delivered_once;
     Alcotest.test_case "scenario trace digests" `Quick test_scenario_trace_digests;
   ]

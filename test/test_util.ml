@@ -6,7 +6,6 @@ module Heap = Vsync_util.Heap
 module Vclock = Vsync_util.Vclock
 module Stats = Vsync_util.Stats
 module Seqtrack = Vsync_util.Seqtrack
-module Deque = Vsync_util.Deque
 
 (* --- rng --- *)
 
@@ -228,19 +227,6 @@ let prop_seqtrack_matches_set =
           Seqtrack.mem t ~key:0 ~seq:s = (s <= !hi || Hashtbl.mem added s))
         (List.init 62 Fun.id))
 
-(* --- deque --- *)
-
-let test_deque () =
-  let d = Deque.empty in
-  Alcotest.(check bool) "empty" true (Deque.is_empty d);
-  let d = List.fold_left Deque.push_back d [ 3; 4; 5 ] in
-  let d = Deque.prepend [ 1; 2 ] d in
-  Alcotest.(check (list int)) "prepend ahead of pushes" [ 1; 2; 3; 4; 5 ] (Deque.to_list d);
-  Alcotest.(check int) "length" 5 (Deque.length d);
-  Alcotest.(check bool) "exists" true (Deque.exists (fun x -> x = 4) d);
-  Alcotest.(check bool) "not exists" false (Deque.exists (fun x -> x = 9) d);
-  Alcotest.(check (list int)) "of_list round-trips" [ 7; 8 ] (Deque.to_list (Deque.of_list [ 7; 8 ]))
-
 (* --- stats --- *)
 
 let test_summary () =
@@ -290,7 +276,6 @@ let suite =
     Alcotest.test_case "seqtrack compaction" `Quick test_seqtrack_compaction;
     Alcotest.test_case "seqtrack advance" `Quick test_seqtrack_advance;
     QCheck_alcotest.to_alcotest prop_seqtrack_matches_set;
-    Alcotest.test_case "deque" `Quick test_deque;
     Alcotest.test_case "summary stats" `Quick test_summary;
     Alcotest.test_case "counters" `Quick test_counter;
   ]
