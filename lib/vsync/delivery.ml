@@ -30,20 +30,16 @@ let note_stabilized t g uid =
       Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
   | None -> ()
 
-let check_stable t uid u =
+let check_stable t g uid u =
   if u.remaining = [] then begin
-    Hashtbl.remove t.unstables uid;
-    grp_index_remove t.unstable_by_group (gi u.u_group) uid;
+    g.unstables <- Uid_map.remove uid g.unstables;
     (let tr = Trace.obs t.tracer in
      if Obs_tracer.wants tr Obs_event.Proto then
        Obs_tracer.emit tr
          (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
-    List.iter (fun dst -> send_frame t ~dst (Proto.Stable { group = u.u_group; uid })) u.u_dests;
-    (match group_of t u.u_group with
-    | Some g ->
-      note_stabilized t g uid;
-      g.store <- Uid_map.remove uid g.store
-    | None -> ());
+    List.iter (fun dst -> send_frame t ~dst (Proto.Stable { group = g.gid; uid })) u.u_dests;
+    note_stabilized t g uid;
+    g.store <- Uid_map.remove uid g.store;
     match u.u_owner with
     | Some p when p.palive ->
       p.outstanding <- Uid_set.remove uid p.outstanding;
@@ -51,19 +47,22 @@ let check_stable t uid u =
     | Some _ | None -> ()
   end
 
-let note_local_origin_delivered t uid =
+let note_local_origin_delivered t g uid =
   (* Origin-site local delivery completes; remote acks may still be
      pending. *)
-  match Hashtbl.find_opt t.unstables uid with
+  match Uid_map.find_opt uid g.unstables with
   | None -> ()
-  | Some u -> check_stable t uid u
+  | Some u -> check_stable t g uid u
 
-let on_deliver_ack t ~src uid =
-  match Hashtbl.find_opt t.unstables uid with
+let on_deliver_ack t ~src gid uid =
+  match group_of t gid with
   | None -> ()
-  | Some u ->
-    u.remaining <- List.filter (fun s -> s <> src) u.remaining;
-    check_stable t uid u
+  | Some g -> (
+    match Uid_map.find_opt uid g.unstables with
+    | None -> ()
+    | Some u ->
+      u.remaining <- List.filter (fun s -> s <> src) u.remaining;
+      check_stable t g uid u)
 
 let on_stable t gid uid =
   match group_of t gid with
@@ -206,7 +205,7 @@ let drain_group t g =
          (Obs_event.Deliver
             { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
     deliver_to_members t body ~members:(local_members t g);
-    if uid.usite = t.my_site then note_local_origin_delivered t uid
+    if uid.usite = t.my_site then note_local_origin_delivered t g uid
     else send_frame t ~dst:uid.usite (Proto.Deliver_ack { group = g.gid; uid })
   in
   List.iter (fun (uid, body) -> deliver uid body) (Causal.drain g.causal);

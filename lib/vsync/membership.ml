@@ -660,10 +660,12 @@ let on_fetch_reply t g ~from_site ~attempt bodies =
     if c.c_fetch_wait = [] then finish_change t g c
   | Some _ | None -> ()
 
-(* Discard this site's copy of [g], releasing its queued ABCASTs and
-   its failure-detector subscriptions to [sites]. *)
+(* Discard this site's copy of [g], releasing its queued ABCASTs, the
+   owners of its unstable multicasts and its failure-detector
+   subscriptions to [sites]. *)
 let drop_copy t g sites =
   drop_ab_queue g;
+  settle_unstables g;
   List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sites;
   Hashtbl.remove t.groups (gi g.gid)
 
@@ -768,7 +770,7 @@ let rec on_commit t ~src g_opt frame =
           g.failed_procs events;
       (* Old-view unstable records of this group are settled by the
          flush. *)
-      settle_unstables t (gi group);
+      settle_unstables g;
       (* The flush settled every outstanding ABCAST round of the old
          view; the origination pipeline restarts empty in the new one
          (queued sends dispatch below, before the blocked replay, which
@@ -999,7 +1001,7 @@ and handle_group_frame t ~src frame =
         let prio = Total.intake g.total ~uid body in
         send_frame t ~dst:src (Proto.Ab_prio { group; view_id; uid; prio }))
   | Proto.Ab_prio { group; view_id; uid; prio } ->
-    with_group group view_id (fun _g -> on_ab_prio t ~src uid prio)
+    with_group group view_id (fun g -> on_ab_prio t g ~src uid prio)
   | Proto.Ab_commit { group; view_id; uid; prio } ->
     with_group group view_id (fun g ->
         Total.commit g.total ~uid prio;

@@ -21,13 +21,19 @@ let cpu_cost t base bytes =
   let extra_packets = if bytes <= max_packet then 0 else ((bytes - 1) / max_packet) in
   base + (bytes * t.cfg.cpu_us_per_kb / 1024) + (extra_packets * t.cfg.cpu_us_per_extra_packet)
 
+(* A job queued by an earlier incarnation dies with it: the restarted
+   site must not handle a packet, or run a send, its predecessor
+   accepted. *)
 let on_cpu t cost k =
   let now = Backend.now t.bk in
   let start = if t.cpu_free > now then t.cpu_free else now in
   let finish = start + cost in
   t.cpu_free <- finish;
   t.cpu_busy <- t.cpu_busy + cost;
-  ignore (Backend.schedule_at t.bk finish (fun () -> if t.running then k ()))
+  let epoch = Endpoint.epoch (endpoint t) in
+  ignore
+    (Backend.schedule_at t.bk finish (fun () ->
+         if t.running && Endpoint.epoch (endpoint t) = epoch then k ()))
 
 (* --- send packing ---
 
@@ -58,23 +64,18 @@ let on_send_cpu t ?cbcast cost k =
   else begin
     let group, bytes = Option.value cbcast ~default:(-1, 0) in
     Queue.push group t.send_jobs;
-    (* A job queued by an earlier incarnation must not touch this one's
-       FIFO. *)
-    let epoch = Endpoint.epoch (endpoint t) in
     on_cpu t cost (fun () ->
-        if Endpoint.epoch (endpoint t) = epoch then begin
-          ignore (Queue.pop t.send_jobs);
-          let cap = Backend.max_packet_bytes t.bk in
-          if group >= 0 && bytes <= cap && Queue.peek_opt t.send_jobs = Some group then begin
-            if t.packed_bytes + bytes > cap then release_packed t;
-            t.packed <- k :: t.packed;
-            t.packed_bytes <- t.packed_bytes + bytes;
-            Metrics.incr t.cb_held
-          end
-          else begin
-            release_packed t;
-            k ()
-          end
+        ignore (Queue.pop t.send_jobs);
+        let cap = Backend.max_packet_bytes t.bk in
+        if group >= 0 && bytes <= cap && Queue.peek_opt t.send_jobs = Some group then begin
+          if t.packed_bytes + bytes > cap then release_packed t;
+          t.packed <- k :: t.packed;
+          t.packed_bytes <- t.packed_bytes + bytes;
+          Metrics.incr t.cb_held
+        end
+        else begin
+          release_packed t;
+          k ()
         end)
   end
 
@@ -88,11 +89,10 @@ let init_done owner =
     maybe_wake_flushers p
   | None -> ()
 
-let mark_unstable t g uid ~remote ~owner =
+let mark_unstable g uid ~remote ~owner =
   if remote <> [] then begin
-    Hashtbl.replace t.unstables uid
-      { remaining = remote; u_owner = owner; u_group = g.gid; u_dests = remote };
-    grp_index_add t.unstable_by_group (gi g.gid) uid;
+    g.unstables <-
+      Uid_map.add uid { remaining = remote; u_owner = owner; u_dests = remote } g.unstables;
     match owner with
     | Some p when p.palive -> p.outstanding <- Uid_set.add uid p.outstanding
     | Some _ | None -> ()
@@ -122,7 +122,7 @@ let origin_cbcast t g ~owner body =
   if remote <> [] then begin
     g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; body }) g.store;
     Causal.note_sent g.causal uid;
-    mark_unstable t g uid ~remote ~owner;
+    mark_unstable g uid ~remote ~owner;
     List.iter
       (fun dst ->
         send_frame t ~dst
@@ -150,7 +150,7 @@ let origin_abcast t g ~owner body =
        (Obs_event.Originate
           { site = t.my_site; proto = "abcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
   let my_prio = Total.intake g.total ~uid body in
-  mark_unstable t g uid ~remote ~owner;
+  mark_unstable g uid ~remote ~owner;
   if remote = [] then begin
     Total.commit g.total ~uid my_prio;
     drain_group t g;
@@ -166,8 +166,7 @@ let origin_abcast t g ~owner body =
   end
   else begin
     g.ab_inflight <- g.ab_inflight + 1;
-    Hashtbl.replace t.ab_collects uid { ac_group = g.gid; ac_expect = remote; ac_max = my_prio };
-    grp_index_add t.collects_by_group (gi g.gid) uid;
+    g.collects <- Uid_map.add uid { ac_expect = remote; ac_max = my_prio } g.collects;
     List.iter
       (fun dst ->
         send_frame t ~dst (Proto.Ab_data { group = g.gid; view_id = g.view.View.view_id; uid; body }))
@@ -243,49 +242,43 @@ let origin_multicast t g mode ~owner body =
       origin_gbcast t g body;
       init_done owner
 
-let on_ab_prio t ~src uid prio =
-  match Hashtbl.find_opt t.ab_collects uid with
+(* A proposed priority for one of this site's rounds in [g].  Only
+   reached through [Membership.handle_group_frame], which drops frames
+   for a wedged group: the flush coordinator finalizes those rounds. *)
+let on_ab_prio t g ~src uid prio =
+  match Uid_map.find_opt uid g.collects with
   | None -> () (* collection finished or superseded by a flush *)
   | Some col -> (
-    match group_of t col.ac_group with
-    | None ->
-      Hashtbl.remove t.ab_collects uid;
-      grp_index_remove t.collects_by_group (gi col.ac_group) uid
-    | Some g ->
-      if g.wedge <> None then () (* the flush coordinator will finalize *)
-      else begin
+    (let tr = Trace.obs t.tracer in
+     if Obs_tracer.wants tr Obs_event.Proto then
+       Obs_tracer.emit tr
+         (Obs_event.Ab_vote
+            { site = t.my_site; voter = src; usite = uid.usite; useq = uid.useq; prio = fst prio }));
+    col.ac_max <- prio_max col.ac_max prio;
+    (* The proposal's sender is implicit: we just count down. *)
+    match col.ac_expect with
+    | [] -> ()
+    | _ :: _ ->
+      col.ac_expect <- List.tl col.ac_expect;
+      if col.ac_expect = [] then begin
+        g.collects <- Uid_map.remove uid g.collects;
+        g.ab_inflight <- max 0 (g.ab_inflight - 1);
+        let final = col.ac_max in
         (let tr = Trace.obs t.tracer in
          if Obs_tracer.wants tr Obs_event.Proto then
            Obs_tracer.emit tr
-             (Obs_event.Ab_vote
-                { site = t.my_site; voter = src; usite = uid.usite; useq = uid.useq; prio = fst prio }));
-        col.ac_max <- prio_max col.ac_max prio;
-        (* The proposal's sender is implicit: we just count down. *)
-        (match col.ac_expect with
-        | [] -> ()
-        | _ :: _ ->
-          col.ac_expect <- List.tl col.ac_expect;
-          if col.ac_expect = [] then begin
-            Hashtbl.remove t.ab_collects uid;
-            grp_index_remove t.collects_by_group (gi col.ac_group) uid;
-            g.ab_inflight <- max 0 (g.ab_inflight - 1);
-            let final = col.ac_max in
-            (let tr = Trace.obs t.tracer in
-             if Obs_tracer.wants tr Obs_event.Proto then
-               Obs_tracer.emit tr
-                 (Obs_event.Ab_commit
-                    { site = t.my_site; usite = uid.usite; useq = uid.useq; prio = fst final }));
-            List.iter
-              (fun dst ->
-                send_frame t ~dst
-                  (Proto.Ab_commit { group = g.gid; view_id = g.view.View.view_id; uid; prio = final }))
-              (remote_member_sites t g);
-            Total.commit g.total ~uid final;
-            drain_group t g;
-            (* The freed slot (and any others freed by this same packet)
-               dispatches the next queued round(s). *)
-            dispatch_abcasts t g
-          end)
+             (Obs_event.Ab_commit
+                { site = t.my_site; usite = uid.usite; useq = uid.useq; prio = fst final }));
+        List.iter
+          (fun dst ->
+            send_frame t ~dst
+              (Proto.Ab_commit { group = g.gid; view_id = g.view.View.view_id; uid; prio = final }))
+          (remote_member_sites t g);
+        Total.commit g.total ~uid final;
+        drain_group t g;
+        (* The freed slot (and any others freed by this same packet)
+           dispatches the next queued round(s). *)
+        dispatch_abcasts t g
       end)
 
 (* --- the client API: bcast, admission, replies --- *)

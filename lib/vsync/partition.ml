@@ -46,7 +46,7 @@ let partition_teardown t g ~new_view_id =
   List.iter (fun (owner, _, _) -> init_done owner) (List.rev g.blocked_sends);
   g.blocked_sends <- [];
   drop_ab_queue g;
-  settle_unstables t gid_int;
+  settle_unstables g;
   Hashtbl.remove t.held gid_int;
   if jw_any t gid_int then
     Hashtbl.iter

@@ -121,7 +121,7 @@ let handle_frame t ~src frame =
         if responders = [] then Sessions.close_session t sess All_failed
         else Sessions.note_responders t sess responders
       | None -> ())
-    | Proto.Deliver_ack { uid; _ } -> on_deliver_ack t ~src uid
+    | Proto.Deliver_ack { group; uid } -> on_deliver_ack t ~src group uid
     | Proto.Stable { group; uid } -> on_stable t group uid
     | Proto.Cb_data _ | Proto.Ab_data _ | Proto.Ab_prio _ | Proto.Ab_commit _
     | Proto.Join_req _ | Proto.Join_refused _ | Proto.Leave_req _ | Proto.Proc_failed _
@@ -169,7 +169,8 @@ let wire_endpoint t =
 
 (* Gauges for leak tests: all three drain to zero once traffic
    quiesces. *)
-let pending_unstable t = Hashtbl.length t.unstables
+let pending_unstable t =
+  Hashtbl.fold (fun _ g acc -> acc + Uid_map.cardinal g.unstables) t.groups 0
 
 let pending_held_frames t = Hashtbl.fold (fun _ fs acc -> acc + List.length fs) t.held 0
 
@@ -239,10 +240,6 @@ let create ?(config = default_config) fab ~site ~trace () =
       sessions = Hashtbl.create 16;
       obligations = Hashtbl.create 16;
       dir_queries = Hashtbl.create 8;
-      unstables = Hashtbl.create 32;
-      unstable_by_group = Hashtbl.create 16;
-      ab_collects = Hashtbl.create 16;
-      collects_by_group = Hashtbl.create 16;
       join_waiters = Hashtbl.create 8;
       join_pending = Hashtbl.create 8;
       leave_waiters = Hashtbl.create 8;
@@ -280,10 +277,6 @@ let crash t =
     Hashtbl.reset t.sessions;
     Hashtbl.reset t.obligations;
     Hashtbl.reset t.dir_queries;
-    Hashtbl.reset t.unstables;
-    Hashtbl.reset t.unstable_by_group;
-    Hashtbl.reset t.ab_collects;
-    Hashtbl.reset t.collects_by_group;
     Hashtbl.reset t.join_waiters;
     Hashtbl.reset t.join_pending;
     Hashtbl.reset t.leave_waiters;
@@ -515,7 +508,7 @@ let state_stats t =
     ("ab_entries", !ab_entries);
     ("pending_events", !events);
     ("blocked_sends", !blocked);
-    ("unstables", Hashtbl.length t.unstables);
+    ("unstables", pending_unstable t);
     ("held_frames", pending_held_frames t);
     ("sessions", Hashtbl.length t.sessions);
   ]

@@ -126,6 +126,12 @@ and group = {
          watches for the heal — either the primary's newer view
          (eviction: discard state, rejoin fresh) or the suspicion
          clearing (false alarm: rerun the change) *)
+  mutable unstables : unstable Uid_map.t;
+      (* multicasts this site originated in the current view that some
+         remote member has not acknowledged yet *)
+  mutable collects : ab_collect Uid_map.t;
+      (* ABCAST rounds this site originated in the current view that are
+         still collecting proposed priorities *)
 }
 
 and wedge_state = { w_attempt : int; w_coord : int; w_epoch : int }
@@ -177,12 +183,10 @@ and session_state = {
 and unstable = {
   mutable remaining : int list;
   u_owner : proc option;
-  u_group : Addr.group_id;
   u_dests : int list;
 }
 
 and ab_collect = {
-  ac_group : Addr.group_id;
   mutable ac_expect : int list; (* sites still to propose *)
   mutable ac_max : prio;
 }
@@ -220,12 +224,6 @@ and t = {
   sessions : (int, session_state) Hashtbl.t;
   obligations : (int, (int * Addr.proc) list) Hashtbl.t; (* responder idx -> obligations *)
   dir_queries : (int, int ref * (Addr.group_id * int list) option Ivar.t) Hashtbl.t;
-  unstables : (uid, unstable) Hashtbl.t;
-  unstable_by_group : (int, Uid_set.t ref) Hashtbl.t;
-      (* per-group index over [unstables]: view install and teardown
-         settle one group's records without folding the global table *)
-  ab_collects : (uid, ab_collect) Hashtbl.t;
-  collects_by_group : (int, Uid_set.t ref) Hashtbl.t; (* same, for [ab_collects] *)
   join_waiters : (int * int, (unit, string) result Ivar.t) Hashtbl.t; (* gid, proc idx *)
   join_pending : (int, int) Hashtbl.t;
       (* per-gid waiter count: [handle_group_frame] asks "any local join
@@ -283,39 +281,6 @@ let uptime_utilization t =
   if now = 0 then 0.0 else float_of_int t.cpu_busy /. float_of_int now
 
 let gi = Addr.group_to_int
-
-(* --- per-group secondary indexes ---
-
-   [unstables] and [ab_collects] are global uid-keyed tables; these
-   helpers maintain gid-keyed shadow sets so group-scoped sweeps touch
-   only their own records. *)
-
-let grp_index_add tbl gid_int uid =
-  let r =
-    match Hashtbl.find_opt tbl gid_int with
-    | Some r -> r
-    | None ->
-      let r = ref Uid_set.empty in
-      Hashtbl.replace tbl gid_int r;
-      r
-  in
-  r := Uid_set.add uid !r
-
-let grp_index_remove tbl gid_int uid =
-  match Hashtbl.find_opt tbl gid_int with
-  | Some r ->
-    r := Uid_set.remove uid !r;
-    if Uid_set.is_empty !r then Hashtbl.remove tbl gid_int
-  | None -> ()
-
-(* [grp_index_take tbl gid] empties the group's set and returns its
-   elements. *)
-let grp_index_take tbl gid_int =
-  match Hashtbl.find_opt tbl gid_int with
-  | Some r ->
-    Hashtbl.remove tbl gid_int;
-    Uid_set.elements !r
-  | None -> []
 
 (* --- join-waiter registry (count shadowed per gid) --- *)
 
@@ -528,6 +493,8 @@ let make_group t ~gid ~gname ~view =
     last_commit = None;
     minority = None;
     gb_outstanding = [];
+    unstables = Uid_map.empty;
+    collects = Uid_map.empty;
   }
 
 (* Park a frame for a view this site has not installed yet. *)
@@ -553,19 +520,17 @@ let maybe_wake_flushers p =
   if p.pending_inits = 0 && Uid_set.is_empty p.outstanding then Condition.broadcast p.flushers
 
 (* The group's unstable records are settled wholesale (a flush
-   installed, or the copy died): forget them and release their
-   owners' [flush] waiters. *)
-let settle_unstables t gid_int =
-  List.iter
-    (fun uid ->
-      match Hashtbl.find_opt t.unstables uid with
-      | None -> ()
-      | Some (u : unstable) -> (
-        Hashtbl.remove t.unstables uid;
-        match u.u_owner with
-        | Some p when p.palive ->
-          p.outstanding <- Uid_set.remove uid p.outstanding;
-          maybe_wake_flushers p
-        | Some _ | None -> ()))
-    (grp_index_take t.unstable_by_group gid_int);
-  List.iter (fun u -> Hashtbl.remove t.ab_collects u) (grp_index_take t.collects_by_group gid_int)
+   installed, or the copy died): forget them and its open ABCAST
+   collections, and release the owners' [flush] waiters. *)
+let settle_unstables g =
+  let settled = g.unstables in
+  g.unstables <- Uid_map.empty;
+  g.collects <- Uid_map.empty;
+  Uid_map.iter
+    (fun uid (u : unstable) ->
+      match u.u_owner with
+      | Some p when p.palive ->
+        p.outstanding <- Uid_set.remove uid p.outstanding;
+        maybe_wake_flushers p
+      | Some _ | None -> ())
+    settled

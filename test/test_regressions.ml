@@ -175,6 +175,42 @@ let test_gbcast_delivered_once () =
           (List.map (fun (v : Oracle.violation) -> v.invariant) r.violations))
     [ (4, 1113L); (4, 1007L); (4, 1151L); (4, 2490L); (3, 1066L) ]
 
+(* Bug 7: a receive job queued on the modelled CPU outlived a crash,
+   so the restarted incarnation handled a packet its predecessor had
+   accepted.  Trigger: the joiner site crashes while the Commit that
+   admits its member waits on the CPU (its second receive job) and
+   restarts before the job's slot comes up; the Commit then installed
+   a ghost copy of the group for the dead joiner. *)
+let test_cpu_job_dies_with_incarnation () =
+  let w = World.create ~seed:5L ~sites:2 () in
+  let founder = World.proc w ~site:0 ~name:"founder" in
+  let gid = ref None in
+  World.run_task w founder (fun () -> gid := Some (Runtime.pg_create founder "g"));
+  World.run w;
+  let gid = Option.get !gid in
+  let joiner = World.proc w ~site:1 ~name:"joiner" in
+  Runtime.spawn_task joiner (fun () ->
+      ignore (Runtime.pg_lookup joiner "g");
+      ignore (Runtime.pg_join joiner gid ~credentials:(Message.create ())));
+  let rt1 = World.runtime w 1 in
+  let rec step rises last budget =
+    if rises < 2 && budget > 0 then begin
+      World.run_for w 100;
+      let busy = Runtime.cpu_busy_us rt1 in
+      step (if busy > last then rises + 1 else rises) busy (budget - 1)
+    end
+    else rises
+  in
+  Alcotest.(check int) "the Commit's receive job is queued" 2
+    (step 0 (Runtime.cpu_busy_us rt1) 100_000);
+  World.crash_site w 1;
+  World.run_for w 500;
+  World.restart_site w 1;
+  World.run_for w 50_000;
+  let fresh = World.proc w ~site:1 ~name:"fresh" in
+  Alcotest.(check bool) "the restarted site holds no copy of the group" true
+    (Runtime.pg_view fresh gid = None)
+
 (* The message-path rework (interned fields, copy-on-write bodies,
    cached frame sizes) must not perturb protocol behaviour in any way:
    two fixed-seed scenarios have their complete oracle delivery
@@ -229,5 +265,6 @@ let suite =
     Alcotest.test_case "no hang on dead responder" `Quick test_no_hang_on_dead_responder;
     Alcotest.test_case "GBCAST delivered once through requeues and re-routes" `Quick
       test_gbcast_delivered_once;
+    Alcotest.test_case "CPU job dies with its incarnation" `Quick test_cpu_job_dies_with_incarnation;
     Alcotest.test_case "scenario trace digests" `Quick test_scenario_trace_digests;
   ]

@@ -328,6 +328,45 @@ let test_flush_guarantee () =
   World.run w;
   Alcotest.(check bool) "flush returned" true !checked
 
+(* Flush across a failure: a destination crashes right after the
+   origin's CBCASTs leave, so their acknowledgements never come.  The
+   view change that removes it discharges the retiring view's copies,
+   which must release [flush] and leave no stability record behind. *)
+let test_flush_released_by_install () =
+  let w = World.create ~seed:52L ~sites:3 () in
+  let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "p%d" s)) in
+  let counts = Array.make 3 0 in
+  Array.iteri (fun i m -> Runtime.bind m e_app (fun _ -> counts.(i) <- counts.(i) + 1)) members;
+  let gid = ref None in
+  World.run_task w members.(0) (fun () -> gid := Some (Runtime.pg_create members.(0) "settle"));
+  World.run w;
+  let gid = Option.get !gid in
+  for i = 1 to 2 do
+    World.run_task w members.(i) (fun () ->
+        ignore (Runtime.pg_lookup members.(i) "settle");
+        ignore (Runtime.pg_join members.(i) gid ~credentials:(Message.create ())))
+  done;
+  World.run w;
+  let flushed_in = ref None in
+  World.run_task w members.(0) (fun () ->
+      for k = 1 to 10 do
+        let m = Message.create () in
+        Message.set_int m "tag" k;
+        ignore (Runtime.bcast members.(0) Cbcast ~dest:(Addr.Group gid) ~entry:e_app m ~want:No_reply)
+      done;
+      Runtime.flush members.(0);
+      flushed_in := Option.map View.n_members (Runtime.pg_view members.(0) gid));
+  Alcotest.(check bool) "the first CBCAST reached a destination" true
+    (World.run_cond ~slice_us:100 ~timeout_us:10_000_000 w (fun () -> counts.(1) > 0));
+  World.crash_site w 2;
+  World.run w;
+  Alcotest.(check (option int)) "flush returned in the two-member view" (Some 2) !flushed_in;
+  Alcotest.(check int) "the survivor delivered every CBCAST" 10 counts.(1);
+  for s = 0 to 2 do
+    Alcotest.(check int) (Printf.sprintf "site %d: no unstable messages" s) 0
+      (Runtime.pending_unstable (World.runtime w s))
+  done
+
 (* Partitions stall affected groups; healing resumes progress (the
    paper tolerates no partitions — Sec 2.1). *)
 let test_partition_stalls_then_heals () =
@@ -426,6 +465,7 @@ let suite =
     Alcotest.test_case "vs invariant: crash + loss (4 seeds)" `Quick test_vs_invariant_crash_and_loss;
     Alcotest.test_case "causal chain under loss (6 seeds)" `Quick test_causal_chain_under_loss;
     Alcotest.test_case "flush guarantee" `Quick test_flush_guarantee;
+    Alcotest.test_case "flush released by a view install" `Quick test_flush_released_by_install;
     Alcotest.test_case "partition stalls then heals" `Quick test_partition_stalls_then_heals;
     Alcotest.test_case "no protocol-state leaks" `Quick test_no_state_leaks;
   ]
