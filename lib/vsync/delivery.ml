@@ -139,11 +139,11 @@ let kill_proc p =
           match Hashtbl.find_opt t.groups gid_int with
           | None -> ()
           | Some g ->
-            if View.is_member g.view p.addr then
+            if View.is_member (view g) p.addr then
               (* The site monitor saw the crash directly: this death is
                  [certain], not a suspicion — it never counts against the
                  partition quorum. *)
-              t.route g (Ev_fail (p.addr, true)))
+              t.feed g (Flush.Event (Flush.Ev_fail (p.addr, true))))
         p.memberships
     end
   end

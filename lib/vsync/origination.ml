@@ -104,10 +104,10 @@ let origin_cbcast t g ~owner body =
      oldest local member (relay). *)
   let rank =
     match Message.sender body with
-    | Some s when View.is_member g.view s -> View.rank g.view s
+    | Some s when View.is_member (view g) s -> View.rank (view g) s
     | _ -> (
       match local_members t g with
-      | m :: _ -> View.rank g.view m
+      | m :: _ -> View.rank (view g) m
       | [] -> -1)
   in
   let vt =
@@ -126,7 +126,7 @@ let origin_cbcast t g ~owner body =
     List.iter
       (fun dst ->
         send_frame t ~dst
-          (Proto.Cb_data { group = g.gid; view_id = g.view.View.view_id; uid; rank; vt; body }))
+          (Proto.Cb_data { group = g.gid; view_id = (view g).View.view_id; uid; rank; vt; body }))
       remote
   end;
   (* Self-delivery: immediate — the primitive looks instantaneous to
@@ -169,7 +169,7 @@ let origin_abcast t g ~owner body =
     g.collects <- Uid_map.add uid { ac_expect = remote; ac_max = my_prio } g.collects;
     List.iter
       (fun dst ->
-        send_frame t ~dst (Proto.Ab_data { group = g.gid; view_id = g.view.View.view_id; uid; body }))
+        send_frame t ~dst (Proto.Ab_data { group = g.gid; view_id = (view g).View.view_id; uid; body }))
       remote
   end
 
@@ -198,7 +198,7 @@ let dispatch_abcasts t g =
   let free = window - g.ab_inflight in
   let quantum = (window + 1) / 2 in
   if
-    g.wedge = None
+    not (Flush.wedged g.fl)
     && (not (Queue.is_empty g.ab_queue))
     && (g.ab_inflight = 0 || (free >= quantum && Queue.length g.ab_queue >= quantum))
   then begin
@@ -216,8 +216,7 @@ let origin_gbcast t g body =
   trace_event t Obs_event.Proto (fun () ->
       Obs_event.Originate
         { site = t.my_site; proto = "gbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq });
-  g.gb_outstanding <- (uid, body) :: g.gb_outstanding;
-  t.route g (Ev_gb (uid, body))
+  t.feed g (Flush.Gbcast (uid, body))
 
 let origin_multicast t g mode ~owner body =
   let sender_failed =
@@ -226,7 +225,7 @@ let origin_multicast t g mode ~owner body =
     | None -> false
   in
   if sender_failed then init_done owner
-  else if g.wedge <> None then
+  else if Flush.wedged g.fl then
     (* Wedged: the group is between views; queue the operation and rerun
        it once the new view is installed. *)
     g.blocked_sends <- (owner, mode, body) :: g.blocked_sends
@@ -272,7 +271,7 @@ let on_ab_prio t g ~src uid prio =
         List.iter
           (fun dst ->
             send_frame t ~dst
-              (Proto.Ab_commit { group = g.gid; view_id = g.view.View.view_id; uid; prio = final }))
+              (Proto.Ab_commit { group = g.gid; view_id = (view g).View.view_id; uid; prio = final }))
           (remote_member_sites t g);
         Total.commit g.total ~uid final;
         drain_group t g;
@@ -353,7 +352,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
     | Addr.Group gid -> (
       match group_of t gid with
       | Some g ->
-        let sess = session_for ~responders:(Some g.view.View.members) ~relay_site:None in
+        let sess = session_for ~responders:(Some (view g).View.members) ~relay_site:None in
         let hand_off = accept_into p g mode body in
         let size = Message.size body in
         let cbcast = if mode = Cbcast then Some (gi gid, size) else None in
@@ -442,7 +441,7 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
           | Some rs, Addr.Proc q -> Some (q :: rs)
           | Some rs, Addr.Group gid -> (
             match group_of t gid with
-            | Some g -> Some (g.view.View.members @ rs)
+            | Some g -> Some ((view g).View.members @ rs)
             | None -> None))
         (Some []) dests
     in

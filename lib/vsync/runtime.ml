@@ -6,7 +6,7 @@
    packing, the primitives' first step, admission), [Partition] (the
    minority side of a split) and [Membership] (routing, the flush,
    site up/down, group frames).  The one call that goes back up the
-   stack, [State.t.route], is set here to [Membership.route_event]. *)
+   stack, [State.t.feed], is set here to [Membership.feed]. *)
 
 open Types
 include State
@@ -85,27 +85,19 @@ let handle_frame t ~src frame =
          minority-wedged prober uses the answer to tell a false alarm
          from an eviction.  Stateless on this side — safe even if this
          site dropped the group long ago. *)
-      let vid = match group_of t group with Some g -> g.view.View.view_id | None -> -1 in
+      let vid = match group_of t group with Some g -> (view g).View.view_id | None -> -1 in
       send_frame t ~dst:from_site (Proto.View_probe_reply { group; view_id = vid })
-    | Proto.View_probe_reply { group; view_id = peer_vid } -> (
-      match group_of t group with
-      | None -> ()
-      | Some g ->
-        if peer_vid > g.view.View.view_id then
-          (* The primary partition installed views without us: this copy
-             is dead; discard it so members can rejoin fresh. *)
-          Partition.partition_teardown t g ~new_view_id:peer_vid
-        else (
-          match g.minority with
-          | Some _ when peer_vid = g.view.View.view_id -> minority_recover t g ~site:src
-          | Some _ | None -> ()))
+    | Proto.View_probe_reply { group; _ } -> (
+      (* A newer view means the primary partition moved on without us:
+         the flush tears this copy down so members can rejoin fresh. *)
+      match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ())
     | Proto.Relay { group; mode; body; session; caller } -> (
       match group_of t group with
       | Some g ->
         (match session with
         | Some sid ->
           send_frame t ~dst:caller.Addr.site
-            (Proto.Relay_info { session = sid; responders = g.view.View.members })
+            (Proto.Relay_info { session = sid; responders = (view g).View.members })
         | None -> ());
         origin_multicast t g mode ~owner:None body
       | None -> (
@@ -223,7 +215,7 @@ let create ?(config = default_config) fab ~site ~trace () =
       bk = fab.fbk;
       tracer = trace;
       ep = None;
-      route = (fun _ _ -> ());
+      feed = (fun _ _ -> ());
       ctrs = Stats.Counter.create ();
       metrics;
       running = true;
@@ -253,7 +245,7 @@ let create ?(config = default_config) fab ~site ~trace () =
       cb_held = Metrics.counter metrics "runtime.cb_held";
     }
   in
-  t.route <- route_event t;
+  t.feed <- feed t;
   wire_endpoint t;
   register_metrics t;
   t
@@ -365,8 +357,7 @@ let pg_create p name =
   if Hashtbl.mem t.dir name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
   let gid = Addr.group_of_int ((t.my_site lsl 20) lor t.next_useq) in
   t.next_useq <- t.next_useq + 1;
-  let view = View.initial gid p.addr in
-  let g = make_group t ~gid ~gname:name ~view in
+  let g = make_group ~gid (flush_state t ~gname:name (View.initial gid p.addr)) in
   Hashtbl.replace t.groups (gi gid) g;
   dir_set t name (gid, [ t.my_site ]);
   remember_contacts t gid [ t.my_site ];
@@ -405,7 +396,7 @@ let pg_join p gid ~credentials =
   let iv = Ivar.create () in
   jw_add t ~gid_int:(gi gid) ~idx:p.addr.Addr.idx iv;
   (match group_of t gid with
-  | Some g -> route_event t g (Ev_join (p.addr, credentials))
+  | Some g -> feed t g (Flush.Event (Flush.Ev_join (p.addr, credentials)))
   | None -> (
     match contact_site_for t gid with
     | Some c -> send_frame t ~dst:c (Proto.Join_req { group = gid; joiner = p.addr; credentials })
@@ -423,10 +414,10 @@ let pg_leave p gid =
   match group_of t gid with
   | None -> ()
   | Some g ->
-    if View.is_member g.view p.addr then begin
+    if View.is_member (view g) p.addr then begin
       let iv = Ivar.create () in
       Hashtbl.replace t.leave_waiters (gi gid, p.addr.Addr.idx) iv;
-      route_event t g (Ev_leave p.addr);
+      feed t g (Flush.Event (Flush.Ev_leave p.addr));
       Ivar.read iv
     end
 
@@ -434,7 +425,7 @@ let pg_add_member p gid who =
   let t = p.rt in
   match group_of t gid with
   | None -> invalid_arg "Runtime.pg_add_member: no local view of group"
-  | Some g -> route_event t g (Ev_join (who, Message.create ()))
+  | Some g -> feed t g (Flush.Event (Flush.Ev_join (who, Message.create ())))
 
 let pg_monitor p gid f =
   let t = p.rt in
@@ -443,11 +434,11 @@ let pg_monitor p gid f =
   | None -> invalid_arg "Runtime.pg_monitor: no local view of group"
   | Some g -> g.g_monitors <- (p, f) :: g.g_monitors
 
-let pg_view p gid = match group_of p.rt gid with Some g -> Some g.view | None -> None
+let pg_view p gid = match group_of p.rt gid with Some g -> Some (view g) | None -> None
 
 let pg_rank p gid =
   match group_of p.rt gid with
-  | Some g -> ( try Some (View.rank g.view p.addr) with Not_found -> None)
+  | Some g -> ( try Some (View.rank (view g) p.addr) with Not_found -> None)
   | None -> None
 
 let pg_join_verify p gid f =
@@ -498,7 +489,7 @@ let state_stats t =
       cb_tail := !cb_tail + Causal.dedup_residue g.causal;
       ab_tail := !ab_tail + Total.dedup_residue g.total;
       ab_entries := !ab_entries + List.length (Total.pending g.total);
-      events := !events + List.length g.pending_events;
+      events := !events + List.length g.fl.Flush.queue;
       blocked := !blocked + List.length g.blocked_sends)
     t.groups;
   [

@@ -75,12 +75,12 @@ type proc = {
 
 and group = {
   gid : Addr.group_id;
-  gname : string;
-  mutable view : View.t;
+  mutable fl : Flush.state;
+      (* the view and the flush's protocol state: written only by
+         [Membership.feed], from [Flush.step] *)
   mutable causal : Message.t Causal.t;
   mutable total : Message.t Total.t;
   mutable store : Proto.stored Uid_map.t;
-  mutable wedge : wedge_state option;
   mutable blocked_sends : (proc option * mode * Message.t) list; (* newest first *)
   ab_queue : (proc option * Message.t) Queue.t;
       (* ABCASTs accepted for origination but waiting for a pipeline
@@ -93,79 +93,18 @@ and group = {
   mutable ab_inflight : int;
   mutable g_monitors : (proc * (View.t -> View.change list -> unit)) list;
   mutable join_validator : (proc * (Addr.proc -> Message.t -> bool)) option;
-  mutable suspects : Int_set.t;
   mutable failed_procs : Addr.proc list;
       (* processes a past view change removed as FAILED.  Failures are
          clean: nothing further from them may be delivered — a falsely
          suspected process is still alive and will keep multicasting
          (directly or through the client relay), so origination rejects
          its messages until a rejoin clears it *)
-  mutable pending_events : pending_event list;
-      (* oldest first: the one place an unprocessed membership event or
-         GBCAST lives (a running change holds its batch; a minority
-         leaves its batch here).  Only [Membership.enqueue_event] and
-         [Membership.requeue] add to it; every other write removes *)
-  mutable gb_outstanding : (uid * Message.t) list;
-      (* GBCASTs this site originated that no installed view has
-         delivered yet (newest first).  The origin keeps responsibility:
-         a [Gb_req] routed to a coordinator that a partition (or its
-         eviction) swallowed would otherwise vanish — the request lives
-         only in that coordinator's queue.  Each install prunes the
-         delivered ones (here and from [pending_events]) and re-routes
-         the rest at the new view's coordinator, tagged with that view:
-         [enqueue_event] collapses re-routed copies by uid, and a
-         receiver already past the tagged view drops the request *)
-  mutable change : change_state option;
-  mutable last_attempt : int;
-  mutable last_commit : Proto.frame option;
-  mutable minority : minority_state option;
-      (* Some when a view-change attempt found this component below
-         quorum (the primary-partition rule): the group is wedged with
-         no change in flight, its batch is back in [pending_events],
-         origination is blocked like behind any wedge, and a probe loop
-         watches for the heal — either the primary's newer view
-         (eviction: discard state, rejoin fresh) or the suspicion
-         clearing (false alarm: rerun the change) *)
   mutable unstables : unstable Uid_map.t;
       (* multicasts this site originated in the current view that some
          remote member has not acknowledged yet *)
   mutable collects : ab_collect Uid_map.t;
       (* ABCAST rounds this site originated in the current view that are
          still collecting proposed priorities *)
-}
-
-and wedge_state = { w_attempt : int; w_coord : int; w_epoch : int }
-
-and minority_state = {
-  m_attempt : int;
-  mutable m_rounds : int; (* probe rounds sent so far *)
-}
-
-and pending_event =
-  | Ev_join of Addr.proc * Message.t
-  | Ev_leave of Addr.proc
-  | Ev_fail of Addr.proc * bool (* certain: reported by the victim's own site *)
-  | Ev_gb of uid * Message.t
-
-and change_state = {
-  c_attempt : int;
-  c_batch : pending_event list;
-  c_sites : int list; (* wedge set, incl. self *)
-  c_acks : (int, ack_info) Hashtbl.t; (* by site; coordinator hot path *)
-  mutable c_fetch_wait : int list;
-  mutable c_fetched : Proto.stored list;
-  mutable c_committed : bool;
-      (* the commit is on the wire; the change record stays until our
-         own copy is applied, so no new change starts against the
-         retiring view *)
-}
-
-and ack_info = {
-  a_cb_known : Uid_set.t;
-  a_ab_uids : Uid_set.t; (* uids of [a_ab_report], for membership tests *)
-  a_ab_report : Proto.ab_report list;
-  a_ab_counter : int;
-  a_already : Proto.frame option;
 }
 
 and session_state = {
@@ -198,11 +137,11 @@ and t = {
   bk : Backend.t;
   tracer : Trace.t;
   mutable ep : Proto.frame Endpoint.t option; (* set right after create *)
-  mutable route : group -> pending_event -> unit;
+  mutable feed : group -> Flush.input -> unit;
       (* the one call that goes up the module stack: a local process
          kill (delivery) and a GBCAST (origination) hand their event to
-         the group coordinator through it.  [Runtime.create] sets it to
-         [Membership.route_event]. *)
+         the flush through it.  [Runtime.create] sets it to
+         [Membership.feed]. *)
   ctrs : Stats.Counter.t;
   metrics : Metrics.t;
   mutable running : bool;
@@ -426,73 +365,42 @@ let find_proc t (a : Addr.proc) =
   | Some p when Addr.equal_proc p.addr a && p.palive -> Some p
   | Some _ | None -> None
 
-let local_members t g = View.members_at_site g.view t.my_site
+(* The installed view of [g] at this site. *)
+let view g = g.fl.Flush.view
+
+let local_members t g = View.members_at_site (view g) t.my_site
 
 let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 
 let remote_member_sites t g =
-  List.filter (fun s -> s <> t.my_site) (View.sites g.view)
+  List.filter (fun s -> s <> t.my_site) (View.sites (view g))
 
 let remember_contacts t gid sites =
   Hashtbl.replace t.contacts (gi gid) sites
 
-(* Acting coordinator: the site of the oldest member whose site we do
-   not currently suspect. *)
-let acting_coord_site g =
-  let rec loop = function
-    | [] -> None
-    | (m : Addr.proc) :: rest ->
-      if Int_set.mem m.Addr.site g.suspects then loop rest else Some m.Addr.site
-  in
-  loop g.view.View.members
-
-let i_am_coord t g = acting_coord_site g = Some t.my_site
-
-(* The sites of [g]'s view this site can still reach, self included:
-   the set a coordinator wedges. *)
-let component_sites t g =
-  let live_sites = List.filter (fun s -> not (Int_set.mem s g.suspects)) (View.sites g.view) in
-  List.sort_uniq compare (t.my_site :: live_sites)
-
-(* Wedge [g]'s current view at [sites], with this site as coordinator
-   of [attempt]. *)
-let send_wedge t g ~attempt sites =
-  List.iter
-    (fun dst ->
-      send_frame t ~dst
-        (Proto.Wedge
-           { group = g.gid; view_id = g.view.View.view_id; attempt; coord_site = t.my_site;
-             coord_epoch = Endpoint.epoch (endpoint t) }))
-    sites
-
 (* Tell [dst] which view of [g] is current: a sender still working in
    a dead lineage takes its partition-eviction path and rejoins. *)
 let send_current_view t ~dst g =
-  send_frame t ~dst (Proto.View_probe_reply { group = g.gid; view_id = g.view.View.view_id })
+  send_frame t ~dst (Proto.View_probe_reply { group = g.gid; view_id = (view g).View.view_id })
 
-let make_group t ~gid ~gname ~view =
+(* The flush state of a fresh copy of a group holding [view]. *)
+let flush_state t ~gname view =
+  Flush.create ~me:t.my_site ~epoch:(Endpoint.epoch (endpoint t)) ~gname view
+
+let make_group ~gid fl =
   {
     gid;
-    gname;
-    view;
-    causal = Causal.create ~n_ranks:(View.n_members view) ();
-    total = Total.create ~site:t.my_site ();
+    fl;
+    causal = Causal.create ~n_ranks:(View.n_members fl.Flush.view) ();
+    total = Total.create ~site:fl.Flush.me ();
     store = Uid_map.empty;
-    wedge = None;
     blocked_sends = [];
     ab_queue = Queue.create ();
     accepted = 0;
     ab_inflight = 0;
     g_monitors = [];
     join_validator = None;
-    suspects = Int_set.empty;
     failed_procs = [];
-    pending_events = [];
-    change = None;
-    last_attempt = 0;
-    last_commit = None;
-    minority = None;
-    gb_outstanding = [];
     unstables = Uid_map.empty;
     collects = Uid_map.empty;
   }

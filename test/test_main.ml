@@ -78,4 +78,5 @@ let () =
       ("backend", Test_backend.suite);
       ("flowctl", Test_flowctl.suite);
       ("packing", Test_packing.suite);
+      ("flush", Test_flush.suite);
     ]
