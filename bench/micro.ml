@@ -70,6 +70,7 @@ let run () =
         uid = { Types.usite = 1; useq = 42 };
         rank = 0;
         vt = Some [ 4; 2; 0 ];
+        ack = true;
         body = m;
       }
   in

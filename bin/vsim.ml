@@ -45,19 +45,23 @@ let with_trace_out trace_out f =
    fully-formed group under seeded traffic while a random fault plan
    runs — print the plan and the oracle's verdict, and exit non-zero on
    any violation. *)
-let run_nemesis sites trace_out (seed, intensity) =
+let run_nemesis sites trace_out send_interval_ms (seed, intensity) =
+  let send_interval_us = Option.map (fun ms -> ms * 1000) send_interval_ms in
   let outcome =
     with_trace_out trace_out (fun trace_sink ->
-        Scenario.run ~sites ?intensity ?trace_sink ~seed ())
+        Scenario.run ~sites ?send_interval_us ?intensity ?trace_sink ~seed ())
   in
   match outcome with
   | Error e ->
     Printf.eprintf "nemesis scenario: setup failed: %s\n" e;
     2
   | Ok r ->
-  Printf.printf "nemesis scenario: seed %Ld, intensity %.2f, %d sites\n" seed
+  Printf.printf "nemesis scenario: seed %Ld, intensity %.2f, %d sites%s\n" seed
     (Option.value ~default:0.5 intensity)
-    sites;
+    sites
+    (match send_interval_ms with
+    | Some ms -> Printf.sprintf ", %d ms send interval" ms
+    | None -> "");
   Printf.printf "fault plan:\n%s" (Vsync_sim.Nemesis.plan_to_string r.plan);
   Printf.printf "sent %d, delivered %d, %.1fms virtual\n" r.sent r.delivered
     (float_of_int r.elapsed_us /. 1000.);
@@ -157,7 +161,11 @@ let run_shard sites seed partitions =
   end
 
 let run sites seed messages size mode loss crash_site crash_at_ms partition trace_on trace_out
-    nemesis shard wall =
+    nemesis send_interval_ms shard wall =
+  if send_interval_ms <> None && nemesis = None then begin
+    Printf.eprintf "--send-interval-ms sets the nemesis scenario's traffic: it needs --nemesis\n";
+    exit 2
+  end;
   if wall && (nemesis <> None || shard <> None || crash_site <> None || partition <> None || loss > 0.0)
   then begin
     Printf.eprintf
@@ -169,7 +177,7 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
   | Some partitions -> run_shard sites seed partitions
   | None ->
   match nemesis with
-  | Some spec -> run_nemesis sites trace_out spec
+  | Some spec -> run_nemesis sites trace_out send_interval_ms spec
   | None ->
   with_trace_out trace_out @@ fun trace_sink ->
   let net_config = { Net.default_config with Net.loss_probability = loss } in
@@ -407,6 +415,25 @@ let nemesis =
           "Run the standard nemesis scenario instead: seeded random fault plan under steady \
            traffic, judged by the virtual-synchrony oracle.  Exits non-zero on any violation.")
 
+let send_interval_ms =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None ->
+        Error (`Msg (Printf.sprintf "bad send interval %S (want a whole number of ms >= 1)" s))
+    in
+    Cmdliner.Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value
+    & opt (some positive) None
+    & info [ "send-interval-ms" ] ~docv:"MS"
+        ~doc:
+          "With $(b,--nemesis): each member's mean gap between multicasts, drawn uniformly from \
+           [$(docv)/2, 3·$(docv)/2] (default 150).  Gaps shorter than a send's CPU cost queue \
+           sends back to back, so CBCASTs leave in packed runs.")
+
 let shard =
   Arg.(
     value
@@ -432,6 +459,6 @@ let cmd =
     (Cmd.info "vsim" ~doc)
     Term.(
       const run $ sites $ seed $ messages $ size $ mode $ loss $ crash_site $ crash_at $ partition
-      $ trace $ trace_out $ nemesis $ shard $ wall)
+      $ trace $ trace_out $ nemesis $ send_interval_ms $ shard $ wall)
 
 let () = exit (Cmd.eval' cmd)

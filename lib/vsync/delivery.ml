@@ -30,6 +30,31 @@ let note_stabilized t g uid =
       Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
   | None -> ()
 
+(* Whether [uid] is acknowledged on its own: its delivery owes the
+   origin a [Deliver_ack], and its stability owes the destinations a
+   [Stable].  Every ABCAST is; a CBCAST only when its frame carried the
+   [ack] flag, which a packed run sets on its last CBCAST alone. *)
+let acked g uid =
+  match Uid_map.find uid g.store with
+  | Proto.Scb { ack; _ } -> ack
+  | Proto.Sab _ | (exception Not_found) -> true
+
+(* The uids a [Deliver_ack] or [Stable] for [uid] settles, oldest
+   first.  For a CBCAST: [uid] and the unflagged CBCASTs of its packed
+   run, which [g] stores right below it.  A site's CBCASTs are
+   delivered, and acknowledged, in useq order (DESIGN.md §4.7), so the
+   runs below were settled first, each by its own flagged CBCAST.  An
+   ABCAST settles only itself. *)
+let covered g uid =
+  let rec run acc u =
+    match Uid_map.find_last_opt (fun v -> uid_compare v u < 0) g.store with
+    | Some (v, Proto.Scb { ack = false; _ }) when v.usite = uid.usite -> run (v :: acc) v
+    | Some _ | None -> acc
+  in
+  match Uid_map.find uid g.store with
+  | Proto.Scb _ -> run [ uid ] uid
+  | Proto.Sab _ | (exception Not_found) -> [ uid ]
+
 let check_stable t g uid u =
   if u.remaining = [] then begin
     g.unstables <- Uid_map.remove uid g.unstables;
@@ -37,7 +62,8 @@ let check_stable t g uid u =
      if Obs_tracer.wants tr Obs_event.Proto then
        Obs_tracer.emit tr
          (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
-    List.iter (fun dst -> send_frame t ~dst (Proto.Stable { group = g.gid; uid })) u.u_dests;
+    if acked g uid then
+      List.iter (fun dst -> send_frame t ~dst (Proto.Stable { group = g.gid; uid })) u.u_dests;
     note_stabilized t g uid;
     g.store <- Uid_map.remove uid g.store;
     match u.u_owner with
@@ -57,12 +83,15 @@ let note_local_origin_delivered t g uid =
 let on_deliver_ack t ~src gid uid =
   match group_of t gid with
   | None -> ()
-  | Some g -> (
-    match Uid_map.find_opt uid g.unstables with
-    | None -> ()
-    | Some u ->
-      u.remaining <- List.filter (fun s -> s <> src) u.remaining;
-      check_stable t g uid u)
+  | Some g ->
+    List.iter
+      (fun uid ->
+        match Uid_map.find_opt uid g.unstables with
+        | None -> ()
+        | Some u ->
+          u.remaining <- List.filter (fun s -> s <> src) u.remaining;
+          check_stable t g uid u)
+      (covered g uid)
 
 let on_stable t gid uid =
   match group_of t gid with
@@ -74,8 +103,15 @@ let on_stable t gid uid =
        Obs_tracer.emit tr
          (Obs_event.Stable_advance { site = t.my_site; origin = uid.usite; upto = uid.useq })
      end);
-    note_stabilized t g uid;
-    g.store <- Uid_map.remove uid g.store
+    List.iter
+      (fun u ->
+        (let tr = Trace.obs t.tracer in
+         if (not (uid_equal u uid)) && Obs_tracer.wants tr Obs_event.Proto then
+           Obs_tracer.emit tr
+             (Obs_event.Stabilize { site = t.my_site; usite = u.usite; useq = u.useq }));
+        note_stabilized t g u;
+        g.store <- Uid_map.remove u g.store)
+      (covered g uid)
   | None -> ()
 
 (* --- reply obligations --- *)
@@ -206,7 +242,7 @@ let drain_group t g =
             { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
     deliver_to_members t body ~members:(local_members t g);
     if uid.usite = t.my_site then note_local_origin_delivered t g uid
-    else send_frame t ~dst:uid.usite (Proto.Deliver_ack { group = g.gid; uid })
+    else if acked g uid then send_frame t ~dst:uid.usite (Proto.Deliver_ack { group = g.gid; uid })
   in
   List.iter (fun (uid, body) -> deliver uid body) (Causal.drain g.causal);
   List.iter

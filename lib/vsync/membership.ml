@@ -101,7 +101,7 @@ let retire t g = function
     List.iter
       (fun s ->
         match s with
-        | Proto.Scb { uid; rank; vt; body } ->
+        | Proto.Scb { uid; rank; vt; body; _ } ->
           if not (Causal.seen g.causal uid) then begin
             match vt with
             | Some l when rank >= 0 ->
@@ -339,9 +339,15 @@ and handle_group_frame t ~src frame =
     match group_of t gid with
     | Some g ->
       let current = (view g).View.view_id in
-      if view_id = current then
-        if Flush.wedged g.fl then () (* wedged: post-ack data is dropped; the flush stabilizes *)
-        else k g
+      if view_id = current then begin
+        (* Wedged: post-ack data is dropped; the flush stabilizes.  A
+           site hosting no member of this view sends under another
+           lineage that reused the id after a fork (DESIGN.md §4.7):
+           its timestamps mean nothing against this view's clocks. *)
+        if (not (Flush.wedged g.fl))
+           && List.exists (fun (m : Addr.proc) -> m.Addr.site = src) (view g).View.members
+        then k g
+      end
       else if view_id > current then hold_frame t ~src (gi gid) frame
       else if not (List.mem src (View.sites (view g))) then
         (* Stale data from a site outside the current view: a stale
@@ -362,13 +368,13 @@ and handle_group_frame t ~src frame =
     match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ()
   in
   match frame with
-  | Proto.Cb_data { group; view_id; uid; rank; vt; body } ->
+  | Proto.Cb_data { group; view_id; uid; rank; vt; ack; body } ->
     with_group group view_id (fun g ->
         (* A duplicate (retransmit, or a replay of something already
            stabilized and GC'd) must not re-create a store copy the
            [Stable] flow already collected. *)
         if not (Causal.seen g.causal uid) then begin
-          g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; body }) g.store;
+          g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) g.store;
           (match vt with
           | Some l when rank >= 0 ->
             Causal.receive g.causal ~uid ~rank ~vt:(Vsync_util.Vclock.of_list l) body

@@ -47,36 +47,60 @@ let on_cpu t cost k =
    its full send cost; only the moment its frames leave changes.  Any
    other send job releases the held originations first, so the site's
    send order never changes, and the held bytes stay within one packet.
+
+   A run is acknowledged once: only the last CBCAST it actually
+   originates carries the [ack] flag, and that one's [Deliver_ack] and
+   [Stable] cover the rest (the cumulative rule, [Delivery.covered]).
+   A held send that [fate] drops or defers originates nothing now, so
+   it never carries the flag; a send re-run from [blocked_sends] is
+   alone and carries its own.
+
    Packing is off where it cannot save a receive dispatch: no
-   per-packet receive cost. *)
+   per-packet receive cost.  Every CBCAST then carries the flag. *)
 let packing t = t.cfg.cpu_recv_us > 0
 
+(* What origination does with [body] sent into [g] now: the sends of a
+   member a past view change removed as failed are dropped, and a
+   wedged group defers the rest to the next view. *)
+type fate = Drop | Defer | Originate
+
+let fate g body =
+  match Message.sender body with
+  | Some s when List.exists (Addr.equal_proc s) g.failed_procs -> Drop
+  | Some _ | None -> if Flush.wedged g.fl then Defer else Originate
+
 let release_packed t =
-  let held = List.rev t.packed in
+  let held = t.packed in
   t.packed <- [];
   t.packed_bytes <- 0;
-  List.iter (fun k -> k ()) held
+  (* [held] is newest first: the fold restores call order and flags the
+     sends no later one in the run originates after. *)
+  let _, run =
+    List.fold_left
+      (fun (later, run) (g, body, k) -> (later || fate g body = Originate, (k, not later) :: run))
+      (false, []) held
+  in
+  List.iter (fun (k, ack) -> k ~ack) run
 
-(* [cbcast] is [Some (gid, bytes)] for a CBCAST into a locally-visible
-   group. *)
+(* [cbcast] is [Some (g, body)] for a CBCAST of [body] into the site's
+   copy [g]; [k ~ack] runs the send. *)
 let on_send_cpu t ?cbcast cost k =
-  if not (packing t) then on_cpu t cost k
+  if not (packing t) then on_cpu t cost (fun () -> k ~ack:true)
   else begin
-    let group, bytes = Option.value cbcast ~default:(-1, 0) in
-    Queue.push group t.send_jobs;
+    Queue.push (match cbcast with Some (g, _) -> gi g.gid | None -> -1) t.send_jobs;
     on_cpu t cost (fun () ->
         ignore (Queue.pop t.send_jobs);
-        let cap = Backend.max_packet_bytes t.bk in
-        if group >= 0 && bytes <= cap && Queue.peek_opt t.send_jobs = Some group then begin
-          if t.packed_bytes + bytes > cap then release_packed t;
-          t.packed <- k :: t.packed;
-          t.packed_bytes <- t.packed_bytes + bytes;
-          Metrics.incr t.cb_held
-        end
-        else begin
+        match cbcast with
+        | None ->
           release_packed t;
-          k ()
-        end)
+          k ~ack:true
+        | Some (g, body) ->
+          let cap = Backend.max_packet_bytes t.bk and bytes = Message.size body in
+          let hold = bytes <= cap && Queue.peek_opt t.send_jobs = Some (gi g.gid) in
+          if hold && t.packed_bytes + bytes > cap then release_packed t;
+          t.packed <- (g, body, k) :: t.packed;
+          t.packed_bytes <- t.packed_bytes + bytes;
+          if hold then Metrics.incr t.cb_held else release_packed t)
   end
 
 (* --- multicast origination (this site hosts a member, or is relaying
@@ -98,7 +122,7 @@ let mark_unstable g uid ~remote ~owner =
     | Some _ | None -> ()
   end
 
-let origin_cbcast t g ~owner body =
+let origin_cbcast t g ~owner ~ack body =
   let uid = fresh_uid t in
   (* Rank used for the timestamp: the sending member if local, else the
      oldest local member (relay). *)
@@ -120,13 +144,14 @@ let origin_cbcast t g ~owner body =
        (Obs_event.Originate
           { site = t.my_site; proto = "cbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
   if remote <> [] then begin
-    g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; body }) g.store;
+    g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) g.store;
     Causal.note_sent g.causal uid;
     mark_unstable g uid ~remote ~owner;
     List.iter
       (fun dst ->
         send_frame t ~dst
-          (Proto.Cb_data { group = g.gid; view_id = (view g).View.view_id; uid; rank; vt; body }))
+          (Proto.Cb_data
+             { group = g.gid; view_id = (view g).View.view_id; uid; rank; vt; ack; body }))
       remote
   end;
   (* Self-delivery: immediate — the primitive looks instantaneous to
@@ -218,28 +243,24 @@ let origin_gbcast t g body =
         { site = t.my_site; proto = "gbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq });
   t.feed g (Flush.Gbcast (uid, body))
 
-let origin_multicast t g mode ~owner body =
-  let sender_failed =
-    match Message.sender body with
-    | Some s -> List.exists (Addr.equal_proc s) g.failed_procs
-    | None -> false
-  in
-  if sender_failed then init_done owner
-  else if Flush.wedged g.fl then
+let origin_multicast ?(ack = true) t g mode ~owner body =
+  match fate g body with
+  | Drop -> init_done owner
+  | Defer ->
     (* Wedged: the group is between views; queue the operation and rerun
        it once the new view is installed. *)
     g.blocked_sends <- (owner, mode, body) :: g.blocked_sends
-  else
+  | Originate -> (
     match mode with
     | Cbcast ->
-      origin_cbcast t g ~owner body;
+      origin_cbcast t g ~owner ~ack body;
       init_done owner
     | Abcast ->
       Queue.push (owner, body) g.ab_queue;
       dispatch_abcasts t g
     | Gbcast ->
       origin_gbcast t g body;
-      init_done owner
+      init_done owner)
 
 (* A proposed priority for one of this site's rounds in [g].  Only
    reached through [Membership.handle_group_frame], which drops frames
@@ -326,9 +347,9 @@ let await = function None -> Replies [] | Some s -> Ivar.read s.done_ivar
 let accept_into p g mode body =
   p.pending_inits <- p.pending_inits + 1;
   g.accepted <- g.accepted + 1;
-  fun () ->
+  fun ~ack ->
     g.accepted <- g.accepted - 1;
-    origin_multicast p.rt g mode ~owner:(Some p) body
+    origin_multicast ~ack p.rt g mode ~owner:(Some p) body
 
 let bcast p mode ~dest ~entry msg ~(want : want) =
   let t = p.rt in
@@ -346,7 +367,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
     match dest with
     | Addr.Proc q ->
       let sess = session_for ~responders:(Some [ q ]) ~relay_site:None in
-      on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+      on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
           send_to_proc t p sess q body);
       await sess
     | Addr.Group gid -> (
@@ -354,12 +375,11 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
       | Some g ->
         let sess = session_for ~responders:(Some (view g).View.members) ~relay_site:None in
         let hand_off = accept_into p g mode body in
-        let size = Message.size body in
-        let cbcast = if mode = Cbcast then Some (gi gid, size) else None in
+        let cbcast = if mode = Cbcast then Some (g, body) else None in
         (* The wake-up follows the hand-off, so a woken sender sees the
            send in [ab_queue] or already dispatched. *)
-        on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us size) (fun () ->
-            hand_off ();
+        on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack ->
+            hand_off ~ack;
             Condition.broadcast t.admission);
         await sess
       | None -> (
@@ -368,7 +388,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
         | Some relay ->
           let sess = session_for ~responders:None ~relay_site:(Some relay) in
           let session_id = Option.map (fun s -> s.sess_id) sess in
-          on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+          on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
               send_frame t ~dst:relay
                 (Proto.Relay { group = gid; mode; body; session = session_id; caller = p.addr }));
           await sess))
@@ -460,7 +480,9 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
           | Addr.Proc q -> fun () -> send_to_proc t p sess q body
           | Addr.Group gid -> (
             match group_of t gid with
-            | Some g -> accept_into p g mode body
+            | Some g ->
+              let hand_off = accept_into p g mode body in
+              fun () -> hand_off ~ack:true
             | None -> (
               fun () ->
                 match contact_site_for t gid with
@@ -471,7 +493,7 @@ let bcast_multi p mode ~dests ~entry msg ~(want : want) =
                 | None -> ())))
         dests
     in
-    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun () ->
+    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
         List.iter (fun job -> job ()) jobs;
         Condition.broadcast t.admission);
     await sess
@@ -490,7 +512,7 @@ let do_reply p ~request answer ~null ~copy_to =
     Message.set_bool body f_is_reply true;
     if null then Message.set_bool body f_null true;
     clear_obligation t ~responder:p.addr ~session;
-    on_send_cpu t t.cfg.cpu_send_us (fun () ->
+    on_send_cpu t t.cfg.cpu_send_us (fun ~ack:_ ->
         if caller.Addr.site = t.my_site then on_reply_body t body
         else send_frame t ~dst:caller.Addr.site (Proto.Ptp { dest = caller; body }));
     (* Copies to cohorts (coordinator-cohort tool). *)

@@ -3,7 +3,7 @@ module Addr = Vsync_msg.Addr
 module Message = Vsync_msg.Message
 
 type stored =
-  | Scb of { uid : uid; rank : int; vt : int list option; body : Message.t }
+  | Scb of { uid : uid; rank : int; vt : int list option; ack : bool; body : Message.t }
   | Sab of { uid : uid; prio : prio; body : Message.t }
 
 let stored_uid = function Scb { uid; _ } -> uid | Sab { uid; _ } -> uid
@@ -22,6 +22,7 @@ type frame =
       uid : uid;
       rank : int;
       vt : int list option;
+      ack : bool;
       body : Message.t;
     }
   | Ab_data of { group : Addr.group_id; view_id : int; uid : uid; body : Message.t }
@@ -123,7 +124,8 @@ type frame =
          responder holds no state for the group. *)
 
 (* Size model: a fixed frame header plus the natural encoded widths of
-   each component.  Application payloads use their true encoded size. *)
+   each component.  Application payloads use their true encoded size.
+   A CBCAST's [ack] flag rides in a spare bit of its rank word. *)
 
 let header = 16
 let sz_uid = 12

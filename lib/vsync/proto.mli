@@ -19,8 +19,9 @@ module Message = Vsync_msg.Message
 (** A retained multicast body, as stored per view for stabilization and
     retransmitted during a flush. *)
 type stored =
-  | Scb of { uid : uid; rank : int; vt : int list option; body : Message.t }
-      (** a CBCAST: sender rank and timestamp ([None] for client-FIFO). *)
+  | Scb of { uid : uid; rank : int; vt : int list option; ack : bool; body : Message.t }
+      (** a CBCAST: sender rank, timestamp ([None] for client-FIFO) and
+          the [ack] flag of its [Cb_data]. *)
   | Sab of { uid : uid; prio : prio; body : Message.t }
       (** an ABCAST with its final priority. *)
 
@@ -42,15 +43,23 @@ type frame =
       uid : uid;
       rank : int;  (** sender's view rank; [-1] for client-FIFO sends. *)
       vt : int list option;
+      ack : bool;
+          (** whether delivering it owes the origin a [Deliver_ack].
+              Clear on every CBCAST of a packed run but the last: that
+              one's acknowledgement and [Stable] cover the whole run. *)
       body : Message.t;
     }
   | Ab_data of { group : Addr.group_id; view_id : int; uid : uid; body : Message.t }
   | Ab_prio of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Ab_commit of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Deliver_ack of { group : Addr.group_id; uid : uid }
-      (** destination site → origin site: delivered to all local members. *)
+      (** destination site → origin site: delivered to all local
+          members.  For a CBCAST it settles [uid] and the unflagged
+          CBCASTs of its packed run stored right below it; earlier
+          runs were settled by their own flagged CBCAST. *)
   | Stable of { group : Addr.group_id; uid : uid }
-      (** origin site → destination sites: everyone delivered; GC. *)
+      (** origin site → destination sites: everyone delivered; GC.
+          For a CBCAST it settles the same run as [Deliver_ack]. *)
   (* --- point-to-point (replies, direct sends) --- *)
   | Ptp of { dest : Addr.proc; body : Message.t }
   | Obligation_failed of { session : int; responder : Addr.proc }

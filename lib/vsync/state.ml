@@ -178,8 +178,9 @@ and t = {
   send_jobs : int Queue.t;
       (* send-path CPU jobs not yet finished, oldest first: the group of
          a CBCAST, [-1] for any other send (kept only while packing) *)
-  mutable packed : (unit -> unit) list;
-      (* CBCAST originations held for their successor, newest first *)
+  mutable packed : (group * Message.t * (ack:bool -> unit)) list;
+      (* CBCAST originations held for their successor, newest first:
+         the copy, the body, and the hand-off that originates it *)
   mutable packed_bytes : int;
   cb_held : Metrics.counter;
 }

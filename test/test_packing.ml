@@ -271,6 +271,144 @@ let test_crash_forgets_held () =
     (List.filter (fun at -> at >= crashed_at) (originations evs "cbcast"));
   Alcotest.(check (list int)) "survivors delivered none of them" [] (log.(1) @ log.(2))
 
+(* [Frame_tx] events of [kind] sent from [site] to [dst]. *)
+let frames_tx evs ~kind ~site ~dst =
+  List.length
+    (List.filter
+       (fun { Event.ev; _ } ->
+         match ev with
+         | Event.Frame_tx { site = s; dst = d; kind = k; _ } ->
+           s = site && d = dst && String.equal k kind
+         | _ -> false)
+       evs)
+
+let check_drained w =
+  let sum = Test_gc.sum_gauge w in
+  Alcotest.(check int) "unstables drain" 0 (sum Runtime.pending_unstable);
+  Alcotest.(check int) "store drains" 0 (sum Runtime.pending_store);
+  Alcotest.(check int) "dedup residue drains" 0 (sum Runtime.dedup_residue)
+
+let test_run_acked_once () =
+  (* Four CBCASTs queued back to back leave as one run: only the last
+     carries the ack flag, so each receiver acknowledges the run once
+     and site 0 declares it stable once per destination.  A lone
+     CBCAST afterwards still gets its own pair. *)
+  let w, members, _, log, send = setup () in
+  let events = capture w in
+  World.run_task w members.(0) (fun () ->
+      for tag = 1 to 4 do
+        send members.(0) Types.Cbcast tag
+      done);
+  World.run_for w 2_000_000;
+  Alcotest.(check int) "three held for the fourth" 3 (held w 0);
+  let pairs evs =
+    List.map
+      (fun s ->
+        ( frames_tx evs ~kind:"deliver_ack" ~site:s ~dst:0,
+          frames_tx evs ~kind:"stable" ~site:0 ~dst:s ))
+      [ 1; 2 ]
+  in
+  Alcotest.(check (list (pair int int))) "one Deliver_ack and one Stable per destination"
+    [ (1, 1); (1, 1) ] (pairs (events ()));
+  check_drained w;
+  World.run_task w members.(0) (fun () -> send members.(0) Types.Cbcast 5);
+  World.run_for w 2_000_000;
+  Alcotest.(check int) "the lone CBCAST was not held" 3 (held w 0);
+  Alcotest.(check (list (pair int int))) "a lone CBCAST gets its own pair" [ (2, 2); (2, 2) ]
+    (pairs (events ()));
+  check_drained w;
+  Array.iteri
+    (fun s l ->
+      Alcotest.(check (list int)) (Printf.sprintf "site %d: FIFO" s) [ 1; 2; 3; 4; 5 ] (List.rev l))
+    log
+
+let test_run_last_sender_dies () =
+  (* Site 0 hosts [a] and [b]; [b]'s CBCAST is the last of a held run.
+     [b] dies while the run is held, which starts the view change that
+     fails it.  Its frames reach site 0's FIFO CPU behind the held jobs,
+     so the release comes first and [b]'s CBCAST still originates, with
+     the run's flag.  (The case where the last held send originates
+     nothing cannot be built under the FIFO CPU model; DESIGN.md §4.6.)
+     [a]'s CBCASTs must stabilise, and [a]'s [flush] waits for exactly
+     that. *)
+  let w = World.create ~seed:0x9ACL ~sites:3 () in
+  let a = World.proc w ~site:0 ~name:"a" and b = World.proc w ~site:0 ~name:"b" in
+  let members = [| a; b; World.proc w ~site:1 ~name:"c"; World.proc w ~site:2 ~name:"d" |] in
+  let log = Array.make 4 [] in
+  Array.iteri (fun i m -> Runtime.bind m e_app (fun x -> log.(i) <- tag_of x :: log.(i))) members;
+  let gid = Test_flowctl.form_group w members in
+  let send p tag =
+    ignore
+      (Runtime.bcast p Types.Cbcast ~dest:(Addr.Group gid) ~entry:e_app (msg tag)
+         ~want:Types.No_reply)
+  in
+  World.run_task w a (fun () ->
+      for tag = 1 to 3 do
+        send a tag
+      done;
+      Runtime.spawn_task b (fun () -> send b 4));
+  if not (World.run_cond ~slice_us:100 ~timeout_us:50_000 w (fun () -> held w 0 >= 1)) then
+    Alcotest.fail "first CBCAST never held";
+  Runtime.kill_proc b;
+  let flushed = ref false in
+  World.run_task w a (fun () ->
+      Runtime.flush a;
+      flushed := true);
+  World.run_for w 3_000_000;
+  Alcotest.(check bool) "a's flush returned" true !flushed;
+  Alcotest.(check bool) "b was removed" false
+    (List.exists (Addr.equal_proc (Runtime.proc_addr b))
+       (Option.get (Runtime.pg_view a gid)).View.members);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list int)) (Printf.sprintf "member %d got a's run" i) [ 1; 2; 3 ]
+        (List.filter (fun x -> x <= 3) (List.rev log.(i))))
+    [ 0; 2; 3 ];
+  check_drained w
+
+let test_packed_runs_oracle_clean () =
+  (* The nemesis scenario's traffic at a 10 ms mean gap, under 6 ms of
+     CPU per send, queues sends back to back, so CBCASTs leave in
+     packed runs (at the default 150 ms gap none ever does).  With no
+     faults the oracle must pass, hygiene included, and every member
+     must deliver every send. *)
+  List.iter
+    (fun seed ->
+      match Scenario.run ~plan:[] ~sites:3 ~send_interval_us:10_000 ~seed () with
+      | Error e -> Alcotest.failf "seed %Ld: setup failed: %s" seed e
+      | Ok r ->
+        let name what = Printf.sprintf "seed %Ld: %s" seed what in
+        Alcotest.(check (list string)) (name "oracle PASS") []
+          (List.map (fun (v : Oracle.violation) -> v.Oracle.invariant) r.Scenario.violations);
+        Alcotest.(check bool) (name "CBCASTs were held") true
+          (List.fold_left (fun acc s -> acc + held r.Scenario.world s) 0 [ 0; 1; 2 ] > 0);
+        Alcotest.(check int) (name "every member delivered every send") (3 * r.Scenario.sent)
+          r.Scenario.delivered)
+    [ 1L; 2L; 3L ]
+
+let test_forked_lineage_not_delivered () =
+  (* Seed 2448 at 3 sites and a 10 ms send gap: after a partition
+     heals, two components install different views under one view id
+     (the dueling-coordinator fork, DESIGN.md §4.4.3), while CBCASTs
+     leave in packed runs.  A site must not deliver the other
+     component's CBCASTs against its own view's clocks, or it breaks
+     the order the cumulative acknowledgement relies on: then site 2
+     delivered them out of FIFO order and after seeing their sender
+     fail, and p0 missed messages a run's single acknowledgement had
+     settled.  The fork itself still fails the oracle; nothing
+     downstream of it may. *)
+  match Scenario.run ~sites:3 ~send_interval_us:10_000 ~seed:2448L () with
+  | Error e -> Alcotest.failf "setup failed: %s" e
+  | Ok r ->
+    Alcotest.(check bool) "CBCASTs were held" true
+      (List.fold_left (fun acc s -> acc + held r.Scenario.world s) 0 [ 0; 1; 2 ] > 0);
+    let fork = [ "no-split-brain"; "view-consistency" ] in
+    Alcotest.(check (list string)) "no violation but the fork's own" []
+      (List.filter_map
+         (fun (v : Oracle.violation) ->
+           if List.mem v.Oracle.invariant fork then None else Some v.Oracle.invariant)
+         r.Scenario.violations)
+
 let suite =
   [
     Alcotest.test_case "queued pair shares one packet per destination" `Quick
@@ -281,4 +419,9 @@ let suite =
     Alcotest.test_case "held bytes capped at one packet" `Quick test_packed_bytes_capped;
     Alcotest.test_case "no receive cost: unpacked" `Quick test_no_recv_cost_unpacked;
     Alcotest.test_case "crash forgets held CBCASTs" `Quick test_crash_forgets_held;
+    Alcotest.test_case "a packed run costs one ack pair" `Quick test_run_acked_once;
+    Alcotest.test_case "held run's last sender dies" `Quick test_run_last_sender_dies;
+    Alcotest.test_case "packed runs under the oracle (3 seeds)" `Slow test_packed_runs_oracle_clean;
+    Alcotest.test_case "a forked lineage's CBCASTs are not delivered" `Slow
+      test_forked_lineage_not_delivered;
   ]
