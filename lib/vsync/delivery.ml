@@ -231,6 +231,14 @@ let deliver_to_members t body ~members =
                if t.running then dispatch_to_proc t p body)))
     members
 
+(* Hand a stored CBCAST to the causal engine: against its vector time
+   when the origin stamped one, in per-sender FIFO order otherwise. *)
+let causal_receive g ~uid ~rank ~vt body =
+  match vt with
+  | Some l when rank >= 0 ->
+    Causal.receive g.causal ~uid ~rank ~vt:(Vsync_util.Vclock.of_list l) body
+  | Some _ | None -> Causal.receive_fifo g.causal ~uid body
+
 (* Deliver everything the engines can release, acknowledge remote
    origins, and mark own-origin local deliveries. *)
 let drain_group t g =

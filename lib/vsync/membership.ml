@@ -4,16 +4,26 @@
    their sequence.  What the core cannot see is gathered here and fed
    back: the engines' report for a wedge ack, stored bodies, which local
    processes live, a join validator's verdict.  The install mechanics
-   (engines, deliveries, waiters, monitors) and the dispatch of every
-   frame addressed to a group live here too; the teardown of a dead
-   minority copy lives in [Partition]. *)
+   (engines, deliveries, waiters, monitors), the one [discard] of a
+   group copy, and the dispatch of every frame addressed to a group live
+   here too.
+
+   The minority side of a partition: the coordinator of a component
+   that lost its quorum must not install views, since doing so on both
+   sides of a split is exactly split-brain.  [Flush] decides instead to
+   wedge the whole component and probe the sites it suspects.  Three
+   ways out: a probe reply shows a suspected site is reachable at our
+   view (false alarm / heal before eviction) — fold it back in and
+   rerun the change; a reply shows the primary partition has moved to a
+   newer view without us — [teardown] this dead copy so local members
+   can rejoin fresh through state transfer; or the probes run dry for
+   long enough that the group is assumed dissolved. *)
 
 open Types
 open State
 open Sessions
 open Delivery
 open Origination
-open Partition
 
 let note t g n =
   let group = gi g.gid and site = t.my_site and view_id = (view g).View.view_id in
@@ -84,14 +94,63 @@ let on_fetch t ~src g ~view_id ~attempt uids =
   send_frame t ~dst:src
     (Proto.Fetch_reply { group = g.gid; view_id; attempt; from_site = t.my_site; bodies })
 
-(* Discard this site's copy of [g], releasing its queued ABCASTs, the
-   owners of its unstable multicasts and its failure-detector
-   subscriptions to [sites]. *)
-let drop_copy t g sites =
+(* Discard this site's copy of [g]: release everything parked on it
+   (blocked and queued sends, the owners of its unstable multicasts,
+   its leave waiters), take the group off local processes, drop its
+   failure-detector subscriptions and the copy itself, and let
+   originators blocked in [bcast_wait] re-check admission — a group
+   with no local copy is never backpressured.  Frames held for a newer
+   view pass to a local join in flight, whose copy will replay them. *)
+let discard t g =
+  let gid_int = gi g.gid in
+  List.iter (fun (owner, _, _) -> init_done owner) (List.rev g.blocked_sends);
+  g.blocked_sends <- [];
   drop_ab_queue g;
   settle_unstables g;
-  List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sites;
-  Hashtbl.remove t.groups (gi g.gid)
+  (match Hashtbl.find_opt t.joins gid_int with Some j -> j.early <- g.held | None -> ());
+  g.held <- [];
+  let leavers = g.leavers in
+  g.leavers <- [];
+  List.iter (fun (_, iv) -> Ivar.fill iv ()) (List.rev leavers);
+  Hashtbl.iter
+    (fun _ pr -> pr.memberships <- List.filter (fun g' -> g' <> gid_int) pr.memberships)
+    t.procs;
+  List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) (View.sites (view g));
+  Hashtbl.remove t.groups gid_int;
+  Condition.broadcast t.admission
+
+(* This site's copy of the group is dead: the primary partition
+   installed view [new_view_id] without us (or probing ran dry,
+   [new_view_id = -1]).  Discard all group state — unstable minority
+   deliveries included — so local members can rejoin as fresh joiners
+   and pull current state through the state-transfer toolkit.  The
+   sites in [notify] are told the view id [verdict], so they discard
+   their copies too.  The directory survives on purpose: it is how the
+   rejoin finds the primary.  Only this site stops offering itself as a
+   contact: the failure detector purged the unreachable primary sites
+   from the hints during the partition, so what is left typically points
+   right back here, and a rejoin that resolved the name locally would be
+   refused.  If no hint remains, the next lookup queries afresh. *)
+let teardown t g ~new_view_id ~verdict ~notify =
+  let gid_int = gi g.gid in
+  trace_event t Obs_event.Partition (fun () ->
+      Obs_event.Partition_evict
+        { site = t.my_site; group = gid_int; view_id = (view g).View.view_id; new_view_id });
+  List.iter
+    (fun s -> send_frame t ~dst:s (Proto.View_probe_reply { group = g.gid; view_id = verdict }))
+    notify;
+  join_fail_all t gid_int "partitioned: evicted from primary partition";
+  drop_hint t ~gid_int ~site:t.my_site;
+  discard t g
+
+(* Ask each of [sites] which view of [g] it holds. *)
+let send_probes t g sites =
+  let view_id = (view g).View.view_id in
+  trace_event t Obs_event.Partition (fun () ->
+      Obs_event.Partition_probe { site = t.my_site; group = gi g.gid; view_id });
+  List.iter
+    (fun dst -> send_frame t ~dst (Proto.View_probe { group = g.gid; view_id; from_site = t.my_site }))
+    sites
 
 (* Settle the retiring view as the commit says, then deliver everything
    it holds: the first half of an install, run on the old engines. *)
@@ -102,12 +161,7 @@ let retire t g = function
       (fun s ->
         match s with
         | Proto.Scb { uid; rank; vt; body; _ } ->
-          if not (Causal.seen g.causal uid) then begin
-            match vt with
-            | Some l when rank >= 0 ->
-              Causal.receive g.causal ~uid ~rank ~vt:(Vsync_util.Vclock.of_list l) body
-            | Some _ | None -> Causal.receive_fifo g.causal ~uid body
-          end
+          if not (Causal.seen g.causal uid) then causal_receive g ~uid ~rank ~vt body
         | Proto.Sab { uid; prio; body } ->
           Total.commit g.total ~uid prio;
           Total.add_payload g.total ~uid body)
@@ -152,10 +206,7 @@ and run t g = function
   | Flush.Arm (delay, timer) -> after t g ~delay (fun () -> feed t g (Flush.Timer timer))
   | Flush.Note n -> note t g n
   | Flush.Refuse_join (p, reason) ->
-    if p.Addr.site = t.my_site then (
-      match jw_take t ~gid_int:(gi g.gid) ~idx:p.Addr.idx with
-      | Some iv -> Ivar.fill iv (Error reason)
-      | None -> ())
+    if p.Addr.site = t.my_site then join_resolve t (gi g.gid) ~idx:p.Addr.idx (Error reason)
     else send_frame t ~dst:p.Addr.site (Proto.Join_refused { group = g.gid; joiner = p; reason })
   | Flush.Check_alive { procs; rest } ->
     feed t g (Flush.Alive_here { alive = List.filter (fun p -> find_proc t p <> None) procs; rest })
@@ -180,16 +231,15 @@ and run t g = function
     feed t g (Flush.Retired frame)
   | Flush.Install { retiring; commit } -> install t g ~retiring commit
   | Flush.Probe_sites sites -> send_probes t g sites
-  | Flush.Teardown { new_view_id; verdict; notify } ->
-    partition_teardown t g ~new_view_id ~verdict ~notify
+  | Flush.Teardown { new_view_id; verdict; notify } -> teardown t g ~new_view_id ~verdict ~notify
 
 (* The second half of an install: [g.fl] already holds the new view. *)
 and install t g ~retiring = function
   | Proto.Commit { group; events; new_view; gname; gb_bodies; _ } ->
     let old_sites = match retiring with Some v -> View.sites v | None -> [] in
     (* Every member site can answer directory queries for its groups,
-       so the name outlives the creator site. *)
-    if not (String.equal gname "") then dir_set t gname (group, View.sites new_view);
+       so the name outlives the creator site; an empty view frees it. *)
+    dir_set t ~name:gname group (View.sites new_view);
     (* 3. Install the view: fresh engines and store. *)
     g.causal <- Causal.create ~n_ranks:(View.n_members new_view) ();
     g.total <- Total.create ~site:t.my_site ();
@@ -226,7 +276,6 @@ and install t g ~retiring = function
        acceptance order). *)
     g.ab_inflight <- 0;
     dispatch_abcasts t g;
-    remember_contacts t group (View.sites new_view);
     (* Track membership on local procs. *)
     List.iter
       (fun ev ->
@@ -280,16 +329,12 @@ and install t g ~retiring = function
     List.iter
       (fun ev ->
         match ev with
-        | View.Member_joined p when p.Addr.site = t.my_site -> (
-          match jw_take t ~gid_int:(gi group) ~idx:p.Addr.idx with
-          | Some iv -> Ivar.fill iv (Ok ())
-          | None -> ())
-        | View.Member_left p when p.Addr.site = t.my_site -> (
-          match Hashtbl.find_opt t.leave_waiters (gi group, p.Addr.idx) with
-          | Some iv ->
-            Hashtbl.remove t.leave_waiters (gi group, p.Addr.idx);
-            Ivar.fill iv ()
-          | None -> ())
+        | View.Member_joined p when p.Addr.site = t.my_site ->
+          join_resolve t (gi group) ~idx:p.Addr.idx (Ok ())
+        | View.Member_left p when p.Addr.site = t.my_site ->
+          let left, staying = List.partition (fun (idx, _) -> idx = p.Addr.idx) g.leavers in
+          g.leavers <- staying;
+          List.iter (fun (_, iv) -> Ivar.fill iv ()) left
         | View.Member_joined _ | View.Member_left _ | View.Member_failed _ -> ())
       events;
     (* 6. Failure detector subscriptions follow the membership. *)
@@ -309,30 +354,21 @@ and install t g ~retiring = function
     let blocked = List.rev g.blocked_sends in
     g.blocked_sends <- [];
     List.iter (fun (owner, mode, body) -> origin_multicast t g mode ~owner body) blocked;
-    replay_held t (gi group);
+    replay_held t g;
     (* 8. A group whose membership is empty dissolves. *)
-    if View.n_members new_view = 0 then begin
-      drop_copy t g new_sites;
-      Hashtbl.remove t.contacts (gi group);
-      Condition.broadcast t.admission
-    end
+    if View.n_members new_view = 0 then discard t g
     else begin
       feed t g (Flush.Installed new_view);
       (* A site left without any local member is out of the group: drop
          its copy of the state (it will no longer receive commits). *)
-      if local_members t g = [] then begin
-        drop_copy t g new_sites;
-        Condition.broadcast t.admission
-      end
+      if local_members t g = [] then discard t g
     end
   | _ -> ()
 
-and replay_held t gid_int =
-  match Hashtbl.find_opt t.held gid_int with
-  | None -> ()
-  | Some frames ->
-    Hashtbl.remove t.held gid_int;
-    List.iter (fun (src, f) -> handle_group_frame t ~src f) (List.rev frames)
+and replay_held t g =
+  let frames = g.held in
+  g.held <- [];
+  List.iter (fun (src, f) -> handle_group_frame t ~src f) (List.rev frames)
 
 and handle_group_frame t ~src frame =
   let with_group gid view_id k =
@@ -348,7 +384,7 @@ and handle_group_frame t ~src frame =
            && List.exists (fun (m : Addr.proc) -> m.Addr.site = src) (view g).View.members
         then k g
       end
-      else if view_id > current then hold_frame t ~src (gi gid) frame
+      else if view_id > current then g.held <- (src, frame) :: g.held
       else if not (List.mem src (View.sites (view g))) then
         (* Stale data from a site outside the current view: a stale
            coordinator that managed to commit a divergent (lower-id)
@@ -362,7 +398,9 @@ and handle_group_frame t ~src frame =
          joiner nothing will ever replay the buffer — e.g. a restarted
          site whose dead member is still listed in the senders' view
          would accumulate frames without bound. *)
-      if jw_any t (gi gid) then hold_frame t ~src (gi gid) frame
+      match Hashtbl.find_opt t.joins (gi gid) with
+      | Some j -> j.early <- (src, frame) :: j.early
+      | None -> ()
   in
   let to_flush group =
     match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ()
@@ -375,10 +413,7 @@ and handle_group_frame t ~src frame =
            [Stable] flow already collected. *)
         if not (Causal.seen g.causal uid) then begin
           g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) g.store;
-          (match vt with
-          | Some l when rank >= 0 ->
-            Causal.receive g.causal ~uid ~rank ~vt:(Vsync_util.Vclock.of_list l) body
-          | Some _ | None -> Causal.receive_fifo g.causal ~uid body);
+          causal_receive g ~uid ~rank ~vt body;
           drain_group t g
         end)
   | Proto.Ab_data { group; view_id; uid; body } ->
@@ -406,14 +441,9 @@ and handle_group_frame t ~src frame =
          (validator, minority wedge) come from sites that DO hold the
          group — their hints stay. *)
       if reason = "no such group at contact site" then drop_hint t ~gid_int:(gi group) ~site:src;
-      match jw_take t ~gid_int:(gi group) ~idx:joiner.Addr.idx with
-      | Some iv ->
-        (* Frames held in anticipation of the join have no replayer
-           now (unless another local joiner is still waiting). *)
-        if group_of t group = None && not (jw_any t (gi group)) then
-          Hashtbl.remove t.held (gi group);
-        Ivar.fill iv (Error reason)
-      | None -> ())
+      (* Frames held in anticipation of the join go with its last
+         joiner: nothing would replay them. *)
+      join_resolve t (gi group) ~idx:joiner.Addr.idx (Error reason))
   | Proto.Fetch { group; view_id; attempt; uids } -> (
     match group_of t group with Some g -> on_fetch t ~src g ~view_id ~attempt uids | None -> ())
   | Proto.Commit { group; _ } when group_of t group = None -> (
@@ -422,6 +452,12 @@ and handle_group_frame t ~src frame =
     match Flush.adopt ~me:t.my_site ~epoch:(Endpoint.epoch (endpoint t)) frame with
     | Some (fl, effects) ->
       let g = make_group ~gid:group fl in
+      (* Frames that raced the Commit here replay once it installs. *)
+      (match Hashtbl.find_opt t.joins (gi group) with
+      | Some j ->
+        g.held <- j.early;
+        j.early <- []
+      | None -> ());
       Hashtbl.replace t.groups (gi group) g;
       List.iter (run t g) effects
     | None -> ())

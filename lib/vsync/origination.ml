@@ -304,9 +304,9 @@ let on_ab_prio t g ~src uid prio =
 (* --- the client API: bcast, admission, replies --- *)
 
 let contact_site_for t gid =
-  match Hashtbl.find_opt t.contacts (gi gid) with
-  | Some (s :: _) -> Some s
-  | Some [] | None -> None
+  match Hashtbl.find_opt t.dir (gi gid) with
+  | Some (_, s :: _) -> Some s
+  | Some (_, []) | None -> None
 
 (* The system fields every client multicast carries. *)
 let stamp_body p mode ~entry msg ~want =

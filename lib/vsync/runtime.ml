@@ -3,9 +3,9 @@
    split across private modules, each using only those before it:
    [State] (records and helpers), [Sessions] (reply collection),
    [Delivery] (local delivery and stability), [Origination] (CPU queue,
-   packing, the primitives' first step, admission), [Partition] (the
-   minority side of a split) and [Membership] (routing, the flush,
-   site up/down, group frames).  The one call that goes back up the
+   packing, the primitives' first step, admission) and [Membership]
+   (routing, the flush, discarding a copy, site up/down, group
+   frames).  The one call that goes back up the
    stack, [State.t.feed], is set here to [Membership.feed]. *)
 
 open Types
@@ -54,11 +54,7 @@ let handle_frame t ~src frame =
     | Proto.Obligation_failed { session; responder } ->
       Sessions.note_failed_responder t ~session ~responder
     | Proto.Dir_query { name; qid } ->
-      let info =
-        match Hashtbl.find_opt t.dir name with
-        | Some (gid, sites) -> Some (name, gid, sites)
-        | None -> None
-      in
+      let info = Option.map (fun (gid, sites) -> (name, gid, sites)) (dir_find t name) in
       send_frame t ~dst:src (Proto.Dir_reply { qid; info })
     | Proto.Dir_reply { qid; info } -> (
       match Hashtbl.find_opt t.dir_queries qid with
@@ -67,8 +63,7 @@ let handle_frame t ~src frame =
         match info with
         | Some (name, gid, sites) ->
           Hashtbl.remove t.dir_queries qid;
-          dir_set t name (gid, sites);
-          remember_contacts t gid sites;
+          dir_set t ~name gid sites;
           Ivar.fill_if_empty iv (Some (gid, sites)) |> ignore
         | None ->
           decr awaiting;
@@ -76,9 +71,7 @@ let handle_frame t ~src frame =
             Hashtbl.remove t.dir_queries qid;
             Ivar.fill_if_empty iv None |> ignore
           end))
-    | Proto.Dir_update { name; group; sites } ->
-      dir_set t name (group, sites);
-      remember_contacts t group sites
+    | Proto.Dir_update { name; group; sites } -> dir_set t ~name group sites
     | Proto.Site_hello { site = s; _ } -> on_site_up t s
     | Proto.View_probe { group; view_id = _; from_site } ->
       (* Answer with the view we hold (or -1 for no state at all): a
@@ -164,7 +157,11 @@ let wire_endpoint t =
 let pending_unstable t =
   Hashtbl.fold (fun _ g acc -> acc + Uid_map.cardinal g.unstables) t.groups 0
 
-let pending_held_frames t = Hashtbl.fold (fun _ fs acc -> acc + List.length fs) t.held 0
+(* Frames held for a view a copy has not installed, and for a group a
+   local join is still waiting to receive. *)
+let pending_held_frames t =
+  Hashtbl.fold (fun _ g acc -> acc + List.length g.held) t.groups 0
+  + Hashtbl.fold (fun _ j acc -> acc + List.length j.early) t.joins 0
 
 let pending_sessions t = Hashtbl.length t.sessions
 
@@ -225,16 +222,12 @@ let create ?(config = default_config) fab ~site ~trace () =
       next_qid = 0;
       procs = Hashtbl.create 16;
       groups = Hashtbl.create 16;
-      held = Hashtbl.create 8;
+      names = Hashtbl.create 16;
       dir = Hashtbl.create 16;
-      dir_by_gid = Hashtbl.create 16;
-      contacts = Hashtbl.create 16;
+      joins = Hashtbl.create 8;
       sessions = Hashtbl.create 16;
       obligations = Hashtbl.create 16;
       dir_queries = Hashtbl.create 8;
-      join_waiters = Hashtbl.create 8;
-      join_pending = Hashtbl.create 8;
-      leave_waiters = Hashtbl.create 8;
       site_watchers = [];
       admission = Condition.create ();
       cpu_free = 0;
@@ -262,16 +255,12 @@ let crash t =
       t.procs;
     Hashtbl.reset t.procs;
     Hashtbl.reset t.groups;
-    Hashtbl.reset t.held;
+    Hashtbl.reset t.names;
     Hashtbl.reset t.dir;
-    Hashtbl.reset t.dir_by_gid;
-    Hashtbl.reset t.contacts;
+    Hashtbl.reset t.joins;
     Hashtbl.reset t.sessions;
     Hashtbl.reset t.obligations;
     Hashtbl.reset t.dir_queries;
-    Hashtbl.reset t.join_waiters;
-    Hashtbl.reset t.join_pending;
-    Hashtbl.reset t.leave_waiters;
     Queue.clear t.send_jobs;
     t.packed <- [];
     t.packed_bytes <- 0;
@@ -354,23 +343,20 @@ let add_filter p f = p.filters <- f :: p.filters
 let pg_create p name =
   let t = p.rt in
   Stats.Counter.incr t.ctrs "prim.local_rpc";
-  if Hashtbl.mem t.dir name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
+  if Hashtbl.mem t.names name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
   let gid = Addr.group_of_int ((t.my_site lsl 20) lor t.next_useq) in
   t.next_useq <- t.next_useq + 1;
   let g = make_group ~gid (flush_state t ~gname:name (View.initial gid p.addr)) in
   Hashtbl.replace t.groups (gi gid) g;
-  dir_set t name (gid, [ t.my_site ]);
-  remember_contacts t gid [ t.my_site ];
+  dir_set t ~name gid [ t.my_site ];
   p.memberships <- gi gid :: p.memberships;
   gid
 
 let pg_lookup p name =
   let t = p.rt in
   Stats.Counter.incr t.ctrs "prim.local_rpc";
-  match Hashtbl.find_opt t.dir name with
-  | Some (gid, sites) ->
-    remember_contacts t gid sites;
-    Some gid
+  match dir_find t name with
+  | Some (gid, _) -> Some gid
   | None ->
     let n = Backend.n_sites t.fab.fbk in
     if n <= 1 then None
@@ -394,15 +380,14 @@ let pg_join p gid ~credentials =
   let credentials = Message.copy credentials in
   Message.set_sender credentials p.addr;
   let iv = Ivar.create () in
-  jw_add t ~gid_int:(gi gid) ~idx:p.addr.Addr.idx iv;
+  join_add t gid ~idx:p.addr.Addr.idx iv;
   (match group_of t gid with
   | Some g -> feed t g (Flush.Event (Flush.Ev_join (p.addr, credentials)))
   | None -> (
     match contact_site_for t gid with
     | Some c -> send_frame t ~dst:c (Proto.Join_req { group = gid; joiner = p.addr; credentials })
     | None ->
-      ignore (jw_take t ~gid_int:(gi gid) ~idx:p.addr.Addr.idx);
-      Ivar.fill iv (Error "no known contact site for group")));
+      join_resolve t (gi gid) ~idx:p.addr.Addr.idx (Error "no known contact site for group")));
   let r = Ivar.read iv in
   (match r with
   | Ok () -> Stats.Counter.incr t.ctrs "prim.reply"
@@ -416,7 +401,7 @@ let pg_leave p gid =
   | Some g ->
     if View.is_member (view g) p.addr then begin
       let iv = Ivar.create () in
-      Hashtbl.replace t.leave_waiters (gi gid, p.addr.Addr.idx) iv;
+      g.leavers <- (p.addr.Addr.idx, iv) :: g.leavers;
       feed t g (Flush.Event (Flush.Ev_leave p.addr));
       Ivar.read iv
     end
@@ -476,30 +461,3 @@ let redeliver p m = dispatch_to_proc p.rt p m
    sending runtime, unforgeable by clients working through the
    toolkit. *)
 let delivery_mode m = Option.bind (Message.get_int m f_mode) mode_of_int
-
-(* Labelled per-group protocol-state sizes, summed over the site's
-   groups — the raw material of the soak bench's bounded-memory
-   claim. *)
-let state_stats t =
-  let store = ref 0 and cb_tail = ref 0 and ab_tail = ref 0 and ab_entries = ref 0 in
-  let events = ref 0 and blocked = ref 0 in
-  Hashtbl.iter
-    (fun _ g ->
-      store := !store + Uid_map.cardinal g.store;
-      cb_tail := !cb_tail + Causal.dedup_residue g.causal;
-      ab_tail := !ab_tail + Total.dedup_residue g.total;
-      ab_entries := !ab_entries + List.length (Total.pending g.total);
-      events := !events + List.length g.fl.Flush.queue;
-      blocked := !blocked + List.length g.blocked_sends)
-    t.groups;
-  [
-    ("store", !store);
-    ("cb_dedup_tail", !cb_tail);
-    ("ab_dedup_tail", !ab_tail);
-    ("ab_entries", !ab_entries);
-    ("pending_events", !events);
-    ("blocked_sends", !blocked);
-    ("unstables", pending_unstable t);
-    ("held_frames", pending_held_frames t);
-    ("sessions", Hashtbl.length t.sessions);
-  ]

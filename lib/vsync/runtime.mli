@@ -317,11 +317,6 @@ val want_to_int : want -> int
 
 val want_of_int : int -> want
 
-(** {1 Accounting} *)
-
-(** [uptime_utilization t] is CPU busy time divided by elapsed time. *)
-val uptime_utilization : t -> float
-
 (** {1 Hygiene gauges}
 
     All three drain to zero once traffic quiesces; tests assert this to
@@ -342,9 +337,3 @@ val pending_store : t -> int
     watermarks advance past it, so this drains to zero at
     quiescence. *)
 val dedup_residue : t -> int
-
-(** [state_stats t] — labelled sizes of every per-group protocol-state
-    structure (store, dedup tails, buffered ABCASTs, queued events,
-    blocked sends, unstables, held frames, sessions), for the soak
-    bench's bounded-memory measurements. *)
-val state_stats : t -> (string * int) list

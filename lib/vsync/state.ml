@@ -105,6 +105,19 @@ and group = {
   mutable collects : ab_collect Uid_map.t;
       (* ABCAST rounds this site originated in the current view that are
          still collecting proposed priorities *)
+  mutable held : (int * Proto.frame) list;
+      (* (src, frame) for a view this copy has not installed yet, newest
+         first *)
+  mutable leavers : (int * unit Ivar.t) list;
+      (* local processes blocked in [pg_leave]: proc idx, waiter *)
+}
+
+(* Local [pg_join]s of one group in flight, and the group's frames that
+   arrived before this site had a copy (new-view data racing its
+   Commit).  The record goes with its last joiner. *)
+and pending_join = {
+  mutable joiners : (int * (unit, string) result Ivar.t) list; (* proc idx, waiter *)
+  mutable early : (int * Proto.frame) list; (* (src, frame), newest first *)
 }
 
 and session_state = {
@@ -151,23 +164,14 @@ and t = {
   mutable next_qid : int;
   procs : (int, proc) Hashtbl.t;
   groups : (int, group) Hashtbl.t;
-  held : (int, (int * Proto.frame) list) Hashtbl.t;
-      (* gid -> future-view (src, frame), newest first *)
-  dir : (string, Addr.group_id * int list) Hashtbl.t;
-  dir_by_gid : (int, string) Hashtbl.t;
-      (* reverse of [dir]: gid -> registered name, so per-group purges
-         (teardown, stale-contact refusals) are keyed lookups instead of
-         whole-directory scans — a site hosting hundreds of small groups
-         must not pay O(directory) per group event *)
-  contacts : (int, int list) Hashtbl.t;
+  names : (string, Addr.group_id) Hashtbl.t; (* registered name -> group *)
+  dir : (int, string * int list) Hashtbl.t;
+      (* gid -> its name and the sites offered as contacts for it, never
+         empty: see [dir_set] *)
+  joins : (int, pending_join) Hashtbl.t; (* gid -> local joins in flight *)
   sessions : (int, session_state) Hashtbl.t;
   obligations : (int, (int * Addr.proc) list) Hashtbl.t; (* responder idx -> obligations *)
   dir_queries : (int, int ref * (Addr.group_id * int list) option Ivar.t) Hashtbl.t;
-  join_waiters : (int * int, (unit, string) result Ivar.t) Hashtbl.t; (* gid, proc idx *)
-  join_pending : (int, int) Hashtbl.t;
-      (* per-gid waiter count: [handle_group_frame] asks "any local join
-         in flight for this group?" per unknown-group frame *)
-  leave_waiters : (int * int, unit Ivar.t) Hashtbl.t;
   mutable site_watchers : ([ `Down of int | `Up of int ] -> unit) list;
   admission : Condition.t;
       (* originators blocked in [bcast_wait] sleep here; woken whenever
@@ -216,85 +220,79 @@ let trace_event t cls mk =
    estimates and cancels the offsets. *)
 let local_time_us t = Backend.now t.bk + t.cfg.clock_offset_us
 
-let uptime_utilization t =
-  let now = Backend.now t.bk in
-  if now = 0 then 0.0 else float_of_int t.cpu_busy /. float_of_int now
-
 let gi = Addr.group_to_int
 
-(* --- join-waiter registry (count shadowed per gid) --- *)
+(* --- pending joins --- *)
 
-let jw_add t ~gid_int ~idx iv =
-  Hashtbl.replace t.join_waiters (gid_int, idx) iv;
-  Hashtbl.replace t.join_pending gid_int
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.join_pending gid_int))
+let join_add t gid ~idx iv =
+  match Hashtbl.find_opt t.joins (gi gid) with
+  | Some j -> j.joiners <- (idx, iv) :: j.joiners
+  | None -> Hashtbl.replace t.joins (gi gid) { joiners = [ (idx, iv) ]; early = [] }
 
-let jw_take t ~gid_int ~idx =
-  match Hashtbl.find_opt t.join_waiters (gid_int, idx) with
-  | Some iv ->
-    Hashtbl.remove t.join_waiters (gid_int, idx);
-    (match Hashtbl.find_opt t.join_pending gid_int with
-    | Some n when n > 1 -> Hashtbl.replace t.join_pending gid_int (n - 1)
-    | Some _ -> Hashtbl.remove t.join_pending gid_int
-    | None -> ());
-    Some iv
+(* Answer local joiner [idx]'s [pg_join] with [r]. *)
+let join_resolve t gid_int ~idx r =
+  match Hashtbl.find_opt t.joins gid_int with
+  | Some j -> (
+    match List.assoc_opt idx j.joiners with
+    | Some iv ->
+      j.joiners <- List.remove_assoc idx j.joiners;
+      if j.joiners = [] then Hashtbl.remove t.joins gid_int;
+      Ivar.fill iv r
+    | None -> ())
+  | None -> ()
+
+(* Refuse every local joiner of [gid_int], oldest first. *)
+let join_fail_all t gid_int reason =
+  match Hashtbl.find_opt t.joins gid_int with
+  | Some j ->
+    Hashtbl.remove t.joins gid_int;
+    List.iter (fun (_, iv) -> Ivar.fill iv (Error reason)) (List.rev j.joiners)
+  | None -> ()
+
+(* --- name directory ---
+
+   [dir] holds, per group, its registered name and the sites this site
+   offers as contacts; [names] maps a name to the group holding it.  An
+   entry whose site list becomes empty is deleted, with its name: a
+   name no site answers for is free again. *)
+
+let dir_set t ~name gid sites =
+  let gid_int = gi gid in
+  match sites with
+  | [] -> (
+    match Hashtbl.find_opt t.dir gid_int with
+    | Some (name, _) ->
+      Hashtbl.remove t.dir gid_int;
+      (match Hashtbl.find_opt t.names name with
+      | Some g when gi g = gid_int -> Hashtbl.remove t.names name
+      | Some _ | None -> ())
+    | None -> ())
+  | _ :: _ ->
+    Hashtbl.replace t.dir gid_int (name, sites);
+    Hashtbl.replace t.names name gid
+
+(* The group registered as [name] and its contact sites. *)
+let dir_find t name =
+  match Hashtbl.find_opt t.names name with
+  | Some gid -> (
+    match Hashtbl.find_opt t.dir (gi gid) with
+    | Some (_, sites) -> Some (gid, sites)
+    | None -> None)
   | None -> None
 
-let jw_any t gid_int = Hashtbl.mem t.join_pending gid_int
-
-(* --- name directory, with its gid reverse index --- *)
-
-let dir_set t name (gid, sites) =
-  Hashtbl.replace t.dir name (gid, sites);
-  Hashtbl.replace t.dir_by_gid (gi gid) name
-
-let dir_remove t name =
-  match Hashtbl.find_opt t.dir name with
-  | Some (gid, _) ->
-    Hashtbl.remove t.dir name;
-    (match Hashtbl.find_opt t.dir_by_gid (gi gid) with
-    | Some n when String.equal n name -> Hashtbl.remove t.dir_by_gid (gi gid)
-    | Some _ | None -> ())
-  | None -> ()
-
 (* [drop_hint t ~gid_int ~site] stops offering [site] as a contact for
-   group [gid_int]: it leaves the group's contact list and the hints of
-   the (single) name registered for the group, and either entry goes
-   when no site remains — keyed updates, not a whole-directory scan. *)
+   group [gid_int]. *)
 let drop_hint t ~gid_int ~site =
-  (match Hashtbl.find_opt t.contacts gid_int with
-  | Some sites -> (
-    match List.filter (( <> ) site) sites with
-    | [] -> Hashtbl.remove t.contacts gid_int
-    | remaining -> Hashtbl.replace t.contacts gid_int remaining)
-  | None -> ());
-  match Hashtbl.find_opt t.dir_by_gid gid_int with
-  | None -> ()
-  | Some name -> (
-    match Hashtbl.find_opt t.dir name with
-    | Some (gid', sites) when gi gid' = gid_int -> (
-      match List.filter (( <> ) site) sites with
-      | [] -> dir_remove t name
-      | remaining -> Hashtbl.replace t.dir name (gid', remaining))
-    | Some _ | None -> ())
+  match Hashtbl.find_opt t.dir gid_int with
+  | Some (name, sites) when List.mem site sites ->
+    dir_set t ~name (Addr.group_of_int gid_int) (List.filter (( <> ) site) sites)
+  | Some _ | None -> ()
 
-(* [s] is down: purge it from every contact list and name hint. *)
+(* [s] is down: purge it from every contact list. *)
 let forget_site t s =
-  Hashtbl.iter
-    (fun gid_int sites ->
-      (* One filtering pass instead of a membership scan followed by a
-         second filter scan. *)
-      let remaining = List.filter (( <> ) s) sites in
-      if List.compare_lengths remaining sites <> 0 then
-        Hashtbl.replace t.contacts gid_int remaining)
-    (Hashtbl.copy t.contacts);
-  Hashtbl.iter
-    (fun name (gid, sites) ->
-      let remaining = List.filter (( <> ) s) sites in
-      if List.compare_lengths remaining sites <> 0 then
-        if remaining = [] then dir_remove t name
-        else Hashtbl.replace t.dir name (gid, remaining))
-    (Hashtbl.copy t.dir)
+  List.iter
+    (fun gid_int -> drop_hint t ~gid_int ~site:s)
+    (Hashtbl.fold (fun gid_int _ acc -> gid_int :: acc) t.dir [])
 
 let endpoint t =
   match t.ep with Some e -> e | None -> invalid_arg "Runtime: endpoint not wired"
@@ -376,9 +374,6 @@ let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 let remote_member_sites t g =
   List.filter (fun s -> s <> t.my_site) (View.sites (view g))
 
-let remember_contacts t gid sites =
-  Hashtbl.replace t.contacts (gi gid) sites
-
 (* Tell [dst] which view of [g] is current: a sender still working in
    a dead lineage takes its partition-eviction path and rejoins. *)
 let send_current_view t ~dst g =
@@ -404,12 +399,9 @@ let make_group ~gid fl =
     failed_procs = [];
     unstables = Uid_map.empty;
     collects = Uid_map.empty;
+    held = [];
+    leavers = [];
   }
-
-(* Park a frame for a view this site has not installed yet. *)
-let hold_frame t ~src gid_int frame =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.held gid_int) in
-  Hashtbl.replace t.held gid_int ((src, frame) :: cur)
 
 (* [after t g ~delay k] runs [k ()] in [delay] µs if the site is still
    up and [g] is still its copy of the group: a timer must not act on a

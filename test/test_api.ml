@@ -321,6 +321,35 @@ let test_remote_exec () =
   World.run w;
   Alcotest.(check bool) "unknown program refused" true !failed
 
+(* Every member leaves: the site that installs the empty view drops the
+   name with the group, so creating the name again there makes a fresh
+   group instead of failing with "name exists". *)
+let test_dissolved_name_reusable () =
+  let w, members, gid = make ~sites:2 () in
+  World.run_task w members.(0) (fun () -> Runtime.pg_leave members.(0) gid);
+  World.run w;
+  World.run_task w members.(1) (fun () -> Runtime.pg_leave members.(1) gid);
+  World.run w;
+  Alcotest.(check bool) "group dissolved" true (Runtime.pg_view members.(1) gid = None);
+  let created = ref None and found = ref None in
+  World.run_task w members.(1) (fun () ->
+      created :=
+        Some (try Ok (Runtime.pg_create members.(1) "api") with Invalid_argument e -> Error e);
+      found := Some (Runtime.pg_lookup members.(1) "api"));
+  World.run w;
+  match !created with
+  | Some (Ok gid') ->
+    Alcotest.(check bool) "a new group" false (Addr.group_to_int gid' = Addr.group_to_int gid);
+    (match Runtime.pg_view members.(1) gid' with
+    | Some v -> Alcotest.(check int) "1-member view" 1 (View.n_members v)
+    | None -> Alcotest.fail "no view of the new group");
+    Alcotest.(check bool) "lookup finds the new group" true
+      (match !found with
+      | Some (Some g) -> Addr.group_to_int g = Addr.group_to_int gid'
+      | Some None | None -> false)
+  | Some (Error e) -> Alcotest.failf "pg_create refused: %s" e
+  | None -> Alcotest.fail "pg_create never returned"
+
 let suite =
   [
     Alcotest.test_case "join validator" `Quick test_join_validator;
@@ -334,4 +363,5 @@ let suite =
     Alcotest.test_case "bcast to multiple destinations" `Quick test_bcast_multi;
     Alcotest.test_case "bcast_multi holds flush" `Quick test_bcast_multi_holds_flush;
     Alcotest.test_case "remote exec" `Quick test_remote_exec;
+    Alcotest.test_case "dissolved name can be created again" `Quick test_dissolved_name_reusable;
   ]

@@ -315,6 +315,45 @@ let test_partition_nemesis_sweep () =
     true
     (!with_partition >= 12)
 
+(* Waiters parked on a minority copy are released by its teardown.  A
+   newcomer's join, sent just as the split cuts it off from the
+   coordinator, and a member's leave, asked while the minority is
+   wedged, both stay pending until the heal shows the primary moved on;
+   the teardown then refuses the join, returns the leave and holds no
+   frame for the dead copy. *)
+let test_teardown_releases_waiters () =
+  let w, gid, members, _oracle, _got = setup ~seed:0xD1E5L ~sites:3 "wait" in
+  World.partition w [ 0; 1 ] [ 2 ];
+  let newcomer = World.proc w ~site:2 ~name:"late" in
+  let joined = ref None and left = ref false in
+  World.run_task w newcomer (fun () ->
+      joined := Some (Runtime.pg_join newcomer gid ~credentials:(Message.create ())));
+  World.run_for w 8_000_000;
+  (match Runtime.pg_view members.(0) gid with
+  | Some v -> Alcotest.(check int) "primary installed a view without site 2" 2 (View.n_members v)
+  | None -> Alcotest.fail "primary lost its group copy");
+  Alcotest.(check bool) "minority copy still wedged" true (Runtime.pg_view members.(2) gid <> None);
+  World.run_task w members.(2) (fun () ->
+      Runtime.pg_leave members.(2) gid;
+      left := true);
+  World.run_for w 1_000_000;
+  Alcotest.(check bool) "leave pending while wedged" false !left;
+  Alcotest.(check bool) "join pending while wedged" true (!joined = None);
+  World.heal w;
+  World.run_for w 10_000_000;
+  Alcotest.(check bool) "pg_leave returned" true !left;
+  Alcotest.(check bool) "m2 out of the group" false
+    (match Runtime.pg_view members.(0) gid with
+    | Some v -> View.is_member v (Runtime.proc_addr members.(2))
+    | None -> true);
+  (match !joined with
+  | Some (Error e) ->
+    Alcotest.(check string) "join refused by the teardown"
+      "partitioned: evicted from primary partition" e
+  | Some (Ok ()) -> Alcotest.fail "join admitted into the evicted copy"
+  | None -> Alcotest.fail "pg_join never returned");
+  Alcotest.(check int) "no held frames" 0 (Runtime.pending_held_frames (World.runtime w 2))
+
 let suite =
   [
     Alcotest.test_case "majority progress under a 3/2 split" `Quick test_majority_progress;
@@ -324,6 +363,8 @@ let suite =
       test_stale_coordinator_fenced;
     Alcotest.test_case "concurrent joins on both sides of a split" `Quick
       test_concurrent_joins_across_split;
+    Alcotest.test_case "teardown releases the join and leave it parks" `Quick
+      test_teardown_releases_waiters;
     Alcotest.test_case "partition/heal nemesis sweep (25 seeds)" `Slow
       test_partition_nemesis_sweep;
   ]
