@@ -1,118 +1,10 @@
-(* Delivery to local processes, reply obligations, and stability: what
-   happens to a multicast once an engine releases it, until every
-   destination has it and its protocol state is reclaimed. *)
+(* Delivery to local processes and reply obligations, and the data
+   path's interpreter: [dp] runs one input through [Datapath.step] and
+   its effects, in list order, which is the order the trace records. *)
 
 open Types
 open State
 open Sessions
-
-(* --- stability --- *)
-
-(* A stable multicast's dedup record can be garbage collected: every
-   destination delivered it, and (per-channel FIFO + per-sender
-   delivery monotonicity within each engine) everything earlier from
-   the same origin site was delivered everywhere first.  Advance the
-   watermark of the engine that carried it — the protocol is read off
-   the retransmission-store entry, because advancing the {e other}
-   engine's watermark could cover a uid of that protocol still in
-   flight. *)
-let note_stabilized t g uid =
-  match Uid_map.find_opt uid g.store with
-  | Some (Proto.Scb _) ->
-    Causal.stabilized g.causal uid;
-    let tr = Trace.obs t.tracer in
-    if Obs_tracer.wants tr Obs_event.Proto then
-      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-  | Some (Proto.Sab _) ->
-    Total.stabilized g.total uid;
-    let tr = Trace.obs t.tracer in
-    if Obs_tracer.wants tr Obs_event.Proto then
-      Obs_tracer.emit tr (Obs_event.Gc_reclaim { site = t.my_site; n = 1 })
-  | None -> ()
-
-(* Whether [uid] is acknowledged on its own: its delivery owes the
-   origin a [Deliver_ack], and its stability owes the destinations a
-   [Stable].  Every ABCAST is; a CBCAST only when its frame carried the
-   [ack] flag, which a packed run sets on its last CBCAST alone. *)
-let acked g uid =
-  match Uid_map.find uid g.store with
-  | Proto.Scb { ack; _ } -> ack
-  | Proto.Sab _ | (exception Not_found) -> true
-
-(* The uids a [Deliver_ack] or [Stable] for [uid] settles, oldest
-   first.  For a CBCAST: [uid] and the unflagged CBCASTs of its packed
-   run, which [g] stores right below it.  A site's CBCASTs are
-   delivered, and acknowledged, in useq order (DESIGN.md §4.7), so the
-   runs below were settled first, each by its own flagged CBCAST.  An
-   ABCAST settles only itself. *)
-let covered g uid =
-  let rec run acc u =
-    match Uid_map.find_last_opt (fun v -> uid_compare v u < 0) g.store with
-    | Some (v, Proto.Scb { ack = false; _ }) when v.usite = uid.usite -> run (v :: acc) v
-    | Some _ | None -> acc
-  in
-  match Uid_map.find uid g.store with
-  | Proto.Scb _ -> run [ uid ] uid
-  | Proto.Sab _ | (exception Not_found) -> [ uid ]
-
-let check_stable t g uid u =
-  if u.remaining = [] then begin
-    g.unstables <- Uid_map.remove uid g.unstables;
-    (let tr = Trace.obs t.tracer in
-     if Obs_tracer.wants tr Obs_event.Proto then
-       Obs_tracer.emit tr
-         (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
-    if acked g uid then
-      List.iter (fun dst -> send_frame t ~dst (Proto.Stable { group = g.gid; uid })) u.u_dests;
-    note_stabilized t g uid;
-    g.store <- Uid_map.remove uid g.store;
-    match u.u_owner with
-    | Some p when p.palive ->
-      p.outstanding <- Uid_set.remove uid p.outstanding;
-      maybe_wake_flushers p
-    | Some _ | None -> ()
-  end
-
-let note_local_origin_delivered t g uid =
-  (* Origin-site local delivery completes; remote acks may still be
-     pending. *)
-  match Uid_map.find_opt uid g.unstables with
-  | None -> ()
-  | Some u -> check_stable t g uid u
-
-let on_deliver_ack t ~src gid uid =
-  match group_of t gid with
-  | None -> ()
-  | Some g ->
-    List.iter
-      (fun uid ->
-        match Uid_map.find_opt uid g.unstables with
-        | None -> ()
-        | Some u ->
-          u.remaining <- List.filter (fun s -> s <> src) u.remaining;
-          check_stable t g uid u)
-      (covered g uid)
-
-let on_stable t gid uid =
-  match group_of t gid with
-  | Some g ->
-    (let tr = Trace.obs t.tracer in
-     if Obs_tracer.wants tr Obs_event.Proto then begin
-       Obs_tracer.emit tr
-         (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq });
-       Obs_tracer.emit tr
-         (Obs_event.Stable_advance { site = t.my_site; origin = uid.usite; upto = uid.useq })
-     end);
-    List.iter
-      (fun u ->
-        (let tr = Trace.obs t.tracer in
-         if (not (uid_equal u uid)) && Obs_tracer.wants tr Obs_event.Proto then
-           Obs_tracer.emit tr
-             (Obs_event.Stabilize { site = t.my_site; usite = u.usite; useq = u.useq }));
-        note_stabilized t g u;
-        g.store <- Uid_map.remove u g.store)
-      (covered g uid)
-  | None -> ()
 
 (* --- reply obligations --- *)
 
@@ -209,68 +101,74 @@ let dispatch_to_proc t p body =
     end
   end
 
-(* Deliver one group-multicast body to every local member (after one
-   intra-site hop), registering reply obligations first. *)
-let deliver_to_members t body ~members =
-  let want = Option.value ~default:0 (Message.get_int body f_want) in
-  List.iter
-    (fun (m : Addr.proc) ->
-      match find_proc t m with
-      | None -> (
-        (* The member died between the send and this delivery: a caller
-           waiting on it must not hang. *)
-        if want <> 0 then
-          match Message.session body, Message.sender body with
-          | Some session, Some caller -> obligation_failed t ~session ~caller ~responder:m
-          | _ -> ())
-      | Some p ->
-        if want <> 0 then register_obligation t ~responder:p ~body;
-        let intra = Backend.intra_site_us t.fab.fbk in
-        ignore
-          (Backend.schedule t.bk ~delay:intra (fun () ->
-               if t.running then dispatch_to_proc t p body)))
-    members
+(* Deliver one group-multicast body to each of [members] this site
+   hosts (after one intra-site hop), registering reply obligations
+   first. *)
+let rec deliver_to_members t body ~want = function
+  | [] -> ()
+  | (m : Addr.proc) :: rest ->
+    (if m.Addr.site = t.my_site then
+       match find_proc t m with
+       | None -> (
+         (* The member died between the send and this delivery: a caller
+            waiting on it must not hang. *)
+         if want <> 0 then
+           match Message.session body, Message.sender body with
+           | Some session, Some caller -> obligation_failed t ~session ~caller ~responder:m
+           | _ -> ())
+       | Some p ->
+         if want <> 0 then register_obligation t ~responder:p ~body;
+         let intra = Backend.intra_site_us t.fab.fbk in
+         ignore
+           (Backend.schedule t.bk ~delay:intra (fun () ->
+                if t.running then dispatch_to_proc t p body)));
+    deliver_to_members t body ~want rest
 
-(* Hand a stored CBCAST to the causal engine: against its vector time
-   when the origin stamped one, in per-sender FIFO order otherwise. *)
-let causal_receive g ~uid ~rank ~vt body =
-  match vt with
-  | Some l when rank >= 0 ->
-    Causal.receive g.causal ~uid ~rank ~vt:(Vsync_util.Vclock.of_list l) body
-  | Some _ | None -> Causal.receive_fifo g.causal ~uid body
+(* --- the data path's interpreter --- *)
 
-(* Deliver everything the engines can release, acknowledge remote
-   origins, and mark own-origin local deliveries. *)
-let drain_group t g =
-  let deliver uid body =
-    (let tr = Trace.obs t.tracer in
-     if Obs_tracer.wants tr Obs_event.Proto then
-       Obs_tracer.emit tr
-         (Obs_event.Deliver
-            { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
-    deliver_to_members t body ~members:(local_members t g);
-    if uid.usite = t.my_site then note_local_origin_delivered t g uid
-    else if acked g uid then send_frame t ~dst:uid.usite (Proto.Deliver_ack { group = g.gid; uid })
-  in
-  List.iter (fun (uid, body) -> deliver uid body) (Causal.drain g.causal);
-  List.iter
-    (fun (uid, prio, body) ->
-      (* Retain the finalized ABCAST for stabilization until stable,
-         under its true final priority: if a view change wedges the
-         group before this message stabilizes, the wedge ack quotes this
-         record, and the flush must re-commit it at the same priority at
-         every member that has not delivered it yet. *)
-      (match Uid_map.find_opt uid g.store with
-      | Some _ -> ()
-      | None -> g.store <- Uid_map.add uid (Proto.Sab { uid; prio; body }) g.store);
-      deliver uid body)
-    (Total.drain g.total)
+let note_event t g (n : Datapath.note) =
+  let site = t.my_site in
+  match n with
+  | Datapath.Originated (mode, u) ->
+    let proto = match mode with Cbcast -> "cbcast" | Abcast -> "abcast" | Gbcast -> "gbcast" in
+    Obs_event.Originate { site; proto; group = gi g.gid; usite = u.usite; useq = u.useq }
+  | Datapath.Self_delivered u | Datapath.Delivered u ->
+    Obs_event.Deliver { site; group = gi g.gid; usite = u.usite; useq = u.useq }
+  | Datapath.Stabilized u -> Obs_event.Stabilize { site; usite = u.usite; useq = u.useq }
+  | Datapath.Stable_advance u -> Obs_event.Stable_advance { site; origin = u.usite; upto = u.useq }
+  | Datapath.Reclaimed -> Obs_event.Gc_reclaim { site; n = 1 }
+  | Datapath.Voted { voter; uid; prio } ->
+    Obs_event.Ab_vote { site; voter; usite = uid.usite; useq = uid.useq; prio }
+  | Datapath.Committed (u, prio) -> Obs_event.Ab_commit { site; usite = u.usite; useq = u.useq; prio }
 
-(* Origin-site self-delivery happens outside [drain_group] (the
-   primitive looks instantaneous to the sender); give it the same
-   [Deliver] event, but only when the site actually hosts members. *)
-let emit_local_deliver t g uid =
-  let tr = Trace.obs t.tracer in
-  if Obs_tracer.wants tr Obs_event.Proto && local_members t g <> [] then
-    Obs_tracer.emit tr
-      (Obs_event.Deliver { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq })
+let rec dp t g input = run_dp t g (Datapath.step t.dp_env g.fl g.dp input)
+
+and run_dp t g = function
+  | [] -> ()
+  | effect :: rest ->
+    (match effect with
+    | Datapath.Send (dst, frame) -> send_frame t ~dst frame
+    | Datapath.Mcast (dsts, frame) -> send_frames t frame dsts
+    | Datapath.Deliver body ->
+      let want = Option.value ~default:0 (Message.get_int body f_want) in
+      deliver_to_members t body ~want (view g).View.members
+    | Datapath.Note n ->
+      let tr = Trace.obs t.tracer in
+      if Obs_tracer.wants tr Obs_event.Proto then begin
+        match n with
+        | Datapath.Self_delivered _ when local_members t g = [] -> ()
+        | _ -> Obs_tracer.emit tr (note_event t g n)
+      end
+    | Datapath.Init_done p ->
+      if p.pending_inits > 0 then p.pending_inits <- p.pending_inits - 1;
+      maybe_wake_flushers p
+    | Datapath.Outstanding (p, uid) -> if p.palive then p.outstanding <- Uid_set.add uid p.outstanding
+    | Datapath.Settled (p, uid) ->
+      if p.palive then begin
+        p.outstanding <- Uid_set.remove uid p.outstanding;
+        maybe_wake_flushers p
+      end
+    | Datapath.Gbcast_start (uid, body) -> t.feed g (Flush.Gbcast (uid, body))
+    | Datapath.Admit -> Condition.broadcast t.admission
+    | Datapath.Rerun sends -> List.iter (fun s -> dp t g (Datapath.Multicast s)) sends);
+    run_dp t g rest

@@ -65,7 +65,15 @@ type change = {
 type wedge = { w_attempt : int; w_coord : int; w_epoch : int }
 
 (** A view-change attempt found this component below quorum: it is
-    wedged with no change in flight and probes its suspects. *)
+    wedged with no change in flight and probes its suspects.  Its
+    coordinator must not install views, since doing so on both sides of
+    a split is exactly split-brain.  Three ways out: a probe reply shows
+    a suspected site is reachable at our view (false alarm, or a heal
+    before eviction), so it is folded back in and the change reruns; a
+    reply shows the primary partition moved to a newer view without us,
+    so the copy is torn down and its members rejoin fresh through state
+    transfer; or the probes run dry and the group is assumed
+    dissolved. *)
 type minority = { m_attempt : int; m_rounds : int  (** probe rounds so far *) }
 
 type state = {

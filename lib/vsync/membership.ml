@@ -2,28 +2,17 @@
    through [Flush.step] and the effects it returns, in list order — the
    order the protocol needs them, so sends, timers and trace points keep
    their sequence.  What the core cannot see is gathered here and fed
-   back: the engines' report for a wedge ack, stored bodies, which local
+   back: the data path's wedge-ack report and stored bodies, which local
    processes live, a join validator's verdict.  The install mechanics
-   (engines, deliveries, waiters, monitors), the one [discard] of a
-   group copy, and the dispatch of every frame addressed to a group live
-   here too.
-
-   The minority side of a partition: the coordinator of a component
-   that lost its quorum must not install views, since doing so on both
-   sides of a split is exactly split-brain.  [Flush] decides instead to
-   wedge the whole component and probe the sites it suspects.  Three
-   ways out: a probe reply shows a suspected site is reachable at our
-   view (false alarm / heal before eviction) — fold it back in and
-   rerun the change; a reply shows the primary partition has moved to a
-   newer view without us — [teardown] this dead copy so local members
-   can rejoin fresh through state transfer; or the probes run dry for
-   long enough that the group is assumed dissolved. *)
+   (waiters, monitors, failure-detector subscriptions), the one
+   [discard] of a group copy, and the view check and holding of every
+   frame addressed to a group live here too.  A partition's minority
+   side is described at [Flush.minority]. *)
 
 open Types
 open State
 open Sessions
 open Delivery
-open Origination
 
 let note t g n =
   let group = gi g.gid and site = t.my_site and view_id = (view g).View.view_id in
@@ -45,54 +34,12 @@ let note t g n =
   | Flush.Minority_left ->
     trace_event t Obs_event.Partition (fun () -> Obs_event.Partition_exit { site; group; view_id })
 
-(* This site's wedge ack for the current view: what its engines hold. *)
-let wedge_ack t g ~attempt =
-  let cb_known =
-    Uid_map.fold
-      (fun uid s acc -> match s with Proto.Scb _ -> uid :: acc | Proto.Sab _ -> acc)
-      g.store []
-  in
-  let ab_store =
-    Uid_map.fold
-      (fun uid s acc ->
-        match s with
-        | Proto.Sab { prio; _ } ->
-          { Proto.ab_uid = uid; ab_prio = prio; ab_committed = true; ab_origin = uid.usite } :: acc
-        | Proto.Scb _ -> acc)
-      g.store []
-  in
-  let ab_pending =
-    List.map
-      (fun (uid, prio, committed, _has_payload) ->
-        { Proto.ab_uid = uid; ab_prio = prio; ab_committed = committed; ab_origin = uid.usite })
-      (Total.pending g.total)
-  in
-  Proto.Wedge_ack
-    {
-      group = g.gid;
-      view_id = (view g).View.view_id;
-      attempt;
-      from_site = t.my_site;
-      cb_known;
-      ab_report = ab_store @ ab_pending;
-      ab_counter = Total.counter g.total;
-      already_committed = None;
-    }
-
-let body_for t g u =
-  match Uid_map.find_opt u g.store with
-  | Some s -> Some s
-  | None -> (
-    match Total.payload_of g.total u with
-    | Some body -> Some (Proto.Sab { uid = u; prio = (0, 0); body })
-    | None ->
-      note t g (Flush.Body_missing u);
-      None)
-
-let on_fetch t ~src g ~view_id ~attempt uids =
-  let bodies = List.filter_map (fun u -> body_for t g u) uids in
-  send_frame t ~dst:src
-    (Proto.Fetch_reply { group = g.gid; view_id; attempt; from_site = t.my_site; bodies })
+(* This site's answer to a fetch: the bodies of [uids] it holds,
+   noting each it lacks. *)
+let fetch_reply t g ~view_id ~attempt uids =
+  let bodies, missing = Datapath.bodies g.dp uids in
+  List.iter (fun u -> note t g (Flush.Body_missing u)) missing;
+  Proto.Fetch_reply { group = g.gid; view_id; attempt; from_site = t.my_site; bodies }
 
 (* Discard this site's copy of [g]: release everything parked on it
    (blocked and queued sends, the owners of its unstable multicasts,
@@ -103,10 +50,7 @@ let on_fetch t ~src g ~view_id ~attempt uids =
    view pass to a local join in flight, whose copy will replay them. *)
 let discard t g =
   let gid_int = gi g.gid in
-  List.iter (fun (owner, _, _) -> init_done owner) (List.rev g.blocked_sends);
-  g.blocked_sends <- [];
-  drop_ab_queue g;
-  settle_unstables g;
+  dp t g Datapath.Discard;
   (match Hashtbl.find_opt t.joins gid_int with Some j -> j.early <- g.held | None -> ());
   g.held <- [];
   let leavers = g.leavers in
@@ -136,9 +80,7 @@ let teardown t g ~new_view_id ~verdict ~notify =
   trace_event t Obs_event.Partition (fun () ->
       Obs_event.Partition_evict
         { site = t.my_site; group = gid_int; view_id = (view g).View.view_id; new_view_id });
-  List.iter
-    (fun s -> send_frame t ~dst:s (Proto.View_probe_reply { group = g.gid; view_id = verdict }))
-    notify;
+  send_frames t (Proto.View_probe_reply { group = g.gid; view_id = verdict }) notify;
   join_fail_all t gid_int "partitioned: evicted from primary partition";
   drop_hint t ~gid_int ~site:t.my_site;
   discard t g
@@ -148,52 +90,7 @@ let send_probes t g sites =
   let view_id = (view g).View.view_id in
   trace_event t Obs_event.Partition (fun () ->
       Obs_event.Partition_probe { site = t.my_site; group = gi g.gid; view_id });
-  List.iter
-    (fun dst -> send_frame t ~dst (Proto.View_probe { group = g.gid; view_id; from_site = t.my_site }))
-    sites
-
-(* Settle the retiring view as the commit says, then deliver everything
-   it holds: the first half of an install, run on the old engines. *)
-let retire t g = function
-  | Proto.Commit { stabilize; ab_finalize; ab_drop; _ } ->
-    (* 1. Fill gaps. *)
-    List.iter
-      (fun s ->
-        match s with
-        | Proto.Scb { uid; rank; vt; body; _ } ->
-          if not (Causal.seen g.causal uid) then causal_receive g ~uid ~rank ~vt body
-        | Proto.Sab { uid; prio; body } ->
-          Total.commit g.total ~uid prio;
-          Total.add_payload g.total ~uid body)
-      stabilize;
-    List.iter (fun (uid, prio) -> Total.commit g.total ~uid prio) ab_finalize;
-    (* Only an uncommitted ABCAST can be dropped; a committed one is
-       delivered below. *)
-    let uncommitted () =
-      List.filter_map
-        (fun (u, _, committed, _) -> if committed then None else Some u)
-        (Total.pending g.total)
-    in
-    let droppable = Uid_set.of_list (uncommitted ()) in
-    List.iter (fun uid -> if Uid_set.mem uid droppable then Total.drop g.total ~uid) ab_drop;
-    (* 2. Deliver everything of the retiring view. *)
-    let old_members = local_members t g in
-    let deliver uid body =
-      trace_event t Obs_event.Proto (fun () ->
-          Obs_event.Deliver
-            { site = t.my_site; group = gi g.gid; usite = uid.usite; useq = uid.useq });
-      (* Delivery at the synchronization point is also the moment the
-         message's protocol state is discharged: report it stable so
-         per-uid timelines complete without a Stable round. *)
-      trace_event t Obs_event.Proto (fun () ->
-          Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq });
-      deliver_to_members t body ~members:old_members
-    in
-    List.iter (fun (u, b) -> deliver u b) (Causal.force_drain g.causal);
-    List.iter (fun (u, _, b) -> deliver u b) (Total.drain g.total);
-    (* Anything still uncommitted is garbage; discard. *)
-    List.iter (fun uid -> Total.drop g.total ~uid) (uncommitted ())
-  | _ -> ()
+  send_frames t (Proto.View_probe { group = g.gid; view_id; from_site = t.my_site }) sites
 
 let rec feed t g input =
   let fl, effects = Flush.step g.fl input in
@@ -202,7 +99,7 @@ let rec feed t g input =
 
 and run t g = function
   | Flush.Send (dst, frame) -> send_frame t ~dst frame
-  | Flush.Ack_wedge { dst; attempt } -> send_frame t ~dst (wedge_ack t g ~attempt)
+  | Flush.Ack_wedge { dst; attempt } -> send_frame t ~dst (Datapath.wedge_ack g.fl g.dp ~attempt)
   | Flush.Arm (delay, timer) -> after t g ~delay (fun () -> feed t g (Flush.Timer timer))
   | Flush.Note n -> note t g n
   | Flush.Refuse_join (p, reason) ->
@@ -219,31 +116,25 @@ and run t g = function
     let refused = List.filter_map (fun (p, cred) -> if valid p cred then None else Some p) joins in
     feed t g (Flush.Refused refused)
   | Flush.Fetch_local { attempt; uids } ->
-    let bodies = List.filter_map (body_for t g) uids and view_id = (view g).View.view_id in
-    feed t g
-      (Flush.Frame
-         (t.my_site, Proto.Fetch_reply { group = g.gid; view_id; attempt; from_site = t.my_site; bodies }))
+    feed t g (Flush.Frame (t.my_site, fetch_reply t g ~view_id:(view g).View.view_id ~attempt uids))
   | Flush.Commit (dests, frame) ->
     Stats.Counter.incr t.ctrs "prim.gbcast";
-    List.iter (fun dst -> send_frame t ~dst frame) dests
+    send_frames t frame dests
   | Flush.Retire frame ->
-    retire t g frame;
+    dp t g (Datapath.Retire frame);
     feed t g (Flush.Retired frame)
   | Flush.Install { retiring; commit } -> install t g ~retiring commit
   | Flush.Probe_sites sites -> send_probes t g sites
   | Flush.Teardown { new_view_id; verdict; notify } -> teardown t g ~new_view_id ~verdict ~notify
 
 (* The second half of an install: [g.fl] already holds the new view. *)
-and install t g ~retiring = function
-  | Proto.Commit { group; events; new_view; gname; gb_bodies; _ } ->
+and install t g ~retiring commit =
+  match commit with
+  | Proto.Commit { group; events; new_view; gname; _ } ->
     let old_sites = match retiring with Some v -> View.sites v | None -> [] in
     (* Every member site can answer directory queries for its groups,
        so the name outlives the creator site; an empty view frees it. *)
     dir_set t ~name:gname group (View.sites new_view);
-    (* 3. Install the view: fresh engines and store. *)
-    g.causal <- Causal.create ~n_ranks:(View.n_members new_view) ();
-    g.total <- Total.create ~site:t.my_site ();
-    g.store <- Uid_map.empty;
     let new_sites = View.sites new_view in
     let new_site_set = Int_set.of_list new_sites in
     trace_event t Obs_event.Proto (fun () ->
@@ -257,25 +148,6 @@ and install t g ~retiring = function
               Hashtbl.hash
                 (List.map (fun (m : Addr.proc) -> (m.Addr.site, m.Addr.idx)) new_view.View.members);
           });
-    (* Failure is sticky until a rejoin: record processes this change
-       removed as failed, and clear any that just (re)joined. *)
-    g.failed_procs <-
-      List.fold_left
-        (fun acc ev ->
-          match ev with
-          | View.Member_failed p -> p :: acc
-          | View.Member_joined p -> List.filter (fun q -> not (Addr.equal_proc q p)) acc
-          | View.Member_left _ -> acc)
-        g.failed_procs events;
-    (* Old-view unstable records of this group are settled by the
-       flush. *)
-    settle_unstables g;
-    (* The flush settled every outstanding ABCAST round of the old view;
-       the origination pipeline restarts empty in the new one (queued
-       sends dispatch below, before the blocked replay, which preserves
-       acceptance order). *)
-    g.ab_inflight <- 0;
-    dispatch_abcasts t g;
     (* Track membership on local procs. *)
     List.iter
       (fun ev ->
@@ -293,19 +165,10 @@ and install t g ~retiring = function
             | None -> ())
         | View.Member_joined _ -> ())
       events;
-    (* 4. Deliver user GBCASTs at the synchronization point. *)
-    List.iter
-      (fun (uid, body) ->
-        trace_event t Obs_event.Proto (fun () ->
-            Obs_event.Deliver
-              { site = t.my_site; group = gi group; usite = uid.usite; useq = uid.useq });
-        (* A GBCAST is stable the instant it commits: delivered at the
-           synchronization point, everywhere, with nothing left to
-           retransmit. *)
-        trace_event t Obs_event.Proto (fun () ->
-            Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq });
-        deliver_to_members t body ~members:(local_members t g))
-      gb_bodies;
+    (* 3. Install the view: fresh engines and store, the old view's
+       unstable records settled by the flush; 4. deliver the commit's
+       GBCASTs. *)
+    dp t g (Datapath.Install commit);
     (* 4b. Open reply collections waiting on a removed member will never
        hear from it: discount it now. *)
     List.iter
@@ -345,15 +208,12 @@ and install t g ~retiring = function
         (fun site -> Endpoint.unmonitor ep ~site)
         (Int_set.diff old_site_set new_site_set)
     end;
-    (* 7. Unwedge: rerun blocked operations in order, then replay any
-       frames that arrived for the new view early.  Re-origination goes
-       back through [origin_multicast], whose failed-sender check
-       discards sends queued by a member this very commit removed as
-       failed — replaying those would re-inject them as client relays of
-       the new view. *)
-    let blocked = List.rev g.blocked_sends in
-    g.blocked_sends <- [];
-    List.iter (fun (owner, mode, body) -> origin_multicast t g mode ~owner body) blocked;
+    (* 7. Unwedge: rerun deferred sends in order, then replay any frames
+       that arrived for the new view early.  A rerun send goes back
+       through [Datapath.fate], which drops the sends of a member this
+       very commit removed as failed — rerunning those would re-inject
+       them as client relays of the new view. *)
+    dp t g Datapath.Unblock;
     replay_held t g;
     (* 8. A group whose membership is empty dissolves. *)
     if View.n_members new_view = 0 then discard t g
@@ -371,8 +231,13 @@ and replay_held t g =
   List.iter (fun (src, f) -> handle_group_frame t ~src f) (List.rev frames)
 
 and handle_group_frame t ~src frame =
-  let with_group gid view_id k =
-    match group_of t gid with
+  let to_flush group =
+    match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ()
+  in
+  match frame with
+  | Proto.Cb_data { group; view_id; _ } | Proto.Ab_data { group; view_id; _ }
+  | Proto.Ab_prio { group; view_id; _ } | Proto.Ab_commit { group; view_id; _ } -> (
+    match group_of t group with
     | Some g ->
       let current = (view g).View.view_id in
       if view_id = current then begin
@@ -382,7 +247,7 @@ and handle_group_frame t ~src frame =
            its timestamps mean nothing against this view's clocks. *)
         if (not (Flush.wedged g.fl))
            && List.exists (fun (m : Addr.proc) -> m.Addr.site = src) (view g).View.members
-        then k g
+        then dp t g (Datapath.Frame (src, frame))
       end
       else if view_id > current then g.held <- (src, frame) :: g.held
       else if not (List.mem src (View.sites (view g))) then
@@ -392,40 +257,15 @@ and handle_group_frame t ~src frame =
            the dead lineage. *)
         send_current_view t ~dst:src g
       (* else: stale view from a member, drop (normal retransmit tail) *)
-    | None ->
+    | None -> (
       (* No state for this group: hold the frame only when a local join
          is in flight (new-view data racing its Commit here).  Without a
          joiner nothing will ever replay the buffer — e.g. a restarted
          site whose dead member is still listed in the senders' view
          would accumulate frames without bound. *)
-      match Hashtbl.find_opt t.joins (gi gid) with
+      match Hashtbl.find_opt t.joins (gi group) with
       | Some j -> j.early <- (src, frame) :: j.early
-      | None -> ()
-  in
-  let to_flush group =
-    match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ()
-  in
-  match frame with
-  | Proto.Cb_data { group; view_id; uid; rank; vt; ack; body } ->
-    with_group group view_id (fun g ->
-        (* A duplicate (retransmit, or a replay of something already
-           stabilized and GC'd) must not re-create a store copy the
-           [Stable] flow already collected. *)
-        if not (Causal.seen g.causal uid) then begin
-          g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) g.store;
-          causal_receive g ~uid ~rank ~vt body;
-          drain_group t g
-        end)
-  | Proto.Ab_data { group; view_id; uid; body } ->
-    with_group group view_id (fun g ->
-        let prio = Total.intake g.total ~uid body in
-        send_frame t ~dst:src (Proto.Ab_prio { group; view_id; uid; prio }))
-  | Proto.Ab_prio { group; view_id; uid; prio } ->
-    with_group group view_id (fun g -> on_ab_prio t g ~src uid prio)
-  | Proto.Ab_commit { group; view_id; uid; prio } ->
-    with_group group view_id (fun g ->
-        Total.commit g.total ~uid prio;
-        drain_group t g)
+      | None -> ()))
   | Proto.Join_req { group; joiner; _ } when group_of t group = None ->
     send_frame t ~dst:joiner.Addr.site
       (Proto.Join_refused { group; joiner; reason = "no such group at contact site" })
@@ -445,7 +285,9 @@ and handle_group_frame t ~src frame =
          joiner: nothing would replay them. *)
       join_resolve t (gi group) ~idx:joiner.Addr.idx (Error reason))
   | Proto.Fetch { group; view_id; attempt; uids } -> (
-    match group_of t group with Some g -> on_fetch t ~src g ~view_id ~attempt uids | None -> ())
+    match group_of t group with
+    | Some g -> send_frame t ~dst:src (fetch_reply t g ~view_id ~attempt uids)
+    | None -> ())
   | Proto.Commit { group; _ } when group_of t group = None -> (
     (* Joiner site (or rebroadcast): only meaningful if we host one of
        the new members. *)

@@ -1,6 +1,5 @@
 (* Multicast origination: the site's CPU queue and CBCAST send packing,
-   the three primitives' first step, the ABCAST origination window and
-   admission control, and the client API that feeds them ([bcast*],
+   and the client API that feeds the data path ([bcast*], admission,
    [reply]). *)
 
 open Types
@@ -50,24 +49,14 @@ let on_cpu t cost k =
 
    A run is acknowledged once: only the last CBCAST it actually
    originates carries the [ack] flag, and that one's [Deliver_ack] and
-   [Stable] cover the rest (the cumulative rule, [Delivery.covered]).
-   A held send that [fate] drops or defers originates nothing now, so
-   it never carries the flag; a send re-run from [blocked_sends] is
-   alone and carries its own.
+   [Stable] cover the rest (the cumulative rule, [Datapath.covered]).
+   A held send that [Datapath.fate] drops or defers originates nothing
+   now, so it never carries the flag; a deferred send reruns alone and
+   carries its own.
 
    Packing is off where it cannot save a receive dispatch: no
    per-packet receive cost.  Every CBCAST then carries the flag. *)
 let packing t = t.cfg.cpu_recv_us > 0
-
-(* What origination does with [body] sent into [g] now: the sends of a
-   member a past view change removed as failed are dropped, and a
-   wedged group defers the rest to the next view. *)
-type fate = Drop | Defer | Originate
-
-let fate g body =
-  match Message.sender body with
-  | Some s when List.exists (Addr.equal_proc s) g.failed_procs -> Drop
-  | Some _ | None -> if Flush.wedged g.fl then Defer else Originate
 
 let release_packed t =
   let held = t.packed in
@@ -77,7 +66,8 @@ let release_packed t =
      sends no later one in the run originates after. *)
   let _, run =
     List.fold_left
-      (fun (later, run) (g, body, k) -> (later || fate g body = Originate, (k, not later) :: run))
+      (fun (later, run) (g, body, k) ->
+        (later || Datapath.fate g.fl g.dp body = Datapath.Originate, (k, not later) :: run))
       (false, []) held
   in
   List.iter (fun (k, ack) -> k ~ack) run
@@ -102,204 +92,6 @@ let on_send_cpu t ?cbcast cost k =
           t.packed_bytes <- t.packed_bytes + bytes;
           if hold then Metrics.incr t.cb_held else release_packed t)
   end
-
-(* --- multicast origination (this site hosts a member, or is relaying
-       on behalf of a remote client) --- *)
-
-let init_done owner =
-  match owner with
-  | Some p ->
-    if p.pending_inits > 0 then p.pending_inits <- p.pending_inits - 1;
-    maybe_wake_flushers p
-  | None -> ()
-
-let mark_unstable g uid ~remote ~owner =
-  if remote <> [] then begin
-    g.unstables <-
-      Uid_map.add uid { remaining = remote; u_owner = owner; u_dests = remote } g.unstables;
-    match owner with
-    | Some p when p.palive -> p.outstanding <- Uid_set.add uid p.outstanding
-    | Some _ | None -> ()
-  end
-
-let origin_cbcast t g ~owner ~ack body =
-  let uid = fresh_uid t in
-  (* Rank used for the timestamp: the sending member if local, else the
-     oldest local member (relay). *)
-  let rank =
-    match Message.sender body with
-    | Some s when View.is_member (view g) s -> View.rank (view g) s
-    | _ -> (
-      match local_members t g with
-      | m :: _ -> View.rank (view g) m
-      | [] -> -1)
-  in
-  let vt =
-    if rank >= 0 then Some (Vsync_util.Vclock.to_list (Causal.stamp g.causal ~rank)) else None
-  in
-  let remote = remote_member_sites t g in
-  (let tr = Trace.obs t.tracer in
-   if Obs_tracer.wants tr Obs_event.Proto then
-     Obs_tracer.emit tr
-       (Obs_event.Originate
-          { site = t.my_site; proto = "cbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
-  if remote <> [] then begin
-    g.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) g.store;
-    Causal.note_sent g.causal uid;
-    mark_unstable g uid ~remote ~owner;
-    List.iter
-      (fun dst ->
-        send_frame t ~dst
-          (Proto.Cb_data
-             { group = g.gid; view_id = (view g).View.view_id; uid; rank; vt; ack; body }))
-      remote
-  end;
-  (* Self-delivery: immediate — the primitive looks instantaneous to
-     the sender, which is the heart of the asynchronous style.  A
-     purely local group is stable right here. *)
-  emit_local_deliver t g uid;
-  deliver_to_members t body ~members:(local_members t g)
-
-(* Queued ABCASTs die with the group copy; release any flusher waiting
-   on their origination. *)
-let drop_ab_queue g =
-  Queue.iter (fun (owner, _) -> init_done owner) g.ab_queue;
-  Queue.clear g.ab_queue
-
-let origin_abcast t g ~owner body =
-  let uid = fresh_uid t in
-  let remote = remote_member_sites t g in
-  (let tr = Trace.obs t.tracer in
-   if Obs_tracer.wants tr Obs_event.Proto then
-     Obs_tracer.emit tr
-       (Obs_event.Originate
-          { site = t.my_site; proto = "abcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq }));
-  let my_prio = Total.intake g.total ~uid body in
-  mark_unstable g uid ~remote ~owner;
-  if remote = [] then begin
-    Total.commit g.total ~uid my_prio;
-    drain_group t g;
-    (* Purely local group: immediately stable.  GC the stabilization
-       copy and the dedup record [drain_group] just created (no
-       [Stable] flow ever runs for a local-only round). *)
-    (let tr = Trace.obs t.tracer in
-     if Obs_tracer.wants tr Obs_event.Proto then
-       Obs_tracer.emit tr
-         (Obs_event.Stabilize { site = t.my_site; usite = uid.usite; useq = uid.useq }));
-    note_stabilized t g uid;
-    g.store <- Uid_map.remove uid g.store
-  end
-  else begin
-    g.ab_inflight <- g.ab_inflight + 1;
-    g.collects <- Uid_map.add uid { ac_expect = remote; ac_max = my_prio } g.collects;
-    List.iter
-      (fun dst ->
-        send_frame t ~dst (Proto.Ab_data { group = g.gid; view_id = (view g).View.view_id; uid; body }))
-      remote
-  end
-
-(* ABCAST origination is pipelined: a bounded window of phase-1 rounds
-   may be outstanding per group, the rest queue.  When commits complete
-   they free slots, and because a coalesced packet can complete several
-   commits in one engine event, the freed slots dispatch as a burst
-   whose Ab_data frames coalesce — under load the pipeline feeds its own
-   batching.  [init_done] (which lets [flush] proceed) runs only when
-   the multicast is actually originated, so flush semantics still cover
-   queued sends. *)
-let dispatch_abcasts t g =
-  (* Burst dispatch.  Rounds launched in the same engine event share
-     packets all the way around the protocol: their Ab_data frames
-     coalesce per destination, so each member answers the whole burst
-     with its prios in one packet (one receive interrupt here instead
-     of one per round), and the commit fan-out coalesces onto the next
-     burst's phase-1 frames.  Releasing one round per freed slot would
-     keep the pipeline perfectly smooth and nothing would ever share a
-     packet — so while the pipeline is busy, rounds launch in bursts
-     of at least half the window: a burst goes out when that many
-     slots are free and the backlog can fill them (two half-window
-     bursts then overlap, so the originator never idles waiting for a
-     round trip), or when the pipeline drains entirely. *)
-  let window = t.cfg.ab_window in
-  let free = window - g.ab_inflight in
-  let quantum = (window + 1) / 2 in
-  if
-    not (Flush.wedged g.fl)
-    && (not (Queue.is_empty g.ab_queue))
-    && (g.ab_inflight = 0 || (free >= quantum && Queue.length g.ab_queue >= quantum))
-  then begin
-    while (not (Queue.is_empty g.ab_queue)) && g.ab_inflight < window do
-      let owner, body = Queue.pop g.ab_queue in
-      origin_abcast t g ~owner body;
-      init_done owner
-    done;
-    (* Queue space freed: blocked [bcast_wait] originators may retry. *)
-    Condition.broadcast t.admission
-  end
-
-let origin_gbcast t g body =
-  let uid = fresh_uid t in
-  trace_event t Obs_event.Proto (fun () ->
-      Obs_event.Originate
-        { site = t.my_site; proto = "gbcast"; group = gi g.gid; usite = uid.usite; useq = uid.useq });
-  t.feed g (Flush.Gbcast (uid, body))
-
-let origin_multicast ?(ack = true) t g mode ~owner body =
-  match fate g body with
-  | Drop -> init_done owner
-  | Defer ->
-    (* Wedged: the group is between views; queue the operation and rerun
-       it once the new view is installed. *)
-    g.blocked_sends <- (owner, mode, body) :: g.blocked_sends
-  | Originate -> (
-    match mode with
-    | Cbcast ->
-      origin_cbcast t g ~owner ~ack body;
-      init_done owner
-    | Abcast ->
-      Queue.push (owner, body) g.ab_queue;
-      dispatch_abcasts t g
-    | Gbcast ->
-      origin_gbcast t g body;
-      init_done owner)
-
-(* A proposed priority for one of this site's rounds in [g].  Only
-   reached through [Membership.handle_group_frame], which drops frames
-   for a wedged group: the flush coordinator finalizes those rounds. *)
-let on_ab_prio t g ~src uid prio =
-  match Uid_map.find_opt uid g.collects with
-  | None -> () (* collection finished or superseded by a flush *)
-  | Some col -> (
-    (let tr = Trace.obs t.tracer in
-     if Obs_tracer.wants tr Obs_event.Proto then
-       Obs_tracer.emit tr
-         (Obs_event.Ab_vote
-            { site = t.my_site; voter = src; usite = uid.usite; useq = uid.useq; prio = fst prio }));
-    col.ac_max <- prio_max col.ac_max prio;
-    (* The proposal's sender is implicit: we just count down. *)
-    match col.ac_expect with
-    | [] -> ()
-    | _ :: _ ->
-      col.ac_expect <- List.tl col.ac_expect;
-      if col.ac_expect = [] then begin
-        g.collects <- Uid_map.remove uid g.collects;
-        g.ab_inflight <- max 0 (g.ab_inflight - 1);
-        let final = col.ac_max in
-        (let tr = Trace.obs t.tracer in
-         if Obs_tracer.wants tr Obs_event.Proto then
-           Obs_tracer.emit tr
-             (Obs_event.Ab_commit
-                { site = t.my_site; usite = uid.usite; useq = uid.useq; prio = fst final }));
-        List.iter
-          (fun dst ->
-            send_frame t ~dst
-              (Proto.Ab_commit { group = g.gid; view_id = (view g).View.view_id; uid; prio = final }))
-          (remote_member_sites t g);
-        Total.commit g.total ~uid final;
-        drain_group t g;
-        (* The freed slot (and any others freed by this same packet)
-           dispatches the next queued round(s). *)
-        dispatch_abcasts t g
-      end)
 
 (* --- the client API: bcast, admission, replies --- *)
 
@@ -342,14 +134,12 @@ let send_to_proc t p sess (q : Addr.proc) body =
 let await = function None -> Replies [] | Some s -> Ivar.read s.done_ivar
 
 (* Accept [p]'s multicast into its site's copy [g]: until the send CPU
-   queue runs the returned hand-off to [origin_multicast], the send
-   counts against [g]'s admission limit and holds off [p]'s [flush]. *)
+   queue runs the returned hand-off, the send counts against [g]'s
+   admission limit and holds off [p]'s [flush]. *)
 let accept_into p g mode body =
   p.pending_inits <- p.pending_inits + 1;
-  g.accepted <- g.accepted + 1;
-  fun ~ack ->
-    g.accepted <- g.accepted - 1;
-    origin_multicast ~ack p.rt g mode ~owner:(Some p) body
+  dp p.rt g Datapath.Accept;
+  fun ~ack -> dp p.rt g (Datapath.Hand_off { owner = Some p; mode; body; ack })
 
 let bcast p mode ~dest ~entry msg ~(want : want) =
   let t = p.rt in
@@ -377,7 +167,7 @@ let bcast p mode ~dest ~entry msg ~(want : want) =
         let hand_off = accept_into p g mode body in
         let cbcast = if mode = Cbcast then Some (g, body) else None in
         (* The wake-up follows the hand-off, so a woken sender sees the
-           send in [ab_queue] or already dispatched. *)
+           send queued for a window slot or already dispatched. *)
         on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack ->
             hand_off ~ack;
             Condition.broadcast t.admission);
@@ -400,23 +190,12 @@ type send_verdict =
   | Admitted of outcome
   | Backpressure of Addr.group_id
 
-(* A group is overloaded when its origination pipeline is saturated:
-   the multicasts of every mode accepted but not yet handed on (on the
-   send CPU queue, or ABCASTs in [ab_queue]) reach two windows.  Two
-   windows is one in flight plus one ready, so the half-window bursts
-   of [dispatch_abcasts] always find work; any more only lengthens the
-   FIFO CPU queue in front of the receptions that finish rounds and
-   acknowledge CBCASTs, until new work starves them.  The one rule
-   paces every primitive: an asynchronous CBCAST flood would otherwise
-   grow the CPU queue without bound.  Only signals — nothing here
-   blocks or drops. *)
-let group_overloaded t g = g.accepted + Queue.length g.ab_queue >= 2 * t.cfg.ab_window
-
+(* Admission only signals: nothing here blocks or drops. *)
 let overloaded_dest t dest =
   match dest with
   | Addr.Group gid -> (
     match group_of t gid with
-    | Some g when group_overloaded t g -> Some gid
+    | Some g when Datapath.overloaded t.dp_env g.dp -> Some gid
     | Some _ | None -> None)
   | Addr.Proc _ -> None
 

@@ -1,12 +1,14 @@
 (* The per-site protocols process: frame dispatch, construction and
-   site lifecycle, processes, and the client API.  The protocol work is
-   split across private modules, each using only those before it:
-   [State] (records and helpers), [Sessions] (reply collection),
-   [Delivery] (local delivery and stability), [Origination] (CPU queue,
-   packing, the primitives' first step, admission) and [Membership]
-   (routing, the flush, discarding a copy, site up/down, group
-   frames).  The one call that goes back up the
-   stack, [State.t.feed], is set here to [Membership.feed]. *)
+   site lifecycle, processes, and the client API.  The protocol
+   decisions are two cores with no I/O, [Flush] (the view change) and
+   [Datapath] (the data path), run by private modules, each using only
+   those before it: [State] (records and helpers), [Sessions] (reply
+   collection), [Delivery] (local delivery and the data path's
+   interpreter), [Origination] (CPU queue, packing, the client send
+   API, admission) and [Membership] (the flush's interpreter,
+   discarding a copy, site up/down, group frames).  The one call that
+   goes back up the stack, [State.t.feed], is set here to
+   [Membership.feed]. *)
 
 open Types
 include State
@@ -92,7 +94,7 @@ let handle_frame t ~src frame =
           send_frame t ~dst:caller.Addr.site
             (Proto.Relay_info { session = sid; responders = (view g).View.members })
         | None -> ());
-        origin_multicast t g mode ~owner:None body
+        dp t g (Datapath.Multicast { owner = None; mode; body; ack = true })
       | None -> (
         (* Stale contact: report an empty responder set so the caller
            fails fast and can retry after a fresh lookup. *)
@@ -106,8 +108,8 @@ let handle_frame t ~src frame =
         if responders = [] then Sessions.close_session t sess All_failed
         else Sessions.note_responders t sess responders
       | None -> ())
-    | Proto.Deliver_ack { group; uid } -> on_deliver_ack t ~src group uid
-    | Proto.Stable { group; uid } -> on_stable t group uid
+    | Proto.Deliver_ack { group; _ } | Proto.Stable { group; _ } -> (
+      match group_of t group with Some g -> dp t g (Datapath.Frame (src, frame)) | None -> ())
     | Proto.Cb_data _ | Proto.Ab_data _ | Proto.Ab_prio _ | Proto.Ab_commit _
     | Proto.Join_req _ | Proto.Join_refused _ | Proto.Leave_req _ | Proto.Proc_failed _
     | Proto.Gb_req _ | Proto.Wedge _ | Proto.Wedge_ack _ | Proto.Fetch _
@@ -155,7 +157,7 @@ let wire_endpoint t =
 (* Gauges for leak tests: all three drain to zero once traffic
    quiesces. *)
 let pending_unstable t =
-  Hashtbl.fold (fun _ g acc -> acc + Uid_map.cardinal g.unstables) t.groups 0
+  Hashtbl.fold (fun _ g acc -> acc + Datapath.unstable g.dp) t.groups 0
 
 (* Frames held for a view a copy has not installed, and for a group a
    local join is still waiting to receive. *)
@@ -166,12 +168,10 @@ let pending_held_frames t =
 let pending_sessions t = Hashtbl.length t.sessions
 
 let pending_store t =
-  Hashtbl.fold (fun _ g acc -> acc + Uid_map.cardinal g.store) t.groups 0
+  Hashtbl.fold (fun _ g acc -> acc + Datapath.stored g.dp) t.groups 0
 
 let dedup_residue t =
-  Hashtbl.fold
-    (fun _ g acc -> acc + Causal.dedup_residue g.causal + Total.dedup_residue g.total)
-    t.groups 0
+  Hashtbl.fold (fun _ g acc -> acc + Datapath.dedup_residue g.dp) t.groups 0
 
 (* The hygiene gauges live in the registry under stable names, so
    consumers (oracle checks, bench artifacts) sample by name instead of
@@ -186,9 +186,9 @@ let register_metrics t =
   Metrics.gauge m "runtime.pending_store" (fun () -> pending_store t);
   Metrics.gauge m "runtime.dedup_residue" (fun () -> dedup_residue t);
   Metrics.gauge m "runtime.cpu_busy_us" (fun () -> t.cpu_busy);
-  Metrics.gauge m "runtime.accepted" (fun () -> sum (fun g -> g.accepted));
-  Metrics.gauge m "runtime.ab_queue" (fun () -> sum (fun g -> Queue.length g.ab_queue));
-  Metrics.gauge m "runtime.ab_inflight" (fun () -> sum (fun g -> g.ab_inflight));
+  Metrics.gauge m "runtime.accepted" (fun () -> sum (fun g -> Datapath.accepted g.dp));
+  Metrics.gauge m "runtime.ab_queue" (fun () -> sum (fun g -> Datapath.queued g.dp));
+  Metrics.gauge m "runtime.ab_inflight" (fun () -> sum (fun g -> Datapath.inflight g.dp));
   Metrics.gauge m "transport.inflight" (fun () -> Endpoint.inflight (endpoint t));
   Metrics.gauge m "transport.sendq_depth" (fun () -> Endpoint.sendq_depth (endpoint t));
   Metrics.gauge m "transport.recv_pending" (fun () -> Endpoint.recv_pending (endpoint t));
@@ -198,6 +198,15 @@ let register_metrics t =
   Metrics.gauge m "transport.retransmits" (fun () -> Endpoint.retransmits (endpoint t));
   Metrics.gauge m "transport.channel_failures" (fun () ->
       Endpoint.channel_failures (endpoint t))
+
+(* Site [site]'s uids, in order.  It outlives a crash, so a restarted
+   site never reuses one. *)
+let uid_counter site =
+  let next = ref 0 in
+  fun () ->
+    let u = { usite = site; useq = !next } in
+    incr next;
+    u
 
 let create ?(config = default_config) fab ~site ~trace () =
   (* A window below one slot would park every ABCAST in [ab_queue]
@@ -213,11 +222,16 @@ let create ?(config = default_config) fab ~site ~trace () =
       tracer = trace;
       ep = None;
       feed = (fun _ _ -> ());
+      dp_env =
+        {
+          Datapath.window = config.ab_window;
+          fresh = uid_counter site;
+          traced = (fun () -> Obs_tracer.wants (Trace.obs trace) Obs_event.Proto);
+        };
       ctrs = Stats.Counter.create ();
       metrics;
       running = true;
       next_proc_idx = 0;
-      next_useq = 0;
       next_session = 0;
       next_qid = 0;
       procs = Hashtbl.create 16;
@@ -344,8 +358,7 @@ let pg_create p name =
   let t = p.rt in
   Stats.Counter.incr t.ctrs "prim.local_rpc";
   if Hashtbl.mem t.names name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
-  let gid = Addr.group_of_int ((t.my_site lsl 20) lor t.next_useq) in
-  t.next_useq <- t.next_useq + 1;
+  let gid = Addr.group_of_int ((t.my_site lsl 20) lor (t.dp_env.fresh ()).useq) in
   let g = make_group ~gid (flush_state t ~gname:name (View.initial gid p.addr)) in
   Hashtbl.replace t.groups (gi gid) g;
   dir_set t ~name gid [ t.my_site ];
@@ -440,7 +453,7 @@ let pg_kill p gid =
     let body = Message.create () in
     Message.set_sender body p.addr;
     Message.set_bool body f_pg_kill true;
-    origin_multicast t g Abcast ~owner:None body
+    dp t g (Datapath.Multicast { owner = None; mode = Abcast; body; ack = true })
 
 let bcast = bcast
 let bcast_multi = bcast_multi

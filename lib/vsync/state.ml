@@ -78,33 +78,11 @@ and group = {
   mutable fl : Flush.state;
       (* the view and the flush's protocol state: written only by
          [Membership.feed], from [Flush.step] *)
-  mutable causal : Message.t Causal.t;
-  mutable total : Message.t Total.t;
-  mutable store : Proto.stored Uid_map.t;
-  mutable blocked_sends : (proc option * mode * Message.t) list; (* newest first *)
-  ab_queue : (proc option * Message.t) Queue.t;
-      (* ABCASTs accepted for origination but waiting for a pipeline
-         slot: at most [ab_window] phase-1 rounds originated here may be
-         outstanding at once *)
-  mutable accepted : int;
-      (* multicasts of any mode [bcast] accepted that are still on the
-         send CPU queue, not yet handed to [origin_multicast]; with
-         [ab_queue] this is the backlog admission control bounds *)
-  mutable ab_inflight : int;
+  dp : proc Datapath.state;
+      (* the data path's state: updated only by [Datapath.step], which
+         [Delivery.dp] runs *)
   mutable g_monitors : (proc * (View.t -> View.change list -> unit)) list;
   mutable join_validator : (proc * (Addr.proc -> Message.t -> bool)) option;
-  mutable failed_procs : Addr.proc list;
-      (* processes a past view change removed as FAILED.  Failures are
-         clean: nothing further from them may be delivered — a falsely
-         suspected process is still alive and will keep multicasting
-         (directly or through the client relay), so origination rejects
-         its messages until a rejoin clears it *)
-  mutable unstables : unstable Uid_map.t;
-      (* multicasts this site originated in the current view that some
-         remote member has not acknowledged yet *)
-  mutable collects : ab_collect Uid_map.t;
-      (* ABCAST rounds this site originated in the current view that are
-         still collecting proposed priorities *)
   mutable held : (int * Proto.frame) list;
       (* (src, frame) for a view this copy has not installed yet, newest
          first *)
@@ -132,17 +110,6 @@ and session_state = {
   mutable mon_sites : int list;
 }
 
-and unstable = {
-  mutable remaining : int list;
-  u_owner : proc option;
-  u_dests : int list;
-}
-
-and ab_collect = {
-  mutable ac_expect : int list; (* sites still to propose *)
-  mutable ac_max : prio;
-}
-
 and t = {
   fab : fabric;
   my_site : int;
@@ -152,14 +119,16 @@ and t = {
   mutable ep : Proto.frame Endpoint.t option; (* set right after create *)
   mutable feed : group -> Flush.input -> unit;
       (* the one call that goes up the module stack: a local process
-         kill (delivery) and a GBCAST (origination) hand their event to
+         kill and a GBCAST (both run in delivery) hand their event to
          the flush through it.  [Runtime.create] sets it to
          [Membership.feed]. *)
+  dp_env : Datapath.env;
+      (* the ABCAST window, and the site's uid counter, which group ids
+         share *)
   ctrs : Stats.Counter.t;
   metrics : Metrics.t;
   mutable running : bool;
   mutable next_proc_idx : int;
-  mutable next_useq : int;
   mutable next_session : int;
   mutable next_qid : int;
   procs : (int, proc) Hashtbl.t;
@@ -207,10 +176,10 @@ let cpu_busy_us t = t.cpu_busy
 
 (* Emit one typed event of class [cls].  [mk] is forced only when some
    listener wants the class.  Without flambda the thunk itself is a
-   heap closure, so per-message hot paths (originate, deliver, ack,
-   stabilize) inline the guard instead; this helper serves the cold
-   paths (view changes, GC, errors, site status) where a closure per
-   call is irrelevant. *)
+   heap closure, so the per-message data path (originate, deliver,
+   vote, stabilize) goes through the guard of its interpreter's one
+   [Note] arm instead; this helper serves the cold paths (view changes,
+   errors, site status) where a closure per call is irrelevant. *)
 let trace_event t cls mk =
   let tr = Trace.obs t.tracer in
   if Obs_tracer.wants tr cls then Obs_tracer.emit tr (mk ())
@@ -332,10 +301,12 @@ let send_frame t ~dst frame =
     Endpoint.send (endpoint t) ~dst frame
   end
 
-let fresh_uid t =
-  let u = { usite = t.my_site; useq = t.next_useq } in
-  t.next_useq <- t.next_useq + 1;
-  u
+(* The same frame to each of [dsts], in order. *)
+let rec send_frames t frame = function
+  | [] -> ()
+  | dst :: rest ->
+    send_frame t ~dst frame;
+    send_frames t frame rest
 
 let fresh_session t =
   let s = t.next_session in
@@ -371,9 +342,6 @@ let local_members t g = View.members_at_site (view g) t.my_site
 
 let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 
-let remote_member_sites t g =
-  List.filter (fun s -> s <> t.my_site) (View.sites (view g))
-
 (* Tell [dst] which view of [g] is current: a sender still working in
    a dead lineage takes its partition-eviction path and rejoins. *)
 let send_current_view t ~dst g =
@@ -387,18 +355,9 @@ let make_group ~gid fl =
   {
     gid;
     fl;
-    causal = Causal.create ~n_ranks:(View.n_members fl.Flush.view) ();
-    total = Total.create ~site:fl.Flush.me ();
-    store = Uid_map.empty;
-    blocked_sends = [];
-    ab_queue = Queue.create ();
-    accepted = 0;
-    ab_inflight = 0;
+    dp = Datapath.create fl;
     g_monitors = [];
     join_validator = None;
-    failed_procs = [];
-    unstables = Uid_map.empty;
-    collects = Uid_map.empty;
     held = [];
     leavers = [];
   }
@@ -419,19 +378,3 @@ let after t g ~delay k =
 
 let maybe_wake_flushers p =
   if p.pending_inits = 0 && Uid_set.is_empty p.outstanding then Condition.broadcast p.flushers
-
-(* The group's unstable records are settled wholesale (a flush
-   installed, or the copy died): forget them and its open ABCAST
-   collections, and release the owners' [flush] waiters. *)
-let settle_unstables g =
-  let settled = g.unstables in
-  g.unstables <- Uid_map.empty;
-  g.collects <- Uid_map.empty;
-  Uid_map.iter
-    (fun uid (u : unstable) ->
-      match u.u_owner with
-      | Some p when p.palive ->
-        p.outstanding <- Uid_set.remove uid p.outstanding;
-        maybe_wake_flushers p
-      | Some _ | None -> ())
-    settled

@@ -33,9 +33,13 @@ let oldest t =
   | [] -> invalid_arg "View.oldest: empty view"
   | m :: _ -> m
 
+(* Members usually join in site order, and the data path asks for the
+   sites on every origination: skip the sort when it would change
+   nothing. *)
 let sites t =
-  List.map (fun (p : Addr.proc) -> p.Addr.site) t.members
-  |> List.sort_uniq compare
+  let l = List.map (fun (p : Addr.proc) -> p.Addr.site) t.members in
+  let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | [ _ ] | [] -> true in
+  if ascending l then l else List.sort_uniq compare l
 
 let members_at_site t s = List.filter (fun (p : Addr.proc) -> p.Addr.site = s) t.members
 

@@ -79,4 +79,5 @@ let () =
       ("flowctl", Test_flowctl.suite);
       ("packing", Test_packing.suite);
       ("flush", Test_flush.suite);
+      ("datapath", Test_datapath.suite);
     ]
