@@ -43,8 +43,19 @@ type 'o input =
   | Discard
 
 (* A multicast this site originated in the current view that some
-   remote member has not acknowledged yet. *)
-type 'o unstable = { mutable remaining : int list; u_owner : 'o option; u_dests : int list }
+   remote member has not acknowledged yet, with its [ack] flag: an
+   ABCAST reaches the origin's store only once delivered there, and a
+   member's [Deliver_ack] can come first. *)
+type 'o unstable = {
+  mutable remaining : int list;
+  u_owner : 'o option;
+  u_dests : int list;
+  u_ack : bool;
+}
+
+(* An ABCAST as the ordering engine buffers it: the body and the [ack]
+   flag of its [Ab_data]. *)
+type ab = { ab_body : Message.t; ab_ack : bool }
 
 (* An ABCAST round this site originated that is still collecting
    proposed priorities. *)
@@ -52,7 +63,7 @@ type collect = { mutable expect : int list; mutable best : prio }
 
 type 'o state = {
   mutable causal : Message.t Causal.t;
-  mutable total : Message.t Total.t;
+  mutable total : ab Total.t;
   mutable store : Proto.stored Uid_map.t;
   mutable unstables : 'o unstable Uid_map.t;
   mutable collects : collect Uid_map.t;
@@ -106,37 +117,43 @@ let reclaim env st uid acc =
   in
   if reclaimed && env.traced () then Note Reclaimed :: acc else acc
 
-(* Whether [uid] is acknowledged on its own: its delivery owes the
-   origin a [Deliver_ack], and its stability owes the destinations a
-   [Stable].  Every ABCAST is; a CBCAST only when its frame carried the
-   [ack] flag, which a packed run sets on its last CBCAST alone. *)
-let acked st uid =
+(* Acknowledgement is cumulative, one rule for both engines.  Every
+   multicast carries an [ack] flag, clear on all but the last CBCAST of
+   a packed run and the last round of an ABCAST burst, whose uids are
+   consecutive.  Only a flagged uid is acknowledged on its own: its
+   delivery owes the origin a [Deliver_ack], and its stability owes the
+   destinations a [Stable].  Either frame for a flagged uid settles it
+   and the consecutive unflagged uids below it from its origin.  A
+   site delivers its origin's multicasts of one view in useq order
+   within each engine (DESIGN.md §4.7), so those were delivered first,
+   and the runs and bursts below were settled first, each by its own
+   flagged uid.  The origin reads the flags off its unstable records,
+   every other site off its store copies. *)
+let stored_unflagged st uid =
   match Uid_map.find_opt uid st.store with
-  | Some (Proto.Scb { ack; _ }) -> ack
-  | Some (Proto.Sab _) | None -> true
+  | Some (Proto.Scb { ack; _ } | Proto.Sab { ack; _ }) -> not ack
+  | None -> false
+
+let unstable_unflagged st uid =
+  match Uid_map.find_opt uid st.unstables with Some u -> not u.u_ack | None -> false
+
+let acked st uid = not (stored_unflagged st uid)
 
 (* The uids a [Deliver_ack] or [Stable] for [uid] settles, oldest
-   first.  For a CBCAST: [uid] and the unflagged CBCASTs of its packed
-   run, stored right below it.  A site's CBCASTs are delivered, and
-   acknowledged, in useq order (DESIGN.md §4.7), so the runs below were
-   settled first, each by its own flagged CBCAST.  An ABCAST settles
-   only itself. *)
-let covered st uid =
+   first. *)
+let covered unflagged st uid =
   let rec run acc u =
-    match Uid_map.find_last_opt (fun v -> uid_compare v u < 0) st.store with
-    | Some (v, Proto.Scb { ack = false; _ }) when v.usite = uid.usite -> run (v :: acc) v
-    | Some _ | None -> acc
+    let v = { u with useq = u.useq - 1 } in
+    if unflagged st v then run (v :: acc) v else acc
   in
-  match Uid_map.find_opt uid st.store with
-  | Some (Proto.Scb _) -> run [ uid ] uid
-  | Some (Proto.Sab _) | None -> [ uid ]
+  run [ uid ] uid
 
 let check_stable env fl st uid u acc =
   if u.remaining <> [] then acc
   else begin
     st.unstables <- Uid_map.remove uid st.unstables;
     let acc = if env.traced () then Note (Stabilized uid) :: acc else acc in
-    let acc = if acked st uid then Mcast (u.u_dests, Proto.Stable { group = gid fl; uid }) :: acc else acc in
+    let acc = if u.u_ack then Mcast (u.u_dests, Proto.Stable { group = gid fl; uid }) :: acc else acc in
     let acc = reclaim env st uid acc in
     st.store <- Uid_map.remove uid st.store;
     settled u.u_owner uid acc
@@ -150,7 +167,7 @@ let on_deliver_ack env fl st ~src uid acc =
       | Some u ->
         u.remaining <- List.filter (fun s -> s <> src) u.remaining;
         check_stable env fl st uid u acc)
-    acc (covered st uid)
+    acc (covered unstable_unflagged st uid)
 
 let on_stable env st uid acc =
   let traced = env.traced () in
@@ -161,7 +178,7 @@ let on_stable env st uid acc =
       st.store <- Uid_map.remove u st.store;
       acc)
     (if traced then Note (Stable_advance uid) :: Note (Stabilized uid) :: acc else acc)
-    (covered st uid)
+    (covered stored_unflagged st uid)
 
 (* The unstable records are settled wholesale (a view installed, or the
    copy goes): forget them and the open collections. *)
@@ -194,18 +211,19 @@ let deliver env fl st uid body acc =
 let drain env fl st acc =
   let acc = List.fold_left (fun acc (uid, body) -> deliver env fl st uid body acc) acc (Causal.drain st.causal) in
   List.fold_left
-    (fun acc (uid, prio, body) ->
+    (fun acc (uid, prio, { ab_body = body; ab_ack = ack }) ->
       if not (Uid_map.mem uid st.store) then
-        st.store <- Uid_map.add uid (Proto.Sab { uid; prio; body }) st.store;
+        st.store <- Uid_map.add uid (Proto.Sab { uid; prio; ack; body }) st.store;
       deliver env fl st uid body acc)
     acc (Total.drain st.total)
 
 (* --- origination --- *)
 
-let mark_unstable st uid ~remote ~owner acc =
+let mark_unstable st uid ~remote ~owner ~ack acc =
   if remote = [] then acc
   else begin
-    st.unstables <- Uid_map.add uid { remaining = remote; u_owner = owner; u_dests = remote } st.unstables;
+    st.unstables <-
+      Uid_map.add uid { remaining = remote; u_owner = owner; u_dests = remote; u_ack = ack } st.unstables;
     match owner with Some p -> Outstanding (p, uid) :: acc | None -> acc
   end
 
@@ -230,7 +248,7 @@ let origin_cbcast env fl st ~owner ~ack body acc =
     else begin
       st.store <- Uid_map.add uid (Proto.Scb { uid; rank; vt; ack; body }) st.store;
       Causal.note_sent st.causal uid;
-      let acc = mark_unstable st uid ~remote ~owner acc in
+      let acc = mark_unstable st uid ~remote ~owner ~ack acc in
       Mcast (remote, Proto.Cb_data { group = gid fl; view_id = view_id fl; uid; rank; vt; ack; body })
       :: acc
     end
@@ -238,12 +256,12 @@ let origin_cbcast env fl st ~owner ~ack body acc =
   Deliver body :: (if env.traced () then Note (Self_delivered uid) :: acc else acc)
 
 (* A purely local round commits and stabilizes on the spot. *)
-let origin_abcast env fl st ~owner body acc =
+let origin_abcast env fl st ~owner ~ack body acc =
   let uid = env.fresh () in
   let remote = remote_sites fl in
   let acc = if env.traced () then Note (Originated (Abcast, uid)) :: acc else acc in
-  let my_prio = Total.intake st.total ~uid body in
-  let acc = mark_unstable st uid ~remote ~owner acc in
+  let my_prio = Total.intake st.total ~uid { ab_body = body; ab_ack = ack } in
+  let acc = mark_unstable st uid ~remote ~owner ~ack acc in
   if remote = [] then begin
     Total.commit st.total ~uid my_prio;
     let acc = drain env fl st acc in
@@ -254,7 +272,7 @@ let origin_abcast env fl st ~owner body acc =
   else begin
     st.ab_inflight <- st.ab_inflight + 1;
     st.collects <- Uid_map.add uid { expect = remote; best = my_prio } st.collects;
-    Mcast (remote, Proto.Ab_data { group = gid fl; view_id = view_id fl; uid; body }) :: acc
+    Mcast (remote, Proto.Ab_data { group = gid fl; view_id = view_id fl; uid; ack; body }) :: acc
   end
 
 (* At most [window] ABCAST rounds collect votes at once; the rest queue.
@@ -264,7 +282,10 @@ let origin_abcast env fl st ~owner body acc =
    backlog can fill it (two half-window bursts overlap, and the
    originator never idles for a round trip); an empty pipeline
    dispatches at once.  An owner's send is done when its round leaves,
-   so [flush] still covers queued sends. *)
+   so [flush] still covers queued sends.  The burst's uids are
+   consecutive, and only its last round carries the [ack] flag, so it
+   costs one [Deliver_ack] per member and one [Stable] per destination;
+   a burst of one keeps its own pair. *)
 let dispatch env fl st acc =
   let window = env.window and queued = Queue.length st.ab_queue in
   let quantum = (window + 1) / 2 in
@@ -277,7 +298,9 @@ let dispatch env fl st acc =
       if st.ab_inflight >= window then acc
       else
         match Queue.take_opt st.ab_queue with
-        | Some (owner, body) -> go (init_done owner (origin_abcast env fl st ~owner body acc))
+        | Some (owner, body) ->
+          let ack = st.ab_inflight + 1 >= window || Queue.is_empty st.ab_queue in
+          go (init_done owner (origin_abcast env fl st ~owner ~ack body acc))
         | None -> acc
     in
     Admit :: go acc
@@ -335,8 +358,8 @@ let on_frame env fl st ~src frame acc =
       causal_receive st ~uid ~rank ~vt body;
       drain env fl st acc
     end
-  | Proto.Ab_data { group; view_id; uid; body } ->
-    let prio = Total.intake st.total ~uid body in
+  | Proto.Ab_data { group; view_id; uid; ack; body } ->
+    let prio = Total.intake st.total ~uid { ab_body = body; ab_ack = ack } in
     Send (src, Proto.Ab_prio { group; view_id; uid; prio }) :: acc
   | Proto.Ab_prio { uid; prio; _ } -> on_ab_prio env fl st ~src uid prio acc
   | Proto.Ab_commit { uid; prio; _ } ->
@@ -361,9 +384,9 @@ let retire env st = function
       (function
         | Proto.Scb { uid; rank; vt; body; _ } ->
           if not (Causal.seen st.causal uid) then causal_receive st ~uid ~rank ~vt body
-        | Proto.Sab { uid; prio; body } ->
+        | Proto.Sab { uid; prio; ack; body } ->
           Total.commit st.total ~uid prio;
-          Total.add_payload st.total ~uid body)
+          Total.add_payload st.total ~uid { ab_body = body; ab_ack = ack })
       stabilize;
     List.iter (fun (uid, prio) -> Total.commit st.total ~uid prio) ab_finalize;
     (* Only an uncommitted ABCAST can be dropped; a committed one is
@@ -374,7 +397,7 @@ let retire env st = function
     let droppable = Uid_set.of_list (uncommitted ()) in
     List.iter (fun uid -> if Uid_set.mem uid droppable then Total.drop st.total ~uid) ab_drop;
     let acc = List.fold_left (fun acc (u, b) -> discharge env acc u b) [] (Causal.force_drain st.causal) in
-    let acc = List.fold_left (fun acc (u, _, b) -> discharge env acc u b) acc (Total.drain st.total) in
+    let acc = List.fold_left (fun acc (u, _, a) -> discharge env acc u a.ab_body) acc (Total.drain st.total) in
     (* Anything still uncommitted is garbage. *)
     List.iter (fun uid -> Total.drop st.total ~uid) (uncommitted ());
     acc
@@ -464,7 +487,7 @@ let bodies st uids =
       | Some s -> Either.Left s
       | None -> (
         match Total.payload_of st.total u with
-        | Some body -> Either.Left (Proto.Sab { uid = u; prio = (0, 0); body })
+        | Some { ab_body = body; ab_ack = ack } -> Either.Left (Proto.Sab { uid = u; prio = (0, 0); ack; body })
         | None -> Either.Right u))
     uids
 

@@ -8,6 +8,12 @@
     watermarks), the retiring view's gap fill and final delivery, and
     the reset a view install makes.
 
+    Acknowledgement is cumulative for both engines: only the last
+    CBCAST of a packed run and the last round of an ABCAST burst (the
+    rounds one dispatch launches) carry the [ack] flag, and a
+    [Deliver_ack] or [Stable] for a flagged uid settles it and the
+    consecutive unflagged uids below it from its origin.
+
     [step] does no I/O: it takes a state and an input, updates the
     state, and returns the effects to run, in order.  The runtime's interpreter runs
     them (frames, local delivery, the owners' [flush] bookkeeping,
@@ -37,7 +43,8 @@ type 'o send = {
   body : Message.t;
   ack : bool;
       (** a CBCAST's own acknowledgement: clear on every CBCAST of a
-          packed run but the last it originates *)
+          packed run but the last it originates.  An ABCAST's flag is
+          set when its round is dispatched, so this one is unused. *)
 }
 
 (** What the core needs from the site. *)

@@ -141,14 +141,24 @@ let note_event t g (n : Datapath.note) =
     Obs_event.Ab_vote { site; voter; usite = uid.usite; useq = uid.useq; prio }
   | Datapath.Committed (u, prio) -> Obs_event.Ab_commit { site; usite = u.usite; useq = u.useq; prio }
 
+(* [runtime.stability_frames]: a frame sent to [n] sites counts [n]. *)
+let count_stability t frame n =
+  match frame with
+  | Proto.Deliver_ack _ | Proto.Stable _ -> Metrics.add t.stability_frames n
+  | _ -> ()
+
 let rec dp t g input = run_dp t g (Datapath.step t.dp_env g.fl g.dp input)
 
 and run_dp t g = function
   | [] -> ()
   | effect :: rest ->
     (match effect with
-    | Datapath.Send (dst, frame) -> send_frame t ~dst frame
-    | Datapath.Mcast (dsts, frame) -> send_frames t frame dsts
+    | Datapath.Send (dst, frame) ->
+      count_stability t frame 1;
+      send_frame t ~dst frame
+    | Datapath.Mcast (dsts, frame) ->
+      count_stability t frame (List.length dsts);
+      send_frames t frame dsts
     | Datapath.Deliver body ->
       let want = Option.value ~default:0 (Message.get_int body f_want) in
       deliver_to_members t body ~want (view g).View.members

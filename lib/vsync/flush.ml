@@ -440,7 +440,7 @@ let build_commit st c res fetched ~refused =
     List.filter_map
       (fun (u, prio) ->
         match lookup u with
-        | Some (Proto.Sab { uid; body; _ }) -> Some (Proto.Sab { uid; prio; body })
+        | Some (Proto.Sab s) -> Some (Proto.Sab { s with prio })
         | Some (Proto.Scb _) | None -> None)
       res.r_ab_missing
   in

@@ -4,7 +4,7 @@ module Message = Vsync_msg.Message
 
 type stored =
   | Scb of { uid : uid; rank : int; vt : int list option; ack : bool; body : Message.t }
-  | Sab of { uid : uid; prio : prio; body : Message.t }
+  | Sab of { uid : uid; prio : prio; ack : bool; body : Message.t }
 
 let stored_uid = function Scb { uid; _ } -> uid | Sab { uid; _ } -> uid
 
@@ -25,7 +25,7 @@ type frame =
       ack : bool;
       body : Message.t;
     }
-  | Ab_data of { group : Addr.group_id; view_id : int; uid : uid; body : Message.t }
+  | Ab_data of { group : Addr.group_id; view_id : int; uid : uid; ack : bool; body : Message.t }
   | Ab_prio of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Ab_commit of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Deliver_ack of { group : Addr.group_id; uid : uid }
@@ -125,7 +125,9 @@ type frame =
 
 (* Size model: a fixed frame header plus the natural encoded widths of
    each component.  Application payloads use their true encoded size.
-   A CBCAST's [ack] flag rides in a spare bit of its rank word. *)
+   A CBCAST's [ack] flag rides in a spare bit of its rank word, an
+   ABCAST's in one of its uid's sequence word, and a stored ABCAST's in
+   one of its priority. *)
 
 let header = 16
 let sz_uid = 12

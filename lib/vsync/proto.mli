@@ -22,8 +22,9 @@ type stored =
   | Scb of { uid : uid; rank : int; vt : int list option; ack : bool; body : Message.t }
       (** a CBCAST: sender rank, timestamp ([None] for client-FIFO) and
           the [ack] flag of its [Cb_data]. *)
-  | Sab of { uid : uid; prio : prio; body : Message.t }
-      (** an ABCAST with its final priority. *)
+  | Sab of { uid : uid; prio : prio; ack : bool; body : Message.t }
+      (** an ABCAST with its final priority and the [ack] flag of its
+          [Ab_data]. *)
 
 val stored_uid : stored -> uid
 
@@ -49,17 +50,27 @@ type frame =
               one's acknowledgement and [Stable] cover the whole run. *)
       body : Message.t;
     }
-  | Ab_data of { group : Addr.group_id; view_id : int; uid : uid; body : Message.t }
+  | Ab_data of {
+      group : Addr.group_id;
+      view_id : int;
+      uid : uid;
+      ack : bool;
+          (** as [Cb_data]'s.  Clear on every round of an origination
+              burst but the last it launches. *)
+      body : Message.t;
+    }
   | Ab_prio of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Ab_commit of { group : Addr.group_id; view_id : int; uid : uid; prio : prio }
   | Deliver_ack of { group : Addr.group_id; uid : uid }
       (** destination site → origin site: delivered to all local
-          members.  For a CBCAST it settles [uid] and the unflagged
-          CBCASTs of its packed run stored right below it; earlier
-          runs were settled by their own flagged CBCAST. *)
+          members.  Sent only for a flagged [uid], it settles [uid] and
+          the consecutive unflagged uids below it from the same origin:
+          the rest of its packed CBCAST run or ABCAST burst.  Earlier
+          runs and bursts were settled by their own flagged uid. *)
   | Stable of { group : Addr.group_id; uid : uid }
       (** origin site → destination sites: everyone delivered; GC.
-          For a CBCAST it settles the same run as [Deliver_ack]. *)
+          Sent only for a flagged [uid], it settles the same uids as
+          [Deliver_ack]. *)
   (* --- point-to-point (replies, direct sends) --- *)
   | Ptp of { dest : Addr.proc; body : Message.t }
   | Obligation_failed of { session : int; responder : Addr.proc }

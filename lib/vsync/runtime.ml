@@ -250,6 +250,7 @@ let create ?(config = default_config) fab ~site ~trace () =
       packed = [];
       packed_bytes = 0;
       cb_held = Metrics.counter metrics "runtime.cb_held";
+      stability_frames = Metrics.counter metrics "runtime.stability_frames";
     }
   in
   t.feed <- feed t;

@@ -93,9 +93,10 @@ val trace : t -> Vsync_sim.Trace.t
     gauges ([runtime.pending_unstable], [runtime.pending_store],
     [runtime.dedup_residue], …), the transport wire accounting
     ([transport.inflight], [transport.retransmits], …), sampled live by
-    name, and the counter [runtime.cb_held]: CBCAST originations held
+    name, and two counters: [runtime.cb_held], CBCAST originations held
     so that a run of queued CBCASTs into one group leaves in shared
-    packets. *)
+    packets, and [runtime.stability_frames], the [Deliver_ack] and
+    [Stable] frames the site sent, one per destination. *)
 val metrics : t -> Vsync_obs.Metrics.t
 
 (** [cpu_busy_us t] is accumulated CPU busy time (for the load figures

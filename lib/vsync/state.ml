@@ -156,6 +156,8 @@ and t = {
          the copy, the body, and the hand-off that originates it *)
   mutable packed_bytes : int;
   cb_held : Metrics.counter;
+  stability_frames : Metrics.counter;
+      (* [Deliver_ack] and [Stable] frames sent, one per destination *)
 }
 
 and fabric = {

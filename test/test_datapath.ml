@@ -38,10 +38,18 @@ let ab_data = List.filter_map (function Datapath.Mcast (_, Proto.Ab_data { uid; 
 let commits = List.filter_map (function Datapath.Mcast (d, Proto.Ab_commit _) -> Some d | _ -> None)
 let delivers = List.filter (function Datapath.Deliver _ -> true | _ -> false)
 
-let commit_frame ~stabilize ~finalize =
+(* The frames an origin multicast, in order. *)
+let mcast_frames = List.filter_map (function Datapath.Mcast (_, f) -> Some f | _ -> None)
+let ab_flags = List.filter_map (function Proto.Ab_data { ack; _ } -> Some ack | _ -> None)
+let settled = List.filter_map (function Datapath.Settled (_, u) -> Some u | _ -> None)
+let stables = List.filter (function Datapath.Mcast (_, Proto.Stable _) -> true | _ -> false)
+let deliver_acks = List.filter_map (function Datapath.Send (0, Proto.Deliver_ack { uid; _ }) -> Some uid | _ -> None)
+let deliver_ack ~src uid = Datapath.Frame (src, Proto.Deliver_ack { group = gid; uid })
+
+let commit_frame ?(drop = []) ~stabilize ~finalize () =
   Proto.Commit
     { group = gid; view_id = 1; attempt = 1; coord_site = 0; coord_epoch = 0; stabilize;
-      ab_finalize = finalize; ab_drop = []; events = []; new_view = { (view 3) with View.view_id = 2 };
+      ab_finalize = finalize; ab_drop = drop; events = []; new_view = { (view 3) with View.view_id = 2 };
       gname = "g"; gb_bodies = [] }
 
 (* Origin 0 of a 3-site group: the round ends on the second vote, with
@@ -74,10 +82,10 @@ let test_silent_member () =
   ignore (feed c [ prio_frame ~src:1 uid (4, 1); send Types.Abcast ]);
   Alcotest.(check (pair int int)) "round in flight, next one queued" (1, 1)
     (Datapath.inflight st, Datapath.queued st);
-  let retired = feed c [ Datapath.Retire (commit_frame ~stabilize:[] ~finalize:[ (uid, (4, 1)) ]) ] in
+  let retired = feed c [ Datapath.Retire (commit_frame ~stabilize:[] ~finalize:[ (uid, (4, 1)) ] ()) ] in
   Alcotest.(check int) "retire delivers the finalized round" 1 (List.length (delivers retired));
   let fl' = { fl with Flush.view = { fl.Flush.view with View.view_id = 2 } } in
-  let installed = Datapath.step env fl' st (Datapath.Install (commit_frame ~stabilize:[] ~finalize:[])) in
+  let installed = Datapath.step env fl' st (Datapath.Install (commit_frame ~stabilize:[] ~finalize:[] ())) in
   Alcotest.(check bool) "owner settled" true (List.mem (Datapath.Settled ("p", uid)) installed);
   Alcotest.(check int) "queued round dispatched" 1 (List.length (ab_data installed));
   Alcotest.(check (pair int int)) "pipeline restarted" (1, 0) (Datapath.inflight st, Datapath.queued st)
@@ -136,6 +144,105 @@ let test_packed_run () =
   ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = last }) ]);
   Alcotest.(check int) "receiver unstored the run" 0 (Datapath.stored rst)
 
+(* Window 8 at 3 sites: a lone round, then four sends that leave as one
+   half-window burst.  Only each burst's last round is flagged.  Both
+   members' one Deliver_ack for it settles all four rounds with one
+   Stable fan-out; at a member the four deliveries owe one Deliver_ack,
+   and its Stable unstores all four. *)
+let test_abcast_burst () =
+  let ((_, _, st) as c) = copy ~window:8 ~me:0 3 in
+  let lone = feed c [ send Types.Abcast ] in
+  let burst = feed c (List.init 4 (fun _ -> send Types.Abcast)) in
+  Alcotest.(check (list bool)) "a lone round is flagged" [ true ] (ab_flags (mcast_frames lone));
+  Alcotest.(check (list bool)) "only the burst's last round is flagged" [ false; false; false; true ]
+    (ab_flags (mcast_frames burst));
+  let r0 = List.hd (ab_data lone) and uids = ab_data burst in
+  let last = List.nth uids 3 in
+  (* Both members vote; each round commits at a higher final priority. *)
+  let votes =
+    List.concat (List.mapi (fun i u -> [ prio_frame ~src:1 u (10 + i, 1); prio_frame ~src:2 u (10 + i, 2) ]) (r0 :: uids))
+  in
+  let voted = feed c votes in
+  Alcotest.(check int) "five rounds committed" 5 (List.length (commits voted));
+  Alcotest.(check int) "all five unstable" 5 (Datapath.unstable st);
+  let acked = feed c [ deliver_ack ~src:1 last; deliver_ack ~src:2 last ] in
+  Alcotest.(check bool) "the burst settled, oldest first" true (settled acked = uids);
+  Alcotest.(check int) "one Stable fan-out" 1 (List.length (stables acked));
+  Alcotest.(check int) "the lone round waits for its own" 1 (Datapath.unstable st);
+  let acked = feed c [ deliver_ack ~src:1 r0; deliver_ack ~src:2 r0 ] in
+  Alcotest.(check bool) "the lone round settled alone" true (settled acked = [ r0 ]);
+  Alcotest.(check int) "with its own Stable" 1 (List.length (stables acked));
+  Alcotest.(check (pair int int)) "origin clear" (0, 0) (Datapath.unstable st, Datapath.stored st);
+  (* Member 1 receives the rounds and their commits as the origin sent them. *)
+  let ((_, _, rst) as r) = copy ~me:1 3 in
+  let frames = mcast_frames (lone @ burst @ voted) in
+  let received = feed r (List.map (fun f -> Datapath.Frame (0, f)) frames) in
+  Alcotest.(check int) "five delivered" 5 (List.length (delivers received));
+  Alcotest.(check bool) "one Deliver_ack each for the lone round and the burst" true
+    (deliver_acks received = [ r0; last ]);
+  Alcotest.(check int) "all five stored" 5 (Datapath.stored rst);
+  ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = last }) ]);
+  Alcotest.(check int) "the burst's Stable unstored four" 1 (Datapath.stored rst);
+  ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = r0 }) ]);
+  Alcotest.(check int) "member clear" 0 (Datapath.stored rst)
+
+(* A burst of four whose flagged last round is still uncommitted when a
+   view change retires the view: site 2's vote for it never comes.  The
+   first three rounds are delivered everywhere but wait for that
+   round's acknowledgement.  The commit finalizes them and drops the
+   fourth; the install settles every owner and leaves no record. *)
+let test_abcast_burst_flushed () =
+  let ((env, fl, st) as c) = copy ~window:8 ~me:0 3 in
+  let sent = feed c (List.init 5 (fun _ -> send Types.Abcast)) in
+  let r0, burst = match ab_data sent with r0 :: burst -> (r0, burst) | [] -> Alcotest.fail "no rounds" in
+  let last = List.nth burst 3 in
+  let members = List.map (fun me -> copy ~me 3) [ 1; 2 ] in
+  let to_members frames =
+    List.map (fun m -> feed m (List.map (fun f -> Datapath.Frame (0, f)) frames)) members
+  in
+  (* Each member's proposals, as votes at the origin; site 2's for the
+     last round is lost. *)
+  let votes =
+    List.concat
+      (List.mapi
+         (fun i effects ->
+           List.filter_map
+             (function
+               | Datapath.Send (0, (Proto.Ab_prio { uid; _ } as f)) when i = 0 || not (Types.uid_equal uid last) ->
+                 Some (Datapath.Frame (i + 1, f))
+               | _ -> None)
+             effects)
+         (to_members (mcast_frames sent)))
+  in
+  let voted = feed c votes in
+  let committed = List.filter_map (function Proto.Ab_commit { uid; prio; _ } -> Some (uid, prio) | _ -> None) (mcast_frames voted) in
+  Alcotest.(check int) "all but the last round committed" 4 (List.length committed);
+  Alcotest.(check int) "and delivered at the origin" 4 (List.length (delivers voted));
+  List.iter
+    (fun effects ->
+      Alcotest.(check int) "delivered at the member" 4 (List.length (delivers effects));
+      Alcotest.(check bool) "which owes only the lone round's Deliver_ack" true (deliver_acks effects = [ r0 ]))
+    (to_members (mcast_frames voted));
+  ignore (to_members (mcast_frames (feed c [ deliver_ack ~src:1 r0; deliver_ack ~src:2 r0 ])));
+  Alcotest.(check int) "the burst waits on its last round" 4 (Datapath.unstable st);
+  let commit =
+    commit_frame ~drop:[ last ] ~stabilize:[] ~finalize:(List.filter (fun (u, _) -> u <> r0) committed) ()
+  in
+  let next (fl : Flush.state) = { fl with Flush.view = { fl.Flush.view with View.view_id = 2 } } in
+  Alcotest.(check int) "retire delivers nothing twice" 0 (List.length (delivers (feed c [ Datapath.Retire commit ])));
+  let installed = Datapath.step env (next fl) st (Datapath.Install commit) in
+  Alcotest.(check bool) "every owner of the burst settled" true (settled installed = burst);
+  Alcotest.(check (pair int int)) "origin clear" (0, 0) (Datapath.unstable st, Datapath.stored st);
+  List.iter
+    (fun ((menv, mfl, mst) as m) ->
+      Alcotest.(check int) "member held the three" 3 (Datapath.stored mst);
+      ignore (feed m [ Datapath.Retire commit ]);
+      ignore (Datapath.step menv (next mfl) mst (Datapath.Install commit));
+      Alcotest.(check int) "member clear" 0 (Datapath.stored mst))
+    members;
+  let after = Datapath.step env (next fl) st (send Types.Abcast) in
+  Alcotest.(check (list bool)) "the next view's lone round is flagged" [ true ] (ab_flags (mcast_frames after))
+
 (* [body-missing] is a note, not a lost message: a wedge ack lists a
    body its site then garbage-collects when a [Stable] arrives (stability
    frames still flow while wedged), and another site's ack already left
@@ -182,5 +289,7 @@ let suite =
     Alcotest.test_case "second vote from one site" `Quick test_duplicate_vote;
     Alcotest.test_case "half-window bursts" `Quick test_burst;
     Alcotest.test_case "packed CBCAST run acked once" `Quick test_packed_run;
+    Alcotest.test_case "an ABCAST burst acked once" `Quick test_abcast_burst;
+    Alcotest.test_case "an ABCAST burst's last round dropped by a flush" `Quick test_abcast_burst_flushed;
     Alcotest.test_case "a missing body was delivered everywhere" `Quick test_body_missing_was_delivered;
   ]

@@ -322,6 +322,44 @@ let test_run_acked_once () =
       Alcotest.(check (list int)) (Printf.sprintf "site %d: FIFO" s) [ 1; 2; 3; 4; 5 ] (List.rev l))
     log
 
+let stability_frames w site =
+  Option.value ~default:(-1)
+    (Metrics.read_int (Runtime.metrics (World.runtime w site)) "runtime.stability_frames")
+
+let test_burst_acked_once () =
+  (* Nine ABCASTs queued back to back at site 0: the first leaves at
+     once, and the other eight queue behind its round and leave as one
+     half-window burst.  Only the burst's last round carries the ack
+     flag, so each member acknowledges the burst once and site 0
+     declares it stable once per destination: with the lone round's
+     own pair, two of each instead of nine. *)
+  let w, members, _, log, send = setup () in
+  let events = capture w in
+  let sent () = List.map (stability_frames w) [ 0; 1; 2 ] in
+  let before = sent () in
+  World.run_task w members.(0) (fun () ->
+      for tag = 1 to 9 do
+        send members.(0) Types.Abcast tag
+      done);
+  World.run_for w 3_000_000;
+  let evs = events () in
+  let times = originations evs "abcast" in
+  Alcotest.(check (list int)) "a lone round, then a burst of eight" [ 1; 8 ]
+    (List.map (fun at -> List.length (List.filter (( = ) at) times)) (List.sort_uniq compare times));
+  Alcotest.(check (list (pair int int))) "two Deliver_acks and two Stables per destination"
+    [ (2, 2); (2, 2) ]
+    (List.map
+       (fun s ->
+         (frames_tx evs ~kind:"deliver_ack" ~site:s ~dst:0, frames_tx evs ~kind:"stable" ~site:0 ~dst:s))
+       [ 1; 2 ]);
+  Alcotest.(check (list int)) "runtime.stability_frames counts them" [ 4; 2; 2 ]
+    (List.map2 ( - ) (sent ()) before);
+  Alcotest.(check (list int)) "all nine delivered" (List.init 9 succ) (List.sort compare log.(0));
+  Array.iteri
+    (fun s l -> Alcotest.(check (list int)) (Printf.sprintf "site %d: the same total order" s) log.(0) l)
+    log;
+  check_drained w
+
 let test_run_last_sender_dies () =
   (* Site 0 hosts [a] and [b]; [b]'s CBCAST is the last of a held run.
      [b] dies while the run is held, which starts the view change that
@@ -386,6 +424,32 @@ let test_packed_runs_oracle_clean () =
           r.Scenario.delivered)
     [ 1L; 2L; 3L ]
 
+let test_bursts_oracle_clean () =
+  (* The nemesis scenario's traffic, with no faults, at a 20 ms mean gap:
+     ABCASTs queue behind rounds in flight and leave in bursts that
+     are acknowledged once.  The oracle must pass, hygiene included,
+     and every member must deliver every send. *)
+  List.iter
+    (fun seed ->
+      let bursts = Hashtbl.create 64 in
+      let trace_sink { Event.at; ev } =
+        match ev with
+        | Event.Originate { site; proto = "abcast"; _ } ->
+          Hashtbl.replace bursts (site, at) (1 + Option.value ~default:0 (Hashtbl.find_opt bursts (site, at)))
+        | _ -> ()
+      in
+      match Scenario.run ~plan:[] ~sites:3 ~send_interval_us:20_000 ~trace_sink ~seed () with
+      | Error e -> Alcotest.failf "seed %Ld: setup failed: %s" seed e
+      | Ok r ->
+        let name what = Printf.sprintf "seed %Ld: %s" seed what in
+        Alcotest.(check (list string)) (name "oracle PASS") []
+          (List.map (fun (v : Oracle.violation) -> v.Oracle.invariant) r.Scenario.violations);
+        Alcotest.(check bool) (name "ABCASTs left in bursts") true
+          (Hashtbl.fold (fun _ n acc -> acc || n > 1) bursts false);
+        Alcotest.(check int) (name "every member delivered every send") (3 * r.Scenario.sent)
+          r.Scenario.delivered)
+    [ 1L; 2L; 3L ]
+
 let test_forked_lineage_not_delivered () =
   (* Seed 2448 at 3 sites and a 10 ms send gap: after a partition
      heals, two components install different views under one view id
@@ -420,8 +484,10 @@ let suite =
     Alcotest.test_case "no receive cost: unpacked" `Quick test_no_recv_cost_unpacked;
     Alcotest.test_case "crash forgets held CBCASTs" `Quick test_crash_forgets_held;
     Alcotest.test_case "a packed run costs one ack pair" `Quick test_run_acked_once;
+    Alcotest.test_case "an ABCAST burst costs one ack pair" `Quick test_burst_acked_once;
     Alcotest.test_case "held run's last sender dies" `Quick test_run_last_sender_dies;
     Alcotest.test_case "packed runs under the oracle (3 seeds)" `Slow test_packed_runs_oracle_clean;
+    Alcotest.test_case "ABCAST bursts under the oracle (3 seeds)" `Slow test_bursts_oracle_clean;
     Alcotest.test_case "a forked lineage's CBCASTs are not delivered" `Slow
       test_forked_lineage_not_delivered;
   ]
