@@ -23,7 +23,7 @@ let run_mode mode =
   let applied = Array.make 3 0 in
   let done_at = ref 0 in
   let sent_at = Array.make (n_updates + 1) 0 in
-  let lat = Vsync_util.Stats.Summary.create () in
+  let lat = ref [] in
   let fully_applied = Hashtbl.create 64 in
   Array.iteri
     (fun i m ->
@@ -35,7 +35,7 @@ let run_mode mode =
           let seen = 1 + Option.value ~default:0 (Hashtbl.find_opt fully_applied k) in
           Hashtbl.replace fully_applied k seen;
           if seen = 3 then
-            Vsync_util.Stats.Summary.add lat (float_of_int (World.now c.w - sent_at.(k)));
+            lat := float_of_int (World.now c.w - sent_at.(k)) :: !lat;
           if applied.(i) = n_updates then done_at := max !done_at (World.now c.w)))
     c.members;
   let t0 = World.now c.w in
@@ -52,7 +52,7 @@ let run_mode mode =
   World.run ~until:(t0 + 1_800_000_000) c.w;
   let ok = Array.for_all (fun n -> n = n_updates) applied in
   let elapsed_s = float_of_int (!done_at - t0) /. 1e6 in
-  (ok, elapsed_s, float_of_int n_updates /. elapsed_s, Vsync_util.Stats.Summary.mean lat /. 1000.0)
+  (ok, elapsed_s, float_of_int n_updates /. elapsed_s, Harness.mean (List.rev !lat) /. 1000.0)
 
 let run () =
   let rows =

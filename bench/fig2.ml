@@ -53,7 +53,7 @@ let latency_at ~sites mode size =
   Array.iter
     (fun m -> Runtime.bind m Harness.e_app (fun req -> Runtime.null_reply m ~request:req))
     c.members;
-  let lat = Vsync_util.Stats.Summary.create () in
+  let lat = ref [] in
   let iters = 10 in
   World.run_task c.w c.members.(0) (fun () ->
       for _ = 1 to iters do
@@ -62,12 +62,12 @@ let latency_at ~sites mode size =
            Runtime.bcast c.members.(0) mode ~dest:(Addr.Group c.gid) ~entry:Harness.e_app
              (Harness.padded_msg size) ~want:(Types.Wait_n 1)
          with
-        | Runtime.Replies _ -> Vsync_util.Stats.Summary.add lat (float_of_int (World.now c.w - t0))
+        | Runtime.Replies _ -> lat := float_of_int (World.now c.w - t0) :: !lat
         | Runtime.All_failed -> failwith "fig2: latency rpc failed");
         Runtime.sleep c.members.(0) 50_000
       done);
   World.run ~until:(World.now c.w + 600_000_000) c.w;
-  Vsync_util.Stats.Summary.mean lat /. 1000.0 (* ms *)
+  Harness.mean (List.rev !lat) /. 1000.0 (* ms *)
 
 let run () =
   let tput = List.map (fun s -> (s, throughput_at s)) sizes in

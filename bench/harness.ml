@@ -4,7 +4,7 @@ open Vsync_core
 module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
-module Stats = Vsync_util.Stats
+module Metrics = Vsync_obs.Metrics
 
 let e_app = Entry.user 0
 
@@ -108,6 +108,9 @@ let percentiles xs ps =
   Array.sort Float.compare a;
   let n = Array.length a in
   List.map (fun p -> if n = 0 then nan else a.(min (n - 1) (n * p / 100))) ps
+
+(* The mean of a sample, summed in the order given (nan when empty). *)
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 (* --- the bench record --------------------------------------------------
 
@@ -250,8 +253,15 @@ let padded_msg bytes =
   if bytes > 0 then Message.set_bytes m "pad" (Bytes.make bytes 'x');
   m
 
-(* Counter snapshots: the protocol-primitive counters summed over all
-   runtimes. *)
+(* [total snap name] is metric [name] of a {!World.metrics} snapshot
+   (0 when no site has it yet). *)
+let total snap name =
+  match List.assoc_opt name snap with
+  | Some (Metrics.Counter_v v | Metrics.Gauge_v v) -> v
+  | None -> 0
+
+(* Counter snapshots: Table I's protocol-primitive counters summed over
+   all sites. *)
 let prim_keys =
   [
     "prim.cbcast"; "prim.abcast"; "prim.gbcast"; "prim.gbcast_req"; "prim.reply";
@@ -259,14 +269,8 @@ let prim_keys =
   ]
 
 let snapshot_prims w =
-  List.map
-    (fun key ->
-      let total = ref 0 in
-      for s = 0 to World.n_sites w - 1 do
-        total := !total + Stats.Counter.get (Runtime.counters (World.runtime w s)) key
-      done;
-      (key, !total))
-    prim_keys
+  let snap = World.metrics w in
+  List.map (fun key -> (key, total snap key)) prim_keys
 
 let diff_prims later earlier =
   List.map2

@@ -46,6 +46,30 @@ let max_gauge w f =
 
 let seed = 0x5A4DL
 
+(* The partitions whose live replicas disagree on their view, each as
+   "partition P: R replicas in V views (#id of n, ...)": a partition
+   that split.  For the warmup warning. *)
+let split_partitions d ~partitions =
+  List.filter_map
+    (fun part ->
+      let replicas = Sharded.Deployment.members d part in
+      let views =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun m ->
+               Option.map
+                 (fun v -> (v.View.view_id, View.n_members v))
+                 (Runtime.pg_view (Sharded.member_proc m) (Sharded.member_gid m)))
+             replicas)
+      in
+      if List.length views <= 1 then None
+      else
+        Some
+          (Printf.sprintf "partition %d: %d replicas in %d views (%s)" part (List.length replicas)
+             (List.length views)
+             (String.concat ", " (List.map (fun (id, n) -> Printf.sprintf "#%d of %d" id n) views))))
+    (List.init partitions Fun.id)
+
 let bench_point ~sites ~partitions ~workers ~window_us =
   let replicas = if partitions = 1 then sites else 3 in
   let w = World.create ~seed ~sites () in
@@ -69,20 +93,24 @@ let bench_point ~sites ~partitions ~workers ~window_us =
      is setup cost, not steady-state throughput. *)
   let keyspace = 8 in
   let key i j = Printf.sprintf "k%d:%d" i (j mod keyspace) in
-  let warm = ref 0 in
+  let warm = ref 0 and failed = ref 0 in
   Array.iteri
     (fun i p ->
       World.run_task w p (fun () ->
           for j = 0 to keyspace - 1 do
             match Sharded.put handles.(i) [ key i j ] with
             | Ok () -> incr warm
-            | Error _ -> ()
+            | Error _ -> incr failed
           done))
     clients;
   World.run w;
-  if !warm < Array.length clients * keyspace then
-    Printf.printf "shard: warmup incomplete (%d/%d puts)\n%!" !warm
-      (Array.length clients * keyspace);
+  let puts = Array.length clients * keyspace in
+  if !warm < puts then
+    Printf.printf "shard: warmup incomplete (%d/%d puts; %d failed, %d still pending; %s)\n%!"
+      !warm puts !failed (puts - !warm - !failed)
+      (match split_partitions d ~partitions with
+      | [] -> "every partition's replicas share one view"
+      | split -> String.concat "; " split);
   let updates = ref 0 in
   let stop_upd = World.now w + window_us in
   Array.iteri

@@ -10,11 +10,11 @@ module Addr = Vsync_msg.Addr
 module Entry = Vsync_msg.Entry
 module Message = Vsync_msg.Message
 
-let measure (c : Harness.cluster) f =
-  let before = Harness.snapshot_prims c.w in
+let measure w f =
+  let before = Harness.snapshot_prims w in
   f ();
-  World.run c.w;
-  Harness.diff_prims (Harness.snapshot_prims c.w) before
+  World.run w;
+  Harness.diff_prims (Harness.snapshot_prims w) before
 
 let run () =
   let rows = ref [] in
@@ -39,7 +39,7 @@ let run () =
     c.members;
   note "bcast = mcast(dests,msg,...) collect replies"
     "see Figure 2"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w client (fun () ->
              ignore
                (Runtime.bcast client Types.Cbcast ~dest:(Addr.Group c.gid) ~entry:Harness.e_app
@@ -48,7 +48,7 @@ let run () =
   (* reply itself: isolate by measuring a want-ALL call: 1 CBCAST out,
      3 replies back. *)
   note "reply(msg,answ,alen)" "1 async CBCAST (1 dest)"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w client (fun () ->
              ignore
                (Runtime.bcast client Types.Cbcast ~dest:(Addr.Group c.gid) ~entry:Harness.e_app
@@ -60,35 +60,35 @@ let run () =
   let owner = World.proc c.w ~site:0 ~name:"t1owner" in
   let scratch = ref None in
   note "pg_create(\"name\")" "1 local RPC"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w owner (fun () -> scratch := Some (Runtime.pg_create owner "t1.scratch"))));
 
   note "pg_lookup(\"name\")  (remote miss -> query)" "1 local RPC [+ 1 CBCAST, 1 reply]"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w m1 (fun () -> ignore (Runtime.pg_lookup m1 "t1.scratch"))));
 
   let joiner = World.proc c.w ~site:1 ~name:"t1joiner" in
   note "pg_join(gid,credentials)" "1 CBCAST, 1 pg_addmemb (GBCAST), 1 reply"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w joiner (fun () ->
              ignore (Runtime.pg_join joiner (Option.get !scratch) ~credentials:(Message.create ())))));
 
   let third = World.proc c.w ~site:2 ~name:"t1third" in
   note "pg_addmember(who,gid)" "1 GBCAST"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w owner (fun () ->
              Runtime.pg_add_member owner (Option.get !scratch) (Runtime.proc_addr third))));
 
   note "pg_leave(gid)" "1 GBCAST"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w joiner (fun () -> Runtime.pg_leave joiner (Option.get !scratch))));
 
   note "pg_kill(gid,signal)" "1 ABCAST"
-    (measure c (fun () ->
+    (measure c.w (fun () ->
          World.run_task c.w owner (fun () -> Runtime.pg_kill owner (Option.get !scratch))));
 
   note "pg_monitor(gid,routine)" "1 local RPC"
-    (measure c (fun () -> Runtime.pg_monitor m0 c.gid (fun _ _ -> ())));
+    (measure c.w (fun () -> Runtime.pg_monitor m0 c.gid (fun _ _ -> ())));
 
   (* --- state transfer --- *)
   let c2 = Harness.make_cluster ~seed:0x5717L ~name:"t1.xfer" ~sites:2 () in
@@ -99,7 +99,7 @@ let run () =
     c2.members;
   let xj = World.proc c2.w ~site:1 ~name:"t1xj" in
   note "join, xfer state" "1 GBCAST + state transfer"
-    (measure c2 (fun () ->
+    (measure c2.w (fun () ->
          World.run_task c2.w xj (fun () ->
              ignore
                (State_transfer.join_and_xfer xj ~gid:c2.gid ~credentials:(Message.create ())
@@ -116,7 +116,7 @@ let run () =
     c3.members;
   let cc_client = World.proc c3.w ~site:1 ~name:"t1cc" in
   note "coord-cohort(msg,gid,plist,action,...)" "1 bcast + reply w/ cc copies"
-    (measure c3 (fun () ->
+    (measure c3.w (fun () ->
          World.run_task c3.w cc_client (fun () ->
              ignore
                (Runtime.bcast cc_client Types.Cbcast ~dest:(Addr.Group c3.gid)
@@ -134,14 +134,14 @@ let run () =
       c4.members
   in
   note "repdata update (causal item)" "1 async CBCAST"
-    (measure c4 (fun () ->
+    (measure c4.w (fun () ->
          World.run_task c4.w c4.members.(0) (fun () ->
              Repdata.update rd_tools.(0) (Message.create ()))));
   note "repdata read by manager" "no cost"
-    (measure c4 (fun () -> ignore (Repdata.read_local rd_tools.(0) (Message.create ()))));
+    (measure c4.w (fun () -> ignore (Repdata.read_local rd_tools.(0) (Message.create ()))));
   let rd_client = World.proc c4.w ~site:1 ~name:"t1rd" in
   note "repdata read by other client" "1 CBCAST + 1 reply"
-    (measure c4 (fun () ->
+    (measure c4.w (fun () ->
          World.run_task c4.w rd_client (fun () ->
              ignore (Repdata.client_read rd_client ~gid:c4.gid ~item:"x" (Message.create ())))));
 
@@ -150,22 +150,22 @@ let run () =
   Array.iter (fun m -> ignore (Semaphore.attach m ~gid:c5.gid)) c5.members;
   World.run c5.w;
   note "P(sid,name,...)" "1 ABCAST, all replies"
-    (measure c5 (fun () ->
+    (measure c5.w (fun () ->
          World.run_task c5.w c5.members.(0) (fun () ->
              ignore (Semaphore.p c5.members.(0) ~gid:c5.gid ~name:"s"))));
   note "V(sid,name)" "1 async CBCAST"
-    (measure c5 (fun () ->
+    (measure c5.w (fun () ->
          World.run_task c5.w c5.members.(0) (fun () ->
              Semaphore.v c5.members.(0) ~gid:c5.gid ~name:"s")));
 
   (* --- configuration --- *)
   let cfg_tools = Array.map (fun m -> Config_tool.attach m ~gid:c5.gid) c5.members in
   note "conf_update(item,value,len)" "1 GBCAST"
-    (measure c5 (fun () ->
+    (measure c5.w (fun () ->
          World.run_task c5.w c5.members.(0) (fun () ->
              Config_tool.update cfg_tools.(0) ~key:"k" (Message.Int 1))));
   note "conf_read(item)" "no cost"
-    (measure c5 (fun () -> ignore (Config_tool.read cfg_tools.(0) ~key:"k")));
+    (measure c5.w (fun () -> ignore (Config_tool.read cfg_tools.(0) ~key:"k")));
 
   (* --- news --- *)
   let news_seed = 0x9E05L in
@@ -174,25 +174,12 @@ let run () =
   let agents = Array.init 2 (fun s -> News.start_agent (World.runtime w6 s)) in
   World.run w6;
   let sub = World.proc w6 ~site:1 ~name:"t1sub" in
-  let snap6 () =
-    List.map
-      (fun key ->
-        let t = ref 0 in
-        for s = 0 to 1 do
-          t := !t + Vsync_util.Stats.Counter.get (Runtime.counters (World.runtime w6 s)) key
-        done;
-        (key, !t))
-      Harness.prim_keys
-  in
-  let before = snap6 () in
-  News.subscribe agents.(1) sub ~subject:"x" (fun _ -> ());
-  World.run w6;
-  note "subscribe(\"subject\",routine)" "1 local RPC" (Harness.diff_prims (snap6 ()) before);
+  note "subscribe(\"subject\",routine)" "1 local RPC"
+    (measure w6 (fun () -> News.subscribe agents.(1) sub ~subject:"x" (fun _ -> ())));
   let poster = World.proc w6 ~site:0 ~name:"t1post" in
-  let before = snap6 () in
-  World.run_task w6 poster (fun () -> News.post poster ~subject:"x" (Message.create ()));
-  World.run w6;
-  note "post_news(subject,msg)" "1 async CBCAST or ABCAST" (Harness.diff_prims (snap6 ()) before);
+  note "post_news(subject,msg)" "1 async CBCAST or ABCAST"
+    (measure w6 (fun () ->
+         World.run_task w6 poster (fun () -> News.post poster ~subject:"x" (Message.create ()))));
 
   Harness.print_table ~title:"Table I: multicast overhead for selected tools"
     ~header:[ "Tool / routine"; "Paper says"; "Measured (this repo)" ]

@@ -11,14 +11,8 @@ module Addr = Vsync_msg.Addr
 (* Transport frames (data + dedicated acks) and packets, summed over
    every site. *)
 let wire_counts (w : World.t) =
-  let get stats key = try List.assoc key stats with Not_found -> 0 in
-  let frames = ref 0 and packets = ref 0 in
-  for s = 0 to World.n_sites w - 1 do
-    let st = Runtime.transport_stats (World.runtime w s) in
-    frames := !frames + get st "data_frames" + get st "ack_frames";
-    packets := !packets + get st "packets"
-  done;
-  (!frames, !packets)
+  let get = Harness.total (World.metrics w) in
+  (get "transport.data_frames" + get "transport.ack_frames", get "transport.packets")
 
 (* Throughput of a back-to-back asynchronous ABCAST stream: virtual
    messages delivered per simulated second, over all [sites] members,

@@ -18,6 +18,7 @@ module Message = Vsync_msg.Message
 module Net = Vsync_sim.Net
 module Trace = Vsync_sim.Trace
 module Tracer = Vsync_obs.Tracer
+module Metrics = Vsync_obs.Metrics
 
 let e_app = Entry.user 0
 
@@ -310,8 +311,10 @@ let run sites seed messages size mode loss crash_site crash_at_ms partition trac
       Printf.printf "survivors delivered the identical order: %b\n" same_order
   | [] -> ());
   List.iter
-    (fun (k, v) -> Printf.printf "  %-24s %d\n" k v)
-    (List.filter (fun (k, _) -> String.length k > 5 && String.sub k 0 5 = "prim.") (World.total_counters w));
+    (function
+      | k, (Metrics.Counter_v v | Metrics.Gauge_v v) -> Printf.printf "  %-24s %d\n" k v)
+    (List.sort compare
+       (List.filter (fun (k, _) -> String.starts_with ~prefix:"prim." k) (World.metrics w)));
   if trace_on then begin
     Printf.printf "\n--- protocol trace ---\n";
     List.iter (fun r -> Format.printf "%a@." Vsync_obs.Event.pp_record r) (Tracer.records tr)

@@ -1,21 +1,17 @@
-(* Unified metrics registry: counters, callback gauges and simple
-   histograms under one namespace, so consumers (the oracle's hygiene
-   checks, bench JSON artifacts) sample state by name instead of
-   knowing which module owns which accessor. *)
+(* Unified metrics registry: counters and callback gauges under one
+   namespace, so consumers (the oracle's hygiene checks, the bench
+   harness, the ledger) sample state by name instead of knowing which
+   module owns which accessor. *)
 
 type counter = { mutable c : int }
-type histogram = { mutable n : int; mutable sum : int; mutable hmin : int; mutable hmax : int }
-type source = Counter_src of counter | Gauge_src of (unit -> int) | Histo_src of histogram
+type source = Counter_src of counter | Gauge_src of (unit -> int)
 
 type t = {
   tbl : (string, source) Hashtbl.t;
   mutable names : string list; (* reverse registration order *)
 }
 
-type value =
-  | Counter_v of int
-  | Gauge_v of int
-  | Histo_v of { count : int; sum : int; min : int; max : int }
+type value = Counter_v of int | Gauge_v of int
 
 let create () = { tbl = Hashtbl.create 32; names = [] }
 
@@ -35,40 +31,17 @@ let counter t name =
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
-let counter_value c = c.c
 let gauge t name f = register t name (Gauge_src f)
-
-let histogram t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Histo_src h) -> h
-  | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
-  | None ->
-    let h = { n = 0; sum = 0; hmin = max_int; hmax = min_int } in
-    register t name (Histo_src h);
-    h
-
-let observe h v =
-  h.n <- h.n + 1;
-  h.sum <- h.sum + v;
-  if v < h.hmin then h.hmin <- v;
-  if v > h.hmax then h.hmax <- v
 
 let read_source = function
   | Counter_src c -> Counter_v c.c
   | Gauge_src f -> Gauge_v (f ())
-  | Histo_src h ->
-    Histo_v
-      { count = h.n; sum = h.sum; min = (if h.n = 0 then 0 else h.hmin); max = (if h.n = 0 then 0 else h.hmax) }
 
 let read t name = Option.map read_source (Hashtbl.find_opt t.tbl name)
 
-(* Counter and gauge values flatten to their int; histograms to their
-   sample count.  Hygiene checks comparing "is this state empty" want
-   exactly this. *)
 let read_int t name =
   match read t name with
-  | Some (Counter_v v) | Some (Gauge_v v) -> Some v
-  | Some (Histo_v { count; _ }) -> Some count
+  | Some (Counter_v v | Gauge_v v) -> Some v
   | None -> None
 
 let snapshot t =
@@ -76,11 +49,10 @@ let snapshot t =
 
 let names t = List.rev t.names
 
-(* Cross-registry aggregation, for the parallel harness: per-domain
-   worlds each carry their own registries, and the join merges their
-   snapshots into one fleet-wide view.  Counters and gauges sum
-   (gauges here are already-sampled numbers, not live closures);
-   histograms combine exactly. *)
+(* Cross-registry aggregation: every site of a world carries its own
+   registry, and [World.metrics] merges their snapshots into one
+   world-wide view.  Counters and gauges sum (gauges here are
+   already-sampled numbers, not live closures). *)
 let merge_snapshots snaps =
   let order = ref [] in
   let acc : (string, value) Hashtbl.t = Hashtbl.create 64 in
@@ -95,14 +67,6 @@ let merge_snapshots snaps =
              match (prev, v) with
              | Counter_v a, Counter_v b -> Counter_v (a + b)
              | Gauge_v a, Gauge_v b -> Gauge_v (a + b)
-             | Histo_v a, Histo_v b ->
-               Histo_v
-                 {
-                   count = a.count + b.count;
-                   sum = a.sum + b.sum;
-                   min = (if b.count = 0 then a.min else if a.count = 0 then b.min else min a.min b.min);
-                   max = (if b.count = 0 then a.max else if a.count = 0 then b.max else max a.max b.max);
-                 }
              | _ ->
                invalid_arg
                  (Printf.sprintf "Metrics.merge_snapshots: %S has mismatched kinds" name)

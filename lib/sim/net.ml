@@ -1,5 +1,4 @@
 module Rng = Vsync_util.Rng
-module Stats = Vsync_util.Stats
 module Tracer = Vsync_obs.Tracer
 module Event = Vsync_obs.Event
 
@@ -76,7 +75,12 @@ type t = {
   mutable splits : split list;
   links : (site * site, link) Hashtbl.t;
   rng : Rng.t;
-  counters : Stats.Counter.t;
+  (* Inter-site accounting since creation. *)
+  mutable packets : int;
+  mutable bytes : int;
+  mutable lost : int;
+  mutable dup : int;
+  mutable reordered : int;
   mutable tracer : Tracer.t option;
 }
 
@@ -91,7 +95,11 @@ let create engine cfg ~sites =
     splits = [];
     links = Hashtbl.create 8;
     rng = Rng.split (Engine.rng engine);
-    counters = Stats.Counter.create ();
+    packets = 0;
+    bytes = 0;
+    lost = 0;
+    dup = 0;
+    reordered = 0;
     tracer = None;
   }
 
@@ -235,8 +243,8 @@ let send t ~src ~dst ~bytes deliver =
   end
   else begin
     let wire_bytes = bytes + t.cfg.per_packet_overhead_bytes in
-    Stats.Counter.incr t.counters "net.packets";
-    Stats.Counter.add t.counters "net.bytes" wire_bytes;
+    t.packets <- t.packets + 1;
+    t.bytes <- t.bytes + wire_bytes;
     let lk = Hashtbl.find_opt t.links (src, dst) in
     (* The Gilbert–Elliott chain steps once per packet offered to the
        link, whether or not the packet then survives. *)
@@ -255,7 +263,7 @@ let send t ~src ~dst ~bytes deliver =
       (1.0 -. t.cfg.loss_probability) *. (1.0 -. extra_loss) *. (1.0 -. burst_loss)
     in
     if not (Rng.bernoulli t.rng p_keep) then begin
-      Stats.Counter.incr t.counters "net.lost";
+      t.lost <- t.lost + 1;
       trace_net t (fun () ->
           let reason = if burst_loss > 0.0 then "burst_loss" else "loss" in
           Event.Net_drop { src; dst; reason })
@@ -281,7 +289,7 @@ let send t ~src ~dst ~bytes deliver =
           let jitter = if l.l_jitter_us > 0 then Rng.int_in t.rng 0 l.l_jitter_us else 0 in
           let detour =
             if l.l_reorder > 0.0 && Rng.bernoulli t.rng l.l_reorder then begin
-              Stats.Counter.incr t.counters "net.reordered";
+              t.reordered <- t.reordered + 1;
               let d =
                 if l.l_reorder_span_us > 0 then Rng.int_in t.rng 1 l.l_reorder_span_us else 0
               in
@@ -298,7 +306,7 @@ let send t ~src ~dst ~bytes deliver =
            a packet in flight when the link goes bad is lost. *)
         if t.up.(dst) && not (partitioned t src dst) then deliver ()
         else begin
-          Stats.Counter.incr t.counters "net.lost";
+          t.lost <- t.lost + 1;
           trace_net t (fun () ->
               let reason = if t.up.(dst) then "partition" else "dst_down" in
               Event.Net_drop { src; dst; reason })
@@ -307,7 +315,7 @@ let send t ~src ~dst ~bytes deliver =
       ignore (Engine.schedule_at t.engine arrival deliver_checked);
       match lk with
       | Some l when l.l_dup > 0.0 && Rng.bernoulli t.rng l.l_dup ->
-        Stats.Counter.incr t.counters "net.dup";
+        t.dup <- t.dup + 1;
         trace_net t (fun () -> Event.Net_dup { src; dst });
         let echo_at = arrival + Rng.int_in t.rng 1 2_000 in
         ignore (Engine.schedule_at t.engine echo_at deliver_checked)
@@ -315,12 +323,11 @@ let send t ~src ~dst ~bytes deliver =
     end
   end
 
-let packets_sent t = Stats.Counter.get t.counters "net.packets"
-let bytes_sent t = Stats.Counter.get t.counters "net.bytes"
-let packets_lost t = Stats.Counter.get t.counters "net.lost"
-let packets_duplicated t = Stats.Counter.get t.counters "net.dup"
-let packets_reordered t = Stats.Counter.get t.counters "net.reordered"
-let counters t = t.counters
+let packets_sent t = t.packets
+let bytes_sent t = t.bytes
+let packets_lost t = t.lost
+let packets_duplicated t = t.dup
+let packets_reordered t = t.reordered
 
 (* The network's [Backend.t] view: what the transport and runtime
    layers consume instead of touching [Engine]/[Net] directly.  The rng

@@ -178,9 +178,6 @@ val packets_duplicated : t -> int
 
 val packets_reordered : t -> int
 
-(** [counters t] exposes the raw counter set for harness snapshots. *)
-val counters : t -> Vsync_util.Stats.Counter.t
-
 (** [backend t] is the network's execution-backend view
     ({!Vsync_backend.Backend}): virtual-clock time and timers from the
     underlying engine, frame I/O through {!send} (so every fault model

@@ -76,7 +76,7 @@ let agent_ready a = a.ready
 let agent_failed a = a.failed
 
 let subscribe a p ~subject f =
-  Vsync_util.Stats.Counter.incr (Runtime.counters (Runtime.runtime_of p)) "prim.local_rpc";
+  Vsync_obs.Metrics.(incr (counter (Runtime.metrics (Runtime.runtime_of p)) "prim.local_rpc"));
   a.subs <- (subject, p, f) :: a.subs
 
 let unsubscribe a p ~subject =

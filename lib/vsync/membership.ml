@@ -118,7 +118,7 @@ and run t g = function
   | Flush.Fetch_local { attempt; uids } ->
     feed t g (Flush.Frame (t.my_site, fetch_reply t g ~view_id:(view g).View.view_id ~attempt uids))
   | Flush.Commit (dests, frame) ->
-    Stats.Counter.incr t.ctrs "prim.gbcast";
+    count t "prim.gbcast";
     send_frames t frame dests
   | Flush.Retire frame ->
     dp t g (Datapath.Retire frame);

@@ -20,7 +20,9 @@ type send_verdict = Origination.send_verdict =
   | Admitted of outcome
   | Backpressure of Addr.group_id
 
-(* Transport-level wire accounting, for the wire-efficiency bench. *)
+(* Transport-level wire accounting as labelled counts, for the ledger
+   (bench/ledger); everything else reads the [transport.*] gauges of
+   [metrics]. *)
 let transport_stats t =
   let ep = endpoint t in
   [
@@ -228,7 +230,6 @@ let create ?(config = default_config) fab ~site ~trace () =
           fresh = uid_counter site;
           traced = (fun () -> Obs_tracer.wants (Trace.obs trace) Obs_event.Proto);
         };
-      ctrs = Stats.Counter.create ();
       metrics;
       running = true;
       next_proc_idx = 0;
@@ -357,7 +358,7 @@ let add_filter p f = p.filters <- f :: p.filters
 
 let pg_create p name =
   let t = p.rt in
-  Stats.Counter.incr t.ctrs "prim.local_rpc";
+  count t "prim.local_rpc";
   if Hashtbl.mem t.names name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
   let gid = Addr.group_of_int ((t.my_site lsl 20) lor (t.dp_env.fresh ()).useq) in
   let g = make_group ~gid (flush_state t ~gname:name (View.initial gid p.addr)) in
@@ -368,14 +369,14 @@ let pg_create p name =
 
 let pg_lookup p name =
   let t = p.rt in
-  Stats.Counter.incr t.ctrs "prim.local_rpc";
+  count t "prim.local_rpc";
   match dir_find t name with
   | Some (gid, _) -> Some gid
   | None ->
     let n = Backend.n_sites t.fab.fbk in
     if n <= 1 then None
     else begin
-      Stats.Counter.incr t.ctrs "prim.cbcast";
+      count t "prim.cbcast";
       let qid = t.next_qid in
       t.next_qid <- qid + 1;
       let iv = Ivar.create () in
@@ -390,7 +391,7 @@ let pg_lookup p name =
 
 let pg_join p gid ~credentials =
   let t = p.rt in
-  Stats.Counter.incr t.ctrs "prim.cbcast";
+  count t "prim.cbcast";
   let credentials = Message.copy credentials in
   Message.set_sender credentials p.addr;
   let iv = Ivar.create () in
@@ -404,7 +405,7 @@ let pg_join p gid ~credentials =
       join_resolve t (gi gid) ~idx:p.addr.Addr.idx (Error "no known contact site for group")));
   let r = Ivar.read iv in
   (match r with
-  | Ok () -> Stats.Counter.incr t.ctrs "prim.reply"
+  | Ok () -> count t "prim.reply"
   | Error _ -> ());
   r
 
@@ -428,7 +429,7 @@ let pg_add_member p gid who =
 
 let pg_monitor p gid f =
   let t = p.rt in
-  Stats.Counter.incr t.ctrs "prim.local_rpc";
+  count t "prim.local_rpc";
   match group_of t gid with
   | None -> invalid_arg "Runtime.pg_monitor: no local view of group"
   | Some g -> g.g_monitors <- (p, f) :: g.g_monitors
@@ -447,7 +448,7 @@ let pg_join_verify p gid f =
 
 let pg_kill p gid =
   let t = p.rt in
-  Stats.Counter.incr t.ctrs "prim.abcast";
+  count t "prim.abcast";
   match group_of t gid with
   | None -> invalid_arg "Runtime.pg_kill: no local view of group"
   | Some g ->

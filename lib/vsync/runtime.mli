@@ -86,17 +86,25 @@ val create :
 val site : t -> int
 val backend : t -> Vsync_backend.Backend.t
 val alive : t -> bool
-val counters : t -> Vsync_util.Stats.Counter.t
 val trace : t -> Vsync_sim.Trace.t
 
 (** [metrics t] is the site's unified metrics registry: the hygiene
     gauges ([runtime.pending_unstable], [runtime.pending_store],
     [runtime.dedup_residue], …), the transport wire accounting
     ([transport.inflight], [transport.retransmits], …), sampled live by
-    name, and two counters: [runtime.cb_held], CBCAST originations held
-    so that a run of queued CBCASTs into one group leaves in shared
-    packets, and [runtime.stability_frames], the [Deliver_ack] and
-    [Stable] frames the site sent, one per destination. *)
+    name, and counters:
+    - [runtime.cb_held], CBCAST originations held so that a run of
+      queued CBCASTs into one group leaves in shared packets;
+    - [runtime.stability_frames], the [Deliver_ack] and [Stable] frames
+      the site sent, one per destination;
+    - Table I's tallies, registered on first use: [prim.cbcast],
+      [prim.abcast] and [prim.gbcast_req] (client multicasts by
+      protocol), [prim.gbcast] (view changes committed here),
+      [prim.reply] and [prim.null_reply] (replies sent, and joins
+      granted), and [prim.local_rpc] (calls the paper serves from the
+      site's protocols process: [pg_create], [pg_lookup], [pg_monitor],
+      a news subscription). A [pg_lookup] miss adds one [prim.cbcast],
+      a [pg_join] one [prim.cbcast], and [pg_kill] one [prim.abcast]. *)
 val metrics : t -> Vsync_obs.Metrics.t
 
 (** [cpu_busy_us t] is accumulated CPU busy time (for the load figures
@@ -104,9 +112,10 @@ val metrics : t -> Vsync_obs.Metrics.t
 val cpu_busy_us : t -> int
 
 (** [transport_stats t] is the site's transport wire accounting as
-    labelled counters: data frames, dedicated ack frames, network
-    packets (one packet can carry several coalesced frames),
-    retransmitted frames, and failed channels. *)
+    labelled counts, for the ledger: data frames, dedicated ack frames,
+    network packets (one packet can carry several coalesced frames),
+    retransmitted frames, and failed channels.  Everything else reads
+    the same figures as the [transport.*] gauges of {!metrics}. *)
 val transport_stats : t -> (string * int) list
 
 (** [local_time_us t] is the site's local wall clock — true time plus

@@ -12,7 +12,6 @@ module Sched = Vsync_tasks.Sched
 module Ivar = Vsync_tasks.Ivar
 module Condition = Vsync_tasks.Condition
 module Endpoint = Vsync_transport.Endpoint
-module Stats = Vsync_util.Stats
 module Obs_tracer = Vsync_obs.Tracer
 module Obs_event = Vsync_obs.Event
 module Metrics = Vsync_obs.Metrics
@@ -125,7 +124,6 @@ and t = {
   dp_env : Datapath.env;
       (* the ABCAST window, and the site's uid counter, which group ids
          share *)
-  ctrs : Stats.Counter.t;
   metrics : Metrics.t;
   mutable running : bool;
   mutable next_proc_idx : int;
@@ -171,10 +169,13 @@ let fabric_backend f = f.fbk
 let site t = t.my_site
 let backend t = t.bk
 let alive t = t.running
-let counters t = t.ctrs
 let trace t = t.tracer
 let metrics t = t.metrics
 let cpu_busy_us t = t.cpu_busy
+
+(* Bump the site's registry counter [name]: the [prim.*] tallies of
+   Table I. *)
+let count t name = Metrics.incr (Metrics.counter t.metrics name)
 
 (* Emit one typed event of class [cls].  [mk] is forced only when some
    listener wants the class.  Without flambda the thunk itself is a

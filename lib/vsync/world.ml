@@ -1,7 +1,6 @@
 module Engine = Vsync_sim.Engine
 module Net = Vsync_sim.Net
 module Trace = Vsync_sim.Trace
-module Stats = Vsync_util.Stats
 module Backend = Vsync_backend.Backend
 module Wallclock = Vsync_backend.Wallclock
 
@@ -144,14 +143,6 @@ let nemesis_actions t =
 
 let apply_nemesis t plan = Vsync_sim.Nemesis.install ~actions:(nemesis_actions t) (net t) plan
 
-let total_counters t =
-  let acc = Stats.Counter.create () in
-  Array.iter
-    (fun rt ->
-      List.iter (fun (k, v) -> Stats.Counter.add acc k v) (Stats.Counter.to_list (Runtime.counters rt)))
-    t.runtimes;
-  (match t.driver with
-  | Dsim d ->
-    List.iter (fun (k, v) -> Stats.Counter.add acc k v) (Stats.Counter.to_list (Net.counters d.network))
-  | Dwall _ -> ());
-  Stats.Counter.to_list acc
+let metrics t =
+  Vsync_obs.Metrics.merge_snapshots
+    (Array.to_list (Array.map (fun rt -> Vsync_obs.Metrics.snapshot (Runtime.metrics rt)) t.runtimes))

@@ -118,6 +118,9 @@ val apply_nemesis : t -> Vsync_sim.Nemesis.plan -> unit
 
 (** {1 Accounting} *)
 
-(** [total_counters w] merges the per-runtime counters with the network
-    counters (prefix ["net."]; absent on a wall-clock world). *)
-val total_counters : t -> (string * int) list
+(** [metrics w] is every site's {!Runtime.metrics} registry sampled
+    now and summed by name ({!Vsync_obs.Metrics.merge_snapshots}):
+    Table I's [prim.*] counters, the [transport.*] gauges and the rest,
+    for the whole world.  A simulated network's own packet counts are
+    {!Vsync_sim.Net.packets_sent} and its siblings. *)
+val metrics : t -> (string * Vsync_obs.Metrics.value) list

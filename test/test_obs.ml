@@ -216,17 +216,12 @@ let test_metrics_registry () =
   Metrics.add c 4;
   let backing = ref 17 in
   Metrics.gauge m "pending" (fun () -> !backing);
-  let h = Metrics.histogram m "lat" in
-  Metrics.observe h 10;
-  Metrics.observe h 30;
   Alcotest.(check (option int)) "counter" (Some 5) (Metrics.read_int m "events");
   Alcotest.(check (option int)) "gauge" (Some 17) (Metrics.read_int m "pending");
   backing := 3;
   Alcotest.(check (option int)) "gauge re-samples" (Some 3) (Metrics.read_int m "pending");
-  Alcotest.(check (option int)) "histogram count" (Some 2) (Metrics.read_int m "lat");
   Alcotest.(check (option int)) "unknown" None (Metrics.read_int m "nope");
-  Alcotest.(check (list string)) "registration order" [ "events"; "pending"; "lat" ]
-    (Metrics.names m);
+  Alcotest.(check (list string)) "registration order" [ "events"; "pending" ] (Metrics.names m);
   Alcotest.check_raises "duplicate gauge rejected"
     (Invalid_argument "Metrics: duplicate metric pending") (fun () ->
       Metrics.gauge m "pending" (fun () -> 0))
@@ -244,6 +239,81 @@ let test_runtime_metrics_registered () =
       "runtime.pending_store"; "runtime.dedup_residue"; "transport.inflight";
       "transport.packets"; "transport.retransmits"; "transport.channel_failures";
     ]
+
+(* Table I's tallies are registry counters: [World.metrics] sums them
+   over the sites, and each routine moves them by its row of the table.
+   The group is the bench's: one member per site of three. *)
+
+let prim_counts w =
+  List.filter_map
+    (fun (k, v) ->
+      match v with
+      | Metrics.Counter_v n when String.starts_with ~prefix:"prim." k -> Some (k, n)
+      | Metrics.Counter_v _ | Metrics.Gauge_v _ -> None)
+    (World.metrics w)
+
+let prim_delta w f =
+  let before = prim_counts w in
+  f ();
+  World.run w;
+  List.sort compare
+    (List.filter_map
+       (fun (k, n) ->
+         let d = n - Option.value ~default:0 (List.assoc_opt k before) in
+         if d = 0 then None else Some (k, d))
+       (prim_counts w))
+
+let test_table1_tallies () =
+  let e_app = Vsync_msg.Entry.user 0 in
+  let w = World.create ~seed:0xBE5CL ~sites:3 () in
+  let members = Array.init 3 (fun s -> World.proc w ~site:s ~name:(Printf.sprintf "b%d" s)) in
+  let join p gid =
+    match Runtime.pg_join p gid ~credentials:(Message.create ()) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "join: %s" e
+  in
+  let gid = ref None in
+  World.run_task w members.(0) (fun () -> gid := Some (Runtime.pg_create members.(0) "bench"));
+  World.run w;
+  let gid = Option.get !gid in
+  for s = 1 to 2 do
+    World.run_task w members.(s) (fun () ->
+        ignore (Runtime.pg_lookup members.(s) "bench");
+        join members.(s) gid)
+  done;
+  World.run w;
+  let row name expected f =
+    Alcotest.(check (list (pair string int))) name expected (prim_delta w f)
+  in
+  let owner = World.proc w ~site:0 ~name:"owner" in
+  let scratch = ref None in
+  row "pg_create" [ ("prim.local_rpc", 1) ] (fun () ->
+      World.run_task w owner (fun () -> scratch := Some (Runtime.pg_create owner "scratch")));
+  Array.iter
+    (fun m -> Runtime.bind m e_app (fun req -> Runtime.reply m ~request:req (Message.create ())))
+    members;
+  let client = World.proc w ~site:2 ~name:"client" in
+  row "bcast Wait_all from a non-member" [ ("prim.cbcast", 1); ("prim.reply", 3) ] (fun () ->
+      World.run_task w client (fun () ->
+          ignore
+            (Runtime.bcast client Types.Cbcast ~dest:(Addr.Group gid) ~entry:e_app
+               (Message.create ()) ~want:Types.Wait_all)));
+  (* The joiner's site learns the scratch group's contact before the
+     measured join, as in the bench. *)
+  let joiner = World.proc w ~site:1 ~name:"joiner" in
+  World.run_task w joiner (fun () -> ignore (Runtime.pg_lookup joiner "scratch"));
+  World.run w;
+  row "pg_join" [ ("prim.cbcast", 1); ("prim.gbcast", 1); ("prim.reply", 1) ] (fun () ->
+      World.run_task w joiner (fun () -> join joiner (Option.get !scratch)));
+  let per_site =
+    List.fold_left
+      (fun acc s ->
+        acc + Option.get (Metrics.read_int (Runtime.metrics (World.runtime w s)) "transport.packets"))
+      0 [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "packets were sent" true (per_site > 0);
+  Alcotest.(check bool) "transport.packets is the per-site sum" true
+    (List.assoc_opt "transport.packets" (World.metrics w) = Some (Metrics.Gauge_v per_site))
 
 (* --- regression: reassembly corruption is channel-fatal, not fatal --- *)
 
@@ -345,6 +415,7 @@ let suite =
     Alcotest.test_case "metrics: registry semantics" `Quick test_metrics_registry;
     Alcotest.test_case "metrics: runtime gauges registered" `Quick
       test_runtime_metrics_registered;
+    Alcotest.test_case "metrics: Table I tallies are registry counters" `Quick test_table1_tallies;
     Alcotest.test_case "regression: reassembly corruption is channel-fatal" `Quick
       test_reassembly_corruption_fails_channel;
     Alcotest.test_case "regression: scenario setup failure is a value" `Quick

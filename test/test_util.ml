@@ -1,10 +1,9 @@
 (* Unit and property tests for the utility library: PRNG, heap, vector
-   clocks, statistics. *)
+   clocks, sequence trackers. *)
 
 module Rng = Vsync_util.Rng
 module Heap = Vsync_util.Heap
 module Vclock = Vsync_util.Vclock
-module Stats = Vsync_util.Stats
 module Seqtrack = Vsync_util.Seqtrack
 
 (* --- rng --- *)
@@ -227,31 +226,6 @@ let prop_seqtrack_matches_set =
           Seqtrack.mem t ~key:0 ~seq:s = (s <= !hi || Hashtbl.mem added s))
         (List.init 62 Fun.id))
 
-(* --- stats --- *)
-
-let test_summary () =
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check int) "count" 5 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.Summary.max s);
-  Alcotest.(check (float 1e-9)) "median" 3.0 (Stats.Summary.percentile s 50.0);
-  Alcotest.(check (float 1e-9)) "p100" 5.0 (Stats.Summary.percentile s 100.0)
-
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.add c "a" 2;
-  Stats.Counter.incr c "b";
-  Alcotest.(check int) "a" 3 (Stats.Counter.get c "a");
-  Alcotest.(check int) "missing" 0 (Stats.Counter.get c "zzz");
-  let snap = Stats.Counter.snapshot c in
-  Stats.Counter.add c "a" 4;
-  Stats.Counter.incr c "c";
-  Alcotest.(check (list (pair string int))) "diff" [ ("a", 4); ("c", 1) ]
-    (Stats.Counter.diff c snap)
-
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -276,6 +250,4 @@ let suite =
     Alcotest.test_case "seqtrack compaction" `Quick test_seqtrack_compaction;
     Alcotest.test_case "seqtrack advance" `Quick test_seqtrack_advance;
     QCheck_alcotest.to_alcotest prop_seqtrack_matches_set;
-    Alcotest.test_case "summary stats" `Quick test_summary;
-    Alcotest.test_case "counters" `Quick test_counter;
   ]
