@@ -220,17 +220,6 @@ let clear_link t ~src ~dst =
 
 let clear_links t = Hashtbl.reset t.links
 
-let fragments t ~bytes =
-  if bytes < 0 then invalid_arg "Net.fragments: negative size";
-  let max = t.cfg.max_packet_bytes in
-  if bytes <= max then [ bytes ]
-  else begin
-    let rec loop remaining acc =
-      if remaining <= max then List.rev (remaining :: acc) else loop (remaining - max) (max :: acc)
-    in
-    loop bytes []
-  end
-
 let send t ~src ~dst ~bytes deliver =
   check_site t src "send";
   check_site t dst "send";

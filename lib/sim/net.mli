@@ -72,13 +72,9 @@ val tracer : t -> Vsync_obs.Tracer.t option
     [bytes] payload bytes from [src] to [dst] and calls [deliver] at the
     receiver-side arrival time — unless the packet is lost, a site is
     down, or the two sites are partitioned, in which case [deliver] is
-    never called.  Fragmentation is the sender's job ({!fragments}
-    helps); [bytes] beyond [max_packet_bytes] raises. *)
+    never called.  Fragmentation is the sender's job; [bytes] beyond
+    [max_packet_bytes] raises. *)
 val send : t -> src:site -> dst:site -> bytes:int -> (unit -> unit) -> unit
-
-(** [fragments t ~bytes] is the list of packet payload sizes a message
-    of [bytes] bytes fragments into (always non-empty). *)
-val fragments : t -> bytes:int -> int list
 
 (** {1 Failures} *)
 

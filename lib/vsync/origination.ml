@@ -133,56 +133,93 @@ let send_to_proc t p sess (q : Addr.proc) body =
 
 let await = function None -> Replies [] | Some s -> Ivar.read s.done_ivar
 
-(* Accept [p]'s multicast into its site's copy [g]: until the send CPU
-   queue runs the returned hand-off, the send counts against [g]'s
-   admission limit and holds off [p]'s [flush]. *)
-let accept_into p g mode body =
-  p.pending_inits <- p.pending_inits + 1;
-  dp p.rt g Datapath.Accept;
-  fun ~ack -> dp p.rt g (Datapath.Hand_off { owner = Some p; mode; body; ack })
+(* Where one destination of a multicast goes, decided when the call is
+   made.  A destination with no route (a group with no copy here and no
+   known contact) is unreachable. *)
+type route =
+  | To_proc of Addr.proc
+  | To_copy of group (* this site's copy: accepted at call time *)
+  | To_relay of Addr.group_id * int (* no copy here: the directory's contact relays *)
 
-let bcast p mode ~dest ~entry msg ~(want : want) =
+let rec route t = function
+  | [] -> []
+  | Addr.Proc q :: rest -> To_proc q :: route t rest
+  | Addr.Group gid :: rest -> (
+    match group_of t gid with
+    | Some g -> To_copy g :: route t rest
+    | None -> (
+      match contact_site_for t gid with
+      | Some relay -> To_relay (gid, relay) :: route t rest
+      | None -> route t rest))
+
+(* The responders a reply session starts with, and one relay site per
+   relayed group: each relay names its group's members when the relayed
+   send arrives. *)
+let targets routes =
+  List.fold_left
+    (fun (responders, relays) -> function
+      | To_proc q -> (q :: responders, relays)
+      | To_copy g -> ((view g).View.members @ responders, relays)
+      | To_relay (_, relay) -> (responders, relay :: relays))
+    ([], []) routes
+
+(* Until the send CPU queue runs its hand-off, a send accepted into the
+   site's copy [g] counts against [g]'s admission limit and holds off
+   [p]'s [flush]. *)
+let rec accept p = function
+  | [] -> ()
+  | To_copy g :: rest ->
+    p.pending_inits <- p.pending_inits + 1;
+    dp p.rt g Datapath.Accept;
+    accept p rest
+  | (To_proc _ | To_relay _) :: rest -> accept p rest
+
+(* The send job: every route's frame or hand-off, in destination order.
+   The wake-up follows the hand-offs, so a woken sender sees the send
+   queued for a window slot or already dispatched. *)
+let rec send_routes t p sess mode body ~ack ~handed = function
+  | [] -> if handed then Condition.broadcast t.admission
+  | To_proc q :: rest ->
+    send_to_proc t p sess q body;
+    send_routes t p sess mode body ~ack ~handed rest
+  | To_copy g :: rest ->
+    dp t g (Datapath.Hand_off { owner = Some p; mode; body; ack });
+    send_routes t p sess mode body ~ack ~handed:true rest
+  | To_relay (group, relay) :: rest ->
+    let session = Option.map (fun s -> s.sess_id) sess in
+    send_frame t ~dst:relay (Proto.Relay { group; mode; body; session; caller = p.addr });
+    send_routes t p sess mode body ~ack ~handed rest
+
+(* The paper's mcast: one message to a list of groups and processes,
+   one send CPU job, and one reply session for all their responders.
+   An unreachable destination adds no responder; a call with none
+   reachable fails at once, with no CPU charged. *)
+let bcast_multi p mode ~dests ~entry msg ~(want : want) =
   let t = p.rt in
   if not (proc_alive p) then All_failed
   else begin
     let body = stamp_body p mode ~entry msg ~want in
-    let session_for ~responders ~relay_site =
-      match want with
-      | No_reply -> None
-      | Wait_n _ | Wait_all ->
-        let s = open_session t ~want ~responders ~relay_site in
-        Message.set_session body s.sess_id;
-        Some s
-    in
-    match dest with
-    | Addr.Proc q ->
-      let sess = session_for ~responders:(Some [ q ]) ~relay_site:None in
-      on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
-          send_to_proc t p sess q body);
+    match route t dests with
+    | [] -> All_failed
+    | routes ->
+      let sess =
+        match want with
+        | No_reply -> None
+        | Wait_n _ | Wait_all ->
+          let responders, relays = targets routes in
+          let s = open_session t ~want ~responders ~relays in
+          Message.set_session body s.sess_id;
+          Some s
+      in
+      accept p routes;
+      (* A CBCAST into one copy alone may be packed with the next. *)
+      let cbcast = match mode, routes with Cbcast, [ To_copy g ] -> Some (g, body) | _ -> None in
+      on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack ->
+          send_routes t p sess mode body ~ack ~handed:false routes);
       await sess
-    | Addr.Group gid -> (
-      match group_of t gid with
-      | Some g ->
-        let sess = session_for ~responders:(Some (view g).View.members) ~relay_site:None in
-        let hand_off = accept_into p g mode body in
-        let cbcast = if mode = Cbcast then Some (g, body) else None in
-        (* The wake-up follows the hand-off, so a woken sender sees the
-           send queued for a window slot or already dispatched. *)
-        on_send_cpu t ?cbcast (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack ->
-            hand_off ~ack;
-            Condition.broadcast t.admission);
-        await sess
-      | None -> (
-        match contact_site_for t gid with
-        | None -> All_failed
-        | Some relay ->
-          let sess = session_for ~responders:None ~relay_site:(Some relay) in
-          let session_id = Option.map (fun s -> s.sess_id) sess in
-          on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
-              send_frame t ~dst:relay
-                (Proto.Relay { group = gid; mode; body; session = session_id; caller = p.addr }));
-          await sess))
   end
+
+let bcast p mode ~dest ~entry msg ~want = bcast_multi p mode ~dests:[ dest ] ~entry msg ~want
 
 (* --- originator backpressure --- *)
 
@@ -222,61 +259,6 @@ let bcast_wait ?on_backpressure p mode ~dest ~entry msg ~(want : want) =
     done
   | None -> ());
   bcast p mode ~dest ~entry msg ~want
-
-(* The paper's mcast signature takes a destination LIST; replies from
-   every group and process funnel into one session. *)
-let bcast_multi p mode ~dests ~entry msg ~(want : want) =
-  let t = p.rt in
-  if not (proc_alive p) then All_failed
-  else begin
-    let body = stamp_body p mode ~entry msg ~want in
-    (* Responders across all destinations, when every group is locally
-       visible; otherwise leave them to the relays. *)
-    let local_responders =
-      List.fold_left
-        (fun acc dest ->
-          match acc, dest with
-          | None, _ -> None
-          | Some rs, Addr.Proc q -> Some (q :: rs)
-          | Some rs, Addr.Group gid -> (
-            match group_of t gid with
-            | Some g -> Some ((view g).View.members @ rs)
-            | None -> None))
-        (Some []) dests
-    in
-    let sess =
-      match want with
-      | No_reply -> None
-      | Wait_n _ | Wait_all ->
-        Some (open_session t ~want ~responders:local_responders ~relay_site:None)
-    in
-    (match sess with Some s -> Message.set_session body s.sess_id | None -> ());
-    (* Locally visible groups accept the send now, as in [bcast]. *)
-    let jobs =
-      List.map
-        (fun dest ->
-          match dest with
-          | Addr.Proc q -> fun () -> send_to_proc t p sess q body
-          | Addr.Group gid -> (
-            match group_of t gid with
-            | Some g ->
-              let hand_off = accept_into p g mode body in
-              fun () -> hand_off ~ack:true
-            | None -> (
-              fun () ->
-                match contact_site_for t gid with
-                | Some relay ->
-                  (* Responders are resolved locally or not at all. *)
-                  send_frame t ~dst:relay
-                    (Proto.Relay { group = gid; mode; body; session = None; caller = p.addr })
-                | None -> ())))
-        dests
-    in
-    on_send_cpu t (cpu_cost t t.cfg.cpu_send_us (Message.size body)) (fun ~ack:_ ->
-        List.iter (fun job -> job ()) jobs;
-        Condition.broadcast t.admission);
-    await sess
-  end
 
 let do_reply p ~request answer ~null ~copy_to =
   let t = p.rt in

@@ -98,17 +98,16 @@ let handle_frame t ~src frame =
         | None -> ());
         dp t g (Datapath.Multicast { owner = None; mode; body; ack = true })
       | None -> (
-        (* Stale contact: report an empty responder set so the caller
-           fails fast and can retry after a fresh lookup. *)
+        (* Stale contact: report an empty responder set, so the caller
+           stops waiting on this group; a call with nothing else to
+           hear from fails fast and can retry after a fresh lookup. *)
         match session with
         | Some sid ->
           send_frame t ~dst:caller.Addr.site (Proto.Relay_info { session = sid; responders = [] })
         | None -> ()))
     | Proto.Relay_info { session; responders } -> (
       match Hashtbl.find_opt t.sessions session with
-      | Some sess ->
-        if responders = [] then Sessions.close_session t sess All_failed
-        else Sessions.note_responders t sess responders
+      | Some sess -> Sessions.note_relay_answer t sess ~relay:src responders
       | None -> ())
     | Proto.Deliver_ack { group; _ } | Proto.Stable { group; _ } -> (
       match group_of t group with Some g -> dp t g (Datapath.Frame (src, frame)) | None -> ())

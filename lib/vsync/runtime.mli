@@ -231,7 +231,8 @@ type outcome =
   | All_failed  (** no destination could respond. *)
 
 (** [bcast p mode ~dest ~entry msg ~want] multicasts [msg] to [dest]
-    (a group or a single process).
+    (a group or a single process): it is {!bcast_multi} with the one
+    destination.
 
     With [want = No_reply] the call is {e asynchronous}: it returns
     immediately after initiating the protocol and the caller may
@@ -246,11 +247,15 @@ val bcast :
 
 (** [bcast_multi p mode ~dests ~entry msg ~want] — the paper's full
     mcast signature: one message to a {e list} of destinations (groups
-    and processes mixed), one shared reply session, counted against
-    admission and {!flush} as {!bcast} is.  Reply collection needs
-    every group destination locally visible (be a member or have
-    delivered to it before); otherwise collect per group with
-    {!bcast}. *)
+    and processes mixed), one send, and one reply session that takes
+    one reply from each distinct responder.  A group this site holds a
+    copy of takes the send at call time, counted against admission and
+    {!flush}.  A group it holds no copy of is relayed through the
+    directory's contact site, which reports the group's members as
+    responders; if that relay dies before reporting, the call returns
+    [All_failed] (the send may or may not have happened, so the caller
+    may retry).  A group with no known contact adds no responder, and a
+    call that reaches no destination returns [All_failed] at once. *)
 val bcast_multi :
   proc -> mode -> dests:Addr.t list -> entry:Entry.t -> Message.t -> want:want -> outcome
 

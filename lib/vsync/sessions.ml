@@ -1,6 +1,7 @@
 (* Reply collection: one session per reply-wanting multicast, closed
    once enough responders replied, sent a null reply or are known to
-   have failed. *)
+   have failed.  A relayed group's responders are unknown until its
+   relay names them, so until then the relay's site stays in [relays]. *)
 
 open Types
 open State
@@ -12,35 +13,40 @@ let close_session t sess outcome =
     Ivar.fill sess.done_ivar outcome
   end
 
+(* A call fails outright when no responder replied or sent a null reply
+   and none is left to hear from: each failed, and every relay named
+   its members. *)
 let check_session t sess =
-  match sess.responders with
-  | None ->
-    (* Without the authoritative responder list we can still satisfy a
-       fixed-count request. *)
-    (match sess.swant with
-    | Wait_n n when List.length sess.replies >= n ->
-      close_session t sess (Replies (List.rev sess.replies))
-    | Wait_n _ | Wait_all | No_reply -> ())
-  | Some responders ->
-    let accounted (r : Addr.proc) =
-      List.exists (fun (p, _) -> Addr.equal_proc p r) sess.replies
-      || List.exists (Addr.equal_proc r) sess.nulls
-      || List.exists (Addr.equal_proc r) sess.sfailed
-    in
-    let outstanding = List.filter (fun r -> not (accounted r)) responders in
-    let n_replies = List.length sess.replies in
-    let finishable =
-      match sess.swant with
-      | No_reply -> true
-      | Wait_n n -> n_replies >= n || outstanding = []
-      | Wait_all -> outstanding = []
-    in
-    if finishable then
-      if n_replies = 0 && sess.nulls = [] && responders <> [] && List.length sess.sfailed = List.length responders
-      then close_session t sess All_failed
-      else close_session t sess (Replies (List.rev sess.replies))
+  let accounted (r : Addr.proc) =
+    List.exists (fun (p, _) -> Addr.equal_proc p r) sess.replies
+    || List.exists (Addr.equal_proc r) sess.nulls
+    || List.exists (Addr.equal_proc r) sess.sfailed
+  in
+  let complete = sess.relays = [] && List.for_all accounted sess.responders in
+  let n_replies = List.length sess.replies in
+  let finishable =
+    match sess.swant with
+    | No_reply -> true
+    | Wait_n n -> n_replies >= n || complete
+    | Wait_all -> complete
+  in
+  if finishable then
+    if n_replies = 0 && sess.nulls = [] && complete then close_session t sess All_failed
+    else close_session t sess (Replies (List.rev sess.replies))
 
-let open_session t ~want ~responders ~relay_site =
+(* Watch the [sites] of responders and relays not watched yet: a site
+   crash means its responders will never reply. *)
+let watch t sess sites =
+  let fresh =
+    List.sort_uniq compare
+      (List.filter (fun s -> s <> t.my_site && not (List.mem s sess.mon_sites)) sites)
+  in
+  List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) fresh;
+  sess.mon_sites <- fresh @ sess.mon_sites
+
+let site_of (r : Addr.proc) = r.Addr.site
+
+let open_session t ~want ~responders ~relays =
   let sess =
     {
       sess_id = fresh_session t;
@@ -49,40 +55,26 @@ let open_session t ~want ~responders ~relay_site =
       nulls = [];
       sfailed = [];
       responders;
-      relay_site;
+      relays;
       done_ivar = Ivar.create ();
       mon_sites = [];
     }
   in
   Hashtbl.replace t.sessions sess.sess_id sess;
-  (* Watch the sites hosting responders (and the relay): a site crash
-     means those responders will never reply. *)
-  let watch =
-    (match responders with
-    | Some rs -> List.map (fun (r : Addr.proc) -> r.Addr.site) rs
-    | None -> [])
-    @ (match relay_site with Some s -> [ s ] | None -> [])
-  in
-  let watch = List.sort_uniq compare (List.filter (fun s -> s <> t.my_site) watch) in
-  List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) watch;
-  sess.mon_sites <- watch;
+  watch t sess (List.map site_of responders @ relays);
   sess
 
-let note_responders t sess responders =
-  if sess.responders = None then begin
-    sess.responders <- Some responders;
-    let monitored = Int_set.of_list sess.mon_sites in
-    let extra =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (r : Addr.proc) ->
-             if r.Addr.site <> t.my_site && not (Int_set.mem r.Addr.site monitored) then
-               Some r.Addr.site
-             else None)
-           responders)
-    in
-    List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) extra;
-    sess.mon_sites <- extra @ sess.mon_sites;
+let rec remove_one x = function
+  | [] -> []
+  | y :: rest -> if y = x then rest else y :: remove_one x rest
+
+(* The relay at site [relay] named its group's members (none, if its
+   copy is gone): they join the responders. *)
+let note_relay_answer t sess ~relay members =
+  if List.mem relay sess.relays then begin
+    sess.relays <- remove_one relay sess.relays;
+    sess.responders <- members @ sess.responders;
+    watch t sess (List.map site_of members);
     check_session t sess
   end
 
@@ -107,7 +99,8 @@ let note_failed_responder t ~session ~responder =
     end
 
 (* A view change removed [p]: open collections waiting on it will never
-   hear from it. *)
+   hear from it.  Every open session notes it, responder or not, since
+   a relay may still name it; [check_session] counts only responders. *)
 let note_removed_member t p =
   let open_sessions = Hashtbl.fold (fun _ sess acc -> sess :: acc) t.sessions [] in
   List.iter (fun sess -> note_failed_responder t ~session:sess.sess_id ~responder:p) open_sessions
@@ -116,15 +109,12 @@ let session_site_down t s =
   let open_sessions = Hashtbl.fold (fun _ sess acc -> sess :: acc) t.sessions [] in
   List.iter
     (fun sess ->
-      (match sess.responders with
-      | Some rs ->
-        List.iter
-          (fun (r : Addr.proc) ->
-            if r.Addr.site = s then note_failed_responder t ~session:sess.sess_id ~responder:r)
-          rs
-      | None -> ());
-      (* Relay died before telling us who the responders are: the send
-         may or may not have happened; report failure so the caller can
+      List.iter
+        (fun (r : Addr.proc) ->
+          if r.Addr.site = s then note_failed_responder t ~session:sess.sess_id ~responder:r)
+        sess.responders;
+      (* A relay died before naming its group's members: the send may
+         or may not have happened; report failure so the caller can
          retry (paper Sec 5 step 2 does exactly this). *)
-      if sess.responders = None && sess.relay_site = Some s then close_session t sess All_failed)
+      if List.mem s sess.relays then close_session t sess All_failed)
     open_sessions

@@ -102,9 +102,9 @@ and session_state = {
   swant : want;
   mutable replies : (Addr.proc * Message.t) list; (* newest first *)
   mutable nulls : Addr.proc list;
-  mutable sfailed : Addr.proc list;
-  mutable responders : Addr.proc list option;
-  mutable relay_site : int option;
+  mutable sfailed : Addr.proc list; (* known to have failed, responders or not *)
+  mutable responders : Addr.proc list; (* known so far *)
+  mutable relays : int list; (* one site per relayed group yet to name its members *)
   done_ivar : outcome Ivar.t;
   mutable mon_sites : int list;
 }

@@ -186,58 +186,54 @@ let test_kill_idempotent () =
   Alcotest.(check bool) "dead" false (Runtime.proc_alive members.(1))
 
 let test_bcast_multi () =
-  (* Two groups plus a standalone process, one call, one reply
-     session. *)
+  (* One call to a group the caller's site holds, a group it holds no
+     copy of, and a standalone process: one send, one reply session.
+     The relayed group's responders come from its relay, so the
+     [Wait_all] ends once every one of them replied. *)
   let w = World.create ~seed:13L ~sites:3 () in
-  let mk name site =
-    let p = World.proc w ~site ~name in
-    p
-  in
-  let a1 = mk "a1" 0 and a2 = mk "a2" 1 in
-  let b1 = mk "b1" 1 and b2 = mk "b2" 2 in
-  let solo = mk "solo" 2 in
-  let ga = ref None and gb = ref None in
+  let a1 = World.proc w ~site:0 ~name:"a1" and a2 = World.proc w ~site:1 ~name:"a2" in
+  let c1 = World.proc w ~site:2 ~name:"c1" and c2 = World.proc w ~site:0 ~name:"c2" in
+  let solo = World.proc w ~site:2 ~name:"solo" in
+  let ga = ref None and gc = ref None in
   World.run_task w a1 (fun () -> ga := Some (Runtime.pg_create a1 "ga"));
-  World.run_task w b1 (fun () -> gb := Some (Runtime.pg_create b1 "gb"));
+  World.run_task w c1 (fun () -> gc := Some (Runtime.pg_create c1 "gc"));
   World.run w;
-  World.run_task w a2 (fun () ->
-      ignore (Runtime.pg_lookup a2 "ga");
-      ignore (Runtime.pg_join a2 (Option.get !ga) ~credentials:(Message.create ())));
-  World.run_task w b2 (fun () ->
-      ignore (Runtime.pg_lookup b2 "gb");
-      ignore (Runtime.pg_join b2 (Option.get !gb) ~credentials:(Message.create ())));
+  let ga = Option.get !ga and gc = Option.get !gc in
+  let join p name gid =
+    World.run_task w p (fun () ->
+        ignore (Runtime.pg_lookup p name);
+        ignore (Runtime.pg_join p gid ~credentials:(Message.create ())))
+  in
+  join a2 "ga" ga;
+  join c2 "gc" gc;
+  (* solo is in gc as well: it replies once, like a process named
+     twice. *)
+  join solo "gc" gc;
+  World.run_task w a2 (fun () -> ignore (Runtime.pg_lookup a2 "gc"));
   World.run w;
+  Alcotest.(check bool) "the caller's site holds no copy of gc" true (Runtime.pg_view a2 gc = None);
   List.iter
     (fun p ->
       Runtime.bind p e_app (fun req ->
           let r = Message.create () in
           Message.set_str r "who" (Runtime.proc_name p);
           Runtime.reply p ~request:req r))
-    [ a1; a2; b1; b2; solo ];
-  (* The caller is a member of ga, so both group views are visible?
-     ga yes; gb no — make the caller a2, and have it deliver to gb once
-     is not needed: use a member of each...  Simplest: caller a2 joins
-     gb too. *)
-  World.run_task w a2 (fun () ->
-      ignore (Runtime.pg_join a2 (Option.get !gb) ~credentials:(Message.create ())));
-  World.run w;
+    [ a1; a2; c1; c2; solo ];
   let got = ref None in
   World.run_task w a2 (fun () ->
       got :=
         Some
           (Runtime.bcast_multi a2 Types.Cbcast
-             ~dests:[ Addr.Group (Option.get !ga); Addr.Group (Option.get !gb);
-                      Addr.Proc (Runtime.proc_addr solo) ]
+             ~dests:[ Addr.Group ga; Addr.Group gc; Addr.Proc (Runtime.proc_addr solo) ]
              ~entry:e_app (Message.create ()) ~want:Types.Wait_all));
-  World.run w;
+  World.run_for w 5_000_000;
   match !got with
   | Some (Runtime.Replies rs) ->
     let names = List.sort compare (List.map (fun (_, r) -> Option.get (Message.get_str r "who")) rs) in
-    (* a2 is in both groups but replies once per session (duplicates
-       are discarded): expect the five distinct processes. *)
-    Alcotest.(check (list string)) "replies from every destination"
-      [ "a1"; "a2"; "b1"; "b2"; "solo" ] names
-  | _ -> Alcotest.fail "multi-destination rpc failed"
+    Alcotest.(check (list string)) "one reply from every distinct responder"
+      [ "a1"; "a2"; "c1"; "c2"; "solo" ] names
+  | Some _ -> Alcotest.fail "multi-destination rpc failed"
+  | None -> Alcotest.fail "multi-destination rpc never returned"
 
 let test_bcast_multi_holds_flush () =
   (* An ABCAST parked behind a wedge holds off [flush] until it is
@@ -289,6 +285,78 @@ let test_bcast_multi_holds_flush () =
   match !flushed with
   | Some delivered -> Alcotest.(check bool) "the parked ABCAST delivered before flush returns" true delivered
   | None -> Alcotest.fail "flush never returned"
+
+(* A removal that names no responder leaves the call's verdict alone:
+   once every responder failed without a reply, the call fails, even
+   though the caller's site also saw an unrelated member leave another
+   group. *)
+let test_all_failed_despite_unrelated_leave () =
+  let w = World.create ~seed:5L ~sites:4 () in
+  let g1 = World.proc w ~site:1 ~name:"g1" and g2 = World.proc w ~site:2 ~name:"g2" in
+  let h0 = World.proc w ~site:0 ~name:"h0" and h3 = World.proc w ~site:3 ~name:"h3" in
+  let caller = World.proc w ~site:0 ~name:"caller" in
+  let g = ref None and h = ref None in
+  World.run_task w g1 (fun () -> g := Some (Runtime.pg_create g1 "g"));
+  World.run_task w h0 (fun () -> h := Some (Runtime.pg_create h0 "h"));
+  World.run w;
+  let g = Option.get !g and h = Option.get !h in
+  let join p name gid =
+    World.run_task w p (fun () ->
+        ignore (Runtime.pg_lookup p name);
+        ignore (Runtime.pg_join p gid ~credentials:(Message.create ())))
+  in
+  join g2 "g" g;
+  join h3 "h" h;
+  World.run_task w caller (fun () -> ignore (Runtime.pg_lookup caller "g"));
+  World.run w;
+  (* The members take the request and never answer. *)
+  List.iter (fun p -> Runtime.bind p e_app ignore) [ g1; g2 ];
+  let got = ref None in
+  World.run_task w caller (fun () ->
+      got :=
+        Some
+          (Runtime.bcast caller Types.Cbcast ~dest:(Addr.Group g) ~entry:e_app (Message.create ())
+             ~want:Types.Wait_all));
+  World.run_for w 1_000_000;
+  World.run_task w h3 (fun () -> Runtime.pg_leave h3 h);
+  World.run_for w 1_000_000;
+  World.crash_site w 1;
+  World.crash_site w 2;
+  World.run_for w 20_000_000;
+  match !got with
+  | Some Runtime.All_failed -> ()
+  | Some (Runtime.Replies rs) -> Alcotest.failf "Replies with %d replies, not All_failed" (List.length rs)
+  | None -> Alcotest.fail "the call never returned"
+
+(* The relay dies before the relayed send reaches it, so nobody names
+   the group's members: the call fails and the caller may retry. *)
+let test_relay_death_fails_call () =
+  let w = World.create ~seed:3L ~sites:3 () in
+  let m1 = World.proc w ~site:1 ~name:"m1" and m2 = World.proc w ~site:2 ~name:"m2" in
+  let caller = World.proc w ~site:0 ~name:"caller" in
+  let g = ref None in
+  World.run_task w m1 (fun () -> g := Some (Runtime.pg_create m1 "g"));
+  World.run w;
+  let g = Option.get !g in
+  World.run_task w m2 (fun () ->
+      ignore (Runtime.pg_lookup m2 "g");
+      ignore (Runtime.pg_join m2 g ~credentials:(Message.create ())));
+  World.run_task w caller (fun () -> ignore (Runtime.pg_lookup caller "g"));
+  World.run w;
+  List.iter (fun p -> Runtime.bind p e_app ignore) [ m1; m2 ];
+  let got = ref None in
+  World.run_task w caller (fun () ->
+      got :=
+        Some
+          (Runtime.bcast caller Types.Cbcast ~dest:(Addr.Group g) ~entry:e_app (Message.create ())
+             ~want:Types.Wait_all));
+  World.run_for w 10_000;
+  World.crash_site w 1;
+  World.run_for w 20_000_000;
+  match !got with
+  | Some Runtime.All_failed -> ()
+  | Some (Runtime.Replies rs) -> Alcotest.failf "Replies with %d replies, not All_failed" (List.length rs)
+  | None -> Alcotest.fail "the call never returned"
 
 let test_remote_exec () =
   let w = World.create ~seed:9L ~sites:2 () in
@@ -362,6 +430,9 @@ let suite =
     Alcotest.test_case "kill idempotent" `Quick test_kill_idempotent;
     Alcotest.test_case "bcast to multiple destinations" `Quick test_bcast_multi;
     Alcotest.test_case "bcast_multi holds flush" `Quick test_bcast_multi_holds_flush;
+    Alcotest.test_case "all responders failed despite an unrelated leave" `Quick
+      test_all_failed_despite_unrelated_leave;
+    Alcotest.test_case "relay death fails the call" `Quick test_relay_death_fails_call;
     Alcotest.test_case "remote exec" `Quick test_remote_exec;
     Alcotest.test_case "dissolved name can be created again" `Quick test_dissolved_name_reusable;
   ]

@@ -79,12 +79,11 @@ let test_net_intra_site () =
   Engine.run e;
   Alcotest.(check int) "intra-site hop is 10us" 10 !arrival
 
-let test_net_fragments () =
+(* Fragmenting is the sender's job: the fabric refuses a packet over
+   [max_packet_bytes]. *)
+let test_net_oversized_send () =
   let e = Engine.create () in
   let n = Net.create e Net.default_config ~sites:2 in
-  Alcotest.(check (list int)) "small fits" [ 100 ] (Net.fragments n ~bytes:100);
-  Alcotest.(check (list int)) "exactly max" [ 4096 ] (Net.fragments n ~bytes:4096);
-  Alcotest.(check (list int)) "10KB -> 3 packets" [ 4096; 4096; 2048 ] (Net.fragments n ~bytes:10240);
   Alcotest.check_raises "oversized send rejected"
     (Invalid_argument "Net.send: packet exceeds max_packet_bytes (fragment first)") (fun () ->
       Net.send n ~src:0 ~dst:1 ~bytes:5000 (fun () -> ()))
@@ -191,7 +190,7 @@ let suite =
     Alcotest.test_case "engine pending nested schedule" `Quick test_engine_pending_nested_schedule;
     Alcotest.test_case "net latency" `Quick test_net_latency;
     Alcotest.test_case "net intra-site" `Quick test_net_intra_site;
-    Alcotest.test_case "net fragments" `Quick test_net_fragments;
+    Alcotest.test_case "net oversized send rejected" `Quick test_net_oversized_send;
     Alcotest.test_case "net crash drops" `Quick test_net_crash_drops;
     Alcotest.test_case "net partition" `Quick test_net_partition;
     Alcotest.test_case "net loss" `Quick test_net_loss;
