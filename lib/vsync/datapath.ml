@@ -20,17 +20,17 @@ type note =
   | Voted of { voter : int; uid : uid; prio : int }
   | Committed of uid * int
 
-type 'o effect =
+type ('o, 'x) effect =
   | Send of int * Proto.frame
   | Mcast of int list * Proto.frame
-  | Deliver of Message.t
+  | Deliver of Message.t * Addr.proc list
   | Note of note
   | Init_done of 'o
   | Outstanding of 'o * uid
   | Settled of 'o * uid
   | Gbcast_start of uid * Message.t
   | Admit
-  | Rerun of 'o send list
+  | Other of 'x
 
 type 'o input =
   | Accept
@@ -198,7 +198,7 @@ let causal_receive st ~uid ~rank ~vt body =
   | Some _ | None -> Causal.receive_fifo st.causal ~uid body
 
 let deliver env fl st uid body acc =
-  let acc = Deliver body :: (if env.traced () then Note (Delivered uid) :: acc else acc) in
+  let acc = Deliver (body, fl.Flush.view.View.members) :: (if env.traced () then Note (Delivered uid) :: acc else acc) in
   if uid.usite = fl.Flush.me then
     match Uid_map.find_opt uid st.unstables with Some u -> check_stable env fl st uid u acc | None -> acc
   else if acked st uid then Send (uid.usite, Proto.Deliver_ack { group = gid fl; uid }) :: acc
@@ -253,7 +253,8 @@ let origin_cbcast env fl st ~owner ~ack body acc =
       :: acc
     end
   in
-  Deliver body :: (if env.traced () then Note (Self_delivered uid) :: acc else acc)
+  Deliver (body, view.View.members)
+  :: (if env.traced () && View.hosts view fl.me then Note (Self_delivered uid) :: acc else acc)
 
 (* A purely local round commits and stabilizes on the spot. *)
 let origin_abcast env fl st ~owner ~ack body acc =
@@ -373,12 +374,13 @@ let on_frame env fl st ~src frame acc =
 
 (* Delivery at the synchronization point discharges a message's
    protocol state, so it is reported stable there. *)
-let discharge env acc uid body =
-  Deliver body :: (if env.traced () then Note (Stabilized uid) :: Note (Delivered uid) :: acc else acc)
+let discharge env (fl : Flush.state) acc uid body =
+  Deliver (body, fl.view.View.members)
+  :: (if env.traced () then Note (Stabilized uid) :: Note (Delivered uid) :: acc else acc)
 
 (* Settle the retiring view as the commit says, then deliver everything
    it holds. *)
-let retire env st = function
+let retire env fl st = function
   | Proto.Commit { stabilize; ab_finalize; ab_drop; _ } ->
     List.iter
       (function
@@ -396,8 +398,8 @@ let retire env st = function
     in
     let droppable = Uid_set.of_list (uncommitted ()) in
     List.iter (fun uid -> if Uid_set.mem uid droppable then Total.drop st.total ~uid) ab_drop;
-    let acc = List.fold_left (fun acc (u, b) -> discharge env acc u b) [] (Causal.force_drain st.causal) in
-    let acc = List.fold_left (fun acc (u, _, a) -> discharge env acc u a.ab_body) acc (Total.drain st.total) in
+    let acc = List.fold_left (fun acc (u, b) -> discharge env fl acc u b) [] (Causal.force_drain st.causal) in
+    let acc = List.fold_left (fun acc (u, _, a) -> discharge env fl acc u a.ab_body) acc (Total.drain st.total) in
     (* Anything still uncommitted is garbage. *)
     List.iter (fun uid -> Total.drop st.total ~uid) (uncommitted ());
     acc
@@ -423,7 +425,7 @@ let install env (fl : Flush.state) st = function
         st.failed_procs events;
     let acc = settle st [] in
     st.ab_inflight <- 0;
-    List.fold_left (fun acc (uid, body) -> discharge env acc uid body) (dispatch env fl st acc) gb_bodies
+    List.fold_left (fun acc (uid, body) -> discharge env fl acc uid body) (dispatch env fl st acc) gb_bodies
   | _ -> []
 
 let discard st =
@@ -433,9 +435,14 @@ let discard st =
   Queue.clear st.ab_queue;
   settle st acc
 
+(* The helpers build effects newest first. *)
+let ordered acc = match acc with [] | [ _ ] -> acc | _ :: _ :: _ -> List.rev acc
+
+let frame env fl st ~src frame = ordered (on_frame env fl st ~src frame [])
+
 let step env fl st input =
-  let acc =
-    match input with
+  ordered
+    (match input with
     | Accept ->
       st.accepted <- st.accepted + 1;
       []
@@ -444,15 +451,13 @@ let step env fl st input =
       originate env fl st s []
     | Multicast s -> originate env fl st s []
     | Frame (src, frame) -> on_frame env fl st ~src frame []
-    | Retire commit -> retire env st commit
+    | Retire commit -> retire env fl st commit
     | Install commit -> install env fl st commit
     | Unblock ->
       let sends = List.rev st.blocked in
       st.blocked <- [];
-      if sends = [] then [] else [ Rerun sends ]
-    | Discard -> discard st
-  in
-  match acc with [] | [ _ ] -> acc | _ :: _ :: _ -> List.rev acc
+      List.fold_left (fun acc s -> originate env fl st s acc) [] sends
+    | Discard -> discard st)
 
 (* Two windows of backlog is one in flight plus one ready, so the
    half-window bursts of [dispatch] always find work; any more only

@@ -15,13 +15,15 @@
     consecutive unflagged uids below it from its origin.
 
     [step] does no I/O: it takes a state and an input, updates the
-    state, and returns the effects to run, in order.  The runtime's interpreter runs
-    them (frames, local delivery, the owners' [flush] bookkeeping,
-    admission wake-ups, trace events) and keeps what a copy cannot
-    decide alone: the CPU queue, send packing and the site's uid
-    counter, which the core draws from through {!env}.  The view and
-    the wedge stay in {!Flush.state}, which every call reads and none
-    writes.
+    state, and returns the effects to run, in order.  {!Copy} composes
+    it with the view change: it answers [Gbcast_start] itself and
+    passes every other effect, unchanged, to the runtime's
+    interpreter, which runs them (frames, local delivery, the owners'
+    [flush] bookkeeping, admission wake-ups, trace events).  The
+    interpreter keeps what a copy cannot decide alone: the CPU queue,
+    send packing and the site's uid counter, which the core draws from
+    through {!env}.  The view and the wedge stay in {!Flush.state},
+    which every call reads and none writes.
 
     The engines are imperative, so the state is one mutable record per
     copy, updated in place rather than returned: an untraced step
@@ -60,7 +62,9 @@ type env = {
     [env.traced ()] holds. *)
 type note =
   | Originated of mode * uid
-  | Self_delivered of uid  (** the origin's own delivery, outside the engines *)
+  | Self_delivered of uid
+      (** the origin's own delivery, outside the engines, when its site
+          hosts a member *)
   | Delivered of uid
   | Stabilized of uid
   | Stable_advance of uid  (** a [Stable] arrived for this uid *)
@@ -68,18 +72,21 @@ type note =
   | Voted of { voter : int; uid : uid; prio : int }
   | Committed of uid * int  (** final priority *)
 
-type 'o effect =
+(** ['x] is the effect type of the copy around the core, which rides
+    in [Other]. *)
+type ('o, 'x) effect =
   | Send of int * Proto.frame
   | Mcast of int list * Proto.frame  (** the same frame to each site *)
-  | Deliver of Message.t  (** to the local members of the current view *)
+  | Deliver of Message.t * Addr.proc list
+      (** to those of these members (the view's, when it was made) this
+          site hosts *)
   | Note of note
   | Init_done of 'o  (** the owner's accepted send left origination *)
   | Outstanding of 'o * uid  (** the owner's [flush] now waits for [uid] *)
   | Settled of 'o * uid  (** ... and no longer does *)
   | Gbcast_start of uid * Message.t  (** hand a GBCAST to the flush *)
   | Admit  (** backlog shrank: wake blocked originators *)
-  | Rerun of 'o send list
-      (** feed each as [Multicast], in order: the sends a wedge deferred *)
+  | Other of 'x  (** the data path makes none *)
 
 type 'o input =
   | Accept  (** a send entered the CPU queue; it counts against admission *)
@@ -94,13 +101,17 @@ type 'o input =
   | Install of Proto.frame
       (** the commit's view is {!Flush.state}'s: fresh engines and
           store, then the commit's GBCASTs delivered *)
-  | Unblock  (** the install is done: rerun the deferred sends *)
+  | Unblock  (** the install is done: originate the sends the wedge deferred, in order *)
   | Discard  (** the copy goes: release every owner it holds *)
 
 (** [create fl] is an empty state for the view [fl] holds. *)
 val create : Flush.state -> 'o state
 
-val step : env -> Flush.state -> 'o state -> 'o input -> 'o effect list
+val step : env -> Flush.state -> 'o state -> 'o input -> ('o, 'x) effect list
+
+(** [frame env fl st ~src f] is [step env fl st (Frame (src, f))]
+    without building the input. *)
+val frame : env -> Flush.state -> 'o state -> src:int -> Proto.frame -> ('o, 'x) effect list
 
 (** What origination does with a send now: a member a past view change
     removed as failed is dropped, and a wedged group defers the rest. *)

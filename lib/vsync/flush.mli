@@ -10,11 +10,11 @@
     partition.
 
     [step] does no I/O: it maps a state and an input to the next state
-    and the effects to run, in order.  The runtime's interpreter
-    ([Membership]) runs them, gathers what the core cannot see (engine
-    reports for a wedge ack, stored bodies, liveness of local
-    processes, a join validator's verdict) and feeds it back as
-    inputs. *)
+    and the effects to run, in order.  {!Copy} runs it: it answers what
+    the core cannot see (engine reports for a wedge ack, stored bodies,
+    liveness of local processes) and feeds it back as inputs, and
+    passes the rest to the runtime's interpreter, which asks a join
+    validator for its verdict. *)
 
 open Types
 module Addr = Vsync_msg.Addr

@@ -5,7 +5,7 @@
 open Types
 open State
 open Sessions
-open Delivery
+open Interp
 
 (* --- CPU model: one processor per site, FIFO service --- *)
 
@@ -67,7 +67,7 @@ let release_packed t =
   let _, run =
     List.fold_left
       (fun (later, run) (g, body, k) ->
-        (later || Datapath.fate g.fl g.dp body = Datapath.Originate, (k, not later) :: run))
+        (later || Copy.fate g.copy body = Datapath.Originate, (k, not later) :: run))
       (false, []) held
   in
   List.iter (fun (k, ack) -> k ~ack) run
@@ -170,7 +170,7 @@ let rec accept p = function
   | [] -> ()
   | To_copy g :: rest ->
     p.pending_inits <- p.pending_inits + 1;
-    dp p.rt g Datapath.Accept;
+    step p.rt g Copy.Accept;
     accept p rest
   | (To_proc _ | To_relay _) :: rest -> accept p rest
 
@@ -183,7 +183,7 @@ let rec send_routes t p sess mode body ~ack ~handed = function
     send_to_proc t p sess q body;
     send_routes t p sess mode body ~ack ~handed rest
   | To_copy g :: rest ->
-    dp t g (Datapath.Hand_off { owner = Some p; mode; body; ack });
+    step t g (Copy.Hand_off { owner = Some p; mode; body; ack });
     send_routes t p sess mode body ~ack ~handed:true rest
   | To_relay (group, relay) :: rest ->
     let session = Option.map (fun s -> s.sess_id) sess in
@@ -232,7 +232,7 @@ let overloaded_dest t dest =
   match dest with
   | Addr.Group gid -> (
     match group_of t gid with
-    | Some g when Datapath.overloaded t.dp_env g.dp -> Some gid
+    | Some g when Copy.overloaded t.env g.copy -> Some gid
     | Some _ | None -> None)
   | Addr.Proc _ -> None
 

@@ -1,20 +1,18 @@
 (* The per-site protocols process: frame dispatch, construction and
    site lifecycle, processes, and the client API.  The protocol
-   decisions are two cores with no I/O, [Flush] (the view change) and
-   [Datapath] (the data path), run by private modules, each using only
-   those before it: [State] (records and helpers), [Sessions] (reply
-   collection), [Delivery] (local delivery and the data path's
-   interpreter), [Origination] (CPU queue, packing, the client send
-   API, admission) and [Membership] (the flush's interpreter,
-   discarding a copy, site up/down, group frames).  The one call that
-   goes back up the stack, [State.t.feed], is set here to
-   [Membership.feed]. *)
+   decisions of a group copy are one step function with no I/O,
+   [Copy.step], which composes the view change ([Flush]) and the data
+   path ([Datapath]).  The private modules, each using only those
+   before it: [State] (records and helpers), [Sessions] (reply
+   collection), [Interp] (the copy's interpreter: frames, timers,
+   local delivery, waiters and monitors, site up/down, group frames)
+   and [Origination] (CPU queue, packing, the client send API,
+   admission). *)
 
 open Types
 include State
-open Delivery
+open Interp
 open Origination
-open Membership
 
 type send_verdict = Origination.send_verdict =
   | Admitted of outcome
@@ -84,10 +82,6 @@ let handle_frame t ~src frame =
          site dropped the group long ago. *)
       let vid = match group_of t group with Some g -> (view g).View.view_id | None -> -1 in
       send_frame t ~dst:from_site (Proto.View_probe_reply { group; view_id = vid })
-    | Proto.View_probe_reply { group; _ } -> (
-      (* A newer view means the primary partition moved on without us:
-         the flush tears this copy down so members can rejoin fresh. *)
-      match group_of t group with Some g -> feed t g (Flush.Frame (src, frame)) | None -> ())
     | Proto.Relay { group; mode; body; session; caller } -> (
       match group_of t group with
       | Some g ->
@@ -96,7 +90,7 @@ let handle_frame t ~src frame =
           send_frame t ~dst:caller.Addr.site
             (Proto.Relay_info { session = sid; responders = (view g).View.members })
         | None -> ());
-        dp t g (Datapath.Multicast { owner = None; mode; body; ack = true })
+        step t g (Copy.Multicast { owner = None; mode; body; ack = true })
       | None -> (
         (* Stale contact: report an empty responder set, so the caller
            stops waiting on this group; a call with nothing else to
@@ -109,22 +103,23 @@ let handle_frame t ~src frame =
       match Hashtbl.find_opt t.sessions session with
       | Some sess -> Sessions.note_relay_answer t sess ~relay:src responders
       | None -> ())
-    | Proto.Deliver_ack { group; _ } | Proto.Stable { group; _ } -> (
-      match group_of t group with Some g -> dp t g (Datapath.Frame (src, frame)) | None -> ())
-    | Proto.Cb_data _ | Proto.Ab_data _ | Proto.Ab_prio _ | Proto.Ab_commit _
-    | Proto.Join_req _ | Proto.Join_refused _ | Proto.Leave_req _ | Proto.Proc_failed _
-    | Proto.Gb_req _ | Proto.Wedge _ | Proto.Wedge_ack _ | Proto.Fetch _
-    | Proto.Fetch_reply _ | Proto.Commit _ ->
-      handle_group_frame t ~src frame
+    | Proto.Cb_data { group; _ } | Proto.Ab_data { group; _ } | Proto.Ab_prio { group; _ }
+    | Proto.Ab_commit { group; _ } | Proto.Deliver_ack { group; _ } | Proto.Stable { group; _ }
+    | Proto.Join_req { group; _ } | Proto.Join_refused { group; _ } | Proto.Leave_req { group; _ }
+    | Proto.Proc_failed { group; _ } | Proto.Gb_req { group; _ } | Proto.Wedge { group; _ }
+    | Proto.Wedge_ack { group; _ } | Proto.Fetch { group; _ } | Proto.Fetch_reply { group; _ }
+    | Proto.Commit { group; _ } | Proto.View_probe_reply { group; _ } ->
+      handle_group_frame t ~src group frame
   end
 
 (* ==================================================================
    Construction and lifecycle
    ================================================================== *)
 
+(* The endpoint exists before the site record; its handlers need the
+   record. *)
 let wire_endpoint t =
-  let ep = Endpoint.create t.fab.ep_fabric ~site:t.my_site ~size:Proto.size in
-  t.ep <- Some ep;
+  let ep = endpoint t in
   Endpoint.set_tracer ep (Trace.obs t.tracer);
   Endpoint.set_receiver ep (fun ~src frames ->
       (* One arriving packet can carry several frames (coalescing).  The
@@ -155,50 +150,46 @@ let wire_endpoint t =
      groups explicitly, like any newcomer. *)
   Endpoint.set_restart_handler ep (fun s -> if t.running then on_site_down ~certain:true t s)
 
+(* [f] summed over the site's copies' data paths. *)
+let sum t f = Hashtbl.fold (fun _ g acc -> acc + f (Copy.datapath g.copy)) t.groups 0
+
 (* Gauges for leak tests: all three drain to zero once traffic
    quiesces. *)
-let pending_unstable t =
-  Hashtbl.fold (fun _ g acc -> acc + Datapath.unstable g.dp) t.groups 0
+let pending_unstable t = sum t Datapath.unstable
 
 (* Frames held for a view a copy has not installed, and for a group a
    local join is still waiting to receive. *)
 let pending_held_frames t =
-  Hashtbl.fold (fun _ g acc -> acc + List.length g.held) t.groups 0
+  Hashtbl.fold (fun _ g acc -> acc + Copy.held g.copy) t.groups 0
   + Hashtbl.fold (fun _ j acc -> acc + List.length j.early) t.joins 0
 
 let pending_sessions t = Hashtbl.length t.sessions
 
-let pending_store t =
-  Hashtbl.fold (fun _ g acc -> acc + Datapath.stored g.dp) t.groups 0
-
-let dedup_residue t =
-  Hashtbl.fold (fun _ g acc -> acc + Datapath.dedup_residue g.dp) t.groups 0
+let pending_store t = sum t Datapath.stored
+let dedup_residue t = sum t Datapath.dedup_residue
 
 (* The hygiene gauges live in the registry under stable names, so
    consumers (oracle checks, bench artifacts) sample by name instead of
-   importing Runtime accessors.  Registered after [wire_endpoint]: the
-   transport gauges read the endpoint lazily at sample time. *)
+   importing Runtime accessors. *)
 let register_metrics t =
-  let m = t.metrics in
-  let sum f = Hashtbl.fold (fun _ g acc -> acc + f g) t.groups 0 in
+  let m = t.metrics and ep = endpoint t in
   Metrics.gauge m "runtime.pending_unstable" (fun () -> pending_unstable t);
   Metrics.gauge m "runtime.held_frames" (fun () -> pending_held_frames t);
   Metrics.gauge m "runtime.sessions" (fun () -> pending_sessions t);
   Metrics.gauge m "runtime.pending_store" (fun () -> pending_store t);
   Metrics.gauge m "runtime.dedup_residue" (fun () -> dedup_residue t);
   Metrics.gauge m "runtime.cpu_busy_us" (fun () -> t.cpu_busy);
-  Metrics.gauge m "runtime.accepted" (fun () -> sum (fun g -> Datapath.accepted g.dp));
-  Metrics.gauge m "runtime.ab_queue" (fun () -> sum (fun g -> Datapath.queued g.dp));
-  Metrics.gauge m "runtime.ab_inflight" (fun () -> sum (fun g -> Datapath.inflight g.dp));
-  Metrics.gauge m "transport.inflight" (fun () -> Endpoint.inflight (endpoint t));
-  Metrics.gauge m "transport.sendq_depth" (fun () -> Endpoint.sendq_depth (endpoint t));
-  Metrics.gauge m "transport.recv_pending" (fun () -> Endpoint.recv_pending (endpoint t));
-  Metrics.gauge m "transport.data_frames" (fun () -> Endpoint.frames_sent (endpoint t));
-  Metrics.gauge m "transport.ack_frames" (fun () -> Endpoint.acks_sent (endpoint t));
-  Metrics.gauge m "transport.packets" (fun () -> Endpoint.packets_sent (endpoint t));
-  Metrics.gauge m "transport.retransmits" (fun () -> Endpoint.retransmits (endpoint t));
-  Metrics.gauge m "transport.channel_failures" (fun () ->
-      Endpoint.channel_failures (endpoint t))
+  Metrics.gauge m "runtime.accepted" (fun () -> sum t Datapath.accepted);
+  Metrics.gauge m "runtime.ab_queue" (fun () -> sum t Datapath.queued);
+  Metrics.gauge m "runtime.ab_inflight" (fun () -> sum t Datapath.inflight);
+  Metrics.gauge m "transport.inflight" (fun () -> Endpoint.inflight ep);
+  Metrics.gauge m "transport.sendq_depth" (fun () -> Endpoint.sendq_depth ep);
+  Metrics.gauge m "transport.recv_pending" (fun () -> Endpoint.recv_pending ep);
+  Metrics.gauge m "transport.data_frames" (fun () -> Endpoint.frames_sent ep);
+  Metrics.gauge m "transport.ack_frames" (fun () -> Endpoint.acks_sent ep);
+  Metrics.gauge m "transport.packets" (fun () -> Endpoint.packets_sent ep);
+  Metrics.gauge m "transport.retransmits" (fun () -> Endpoint.retransmits ep);
+  Metrics.gauge m "transport.channel_failures" (fun () -> Endpoint.channel_failures ep)
 
 (* Site [site]'s uids, in order.  It outlives a crash, so a restarted
    site never reuses one. *)
@@ -213,7 +204,7 @@ let create ?(config = default_config) fab ~site ~trace () =
   (* A window below one slot would park every ABCAST in [ab_queue]
      forever, silently. *)
   if config.ab_window < 1 then invalid_arg "Runtime.create: ab_window must be >= 1";
-  let metrics = Metrics.create () in
+  let metrics = Metrics.create () and procs = Hashtbl.create 16 in
   let t =
     {
       fab;
@@ -221,20 +212,23 @@ let create ?(config = default_config) fab ~site ~trace () =
       cfg = config;
       bk = fab.fbk;
       tracer = trace;
-      ep = None;
-      feed = (fun _ _ -> ());
-      dp_env =
+      ep = Endpoint.create fab.ep_fabric ~site ~size:Proto.size;
+      env =
         {
-          Datapath.window = config.ab_window;
-          fresh = uid_counter site;
-          traced = (fun () -> Obs_tracer.wants (Trace.obs trace) Obs_event.Proto);
+          Copy.data =
+            {
+              Datapath.window = config.ab_window;
+              fresh = uid_counter site;
+              traced = (fun () -> Obs_tracer.wants (Trace.obs trace) Obs_event.Proto);
+            };
+          alive = (fun a -> find_in procs a <> None);
         };
       metrics;
       running = true;
       next_proc_idx = 0;
       next_session = 0;
       next_qid = 0;
-      procs = Hashtbl.create 16;
+      procs;
       groups = Hashtbl.create 16;
       names = Hashtbl.create 16;
       dir = Hashtbl.create 16;
@@ -253,7 +247,6 @@ let create ?(config = default_config) fab ~site ~trace () =
       stability_frames = Metrics.counter metrics "runtime.stability_frames";
     }
   in
-  t.feed <- feed t;
   wire_endpoint t;
   register_metrics t;
   t
@@ -359,8 +352,9 @@ let pg_create p name =
   let t = p.rt in
   count t "prim.local_rpc";
   if Hashtbl.mem t.names name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
-  let gid = Addr.group_of_int ((t.my_site lsl 20) lor (t.dp_env.fresh ()).useq) in
-  let g = make_group ~gid (flush_state t ~gname:name (View.initial gid p.addr)) in
+  let gid = Addr.group_of_int ((t.my_site lsl 20) lor (t.env.data.fresh ()).useq) in
+  let g = make_group ~gid
+      (Copy.create ~me:t.my_site ~epoch:(Endpoint.epoch (endpoint t)) ~gname:name (View.initial gid p.addr)) in
   Hashtbl.replace t.groups (gi gid) g;
   dir_set t ~name gid [ t.my_site ];
   p.memberships <- gi gid :: p.memberships;
@@ -396,7 +390,7 @@ let pg_join p gid ~credentials =
   let iv = Ivar.create () in
   join_add t gid ~idx:p.addr.Addr.idx iv;
   (match group_of t gid with
-  | Some g -> feed t g (Flush.Event (Flush.Ev_join (p.addr, credentials)))
+  | Some g -> step t g (Copy.Event (Flush.Ev_join (p.addr, credentials)))
   | None -> (
     match contact_site_for t gid with
     | Some c -> send_frame t ~dst:c (Proto.Join_req { group = gid; joiner = p.addr; credentials })
@@ -416,7 +410,7 @@ let pg_leave p gid =
     if View.is_member (view g) p.addr then begin
       let iv = Ivar.create () in
       g.leavers <- (p.addr.Addr.idx, iv) :: g.leavers;
-      feed t g (Flush.Event (Flush.Ev_leave p.addr));
+      step t g (Copy.Event (Flush.Ev_leave p.addr));
       Ivar.read iv
     end
 
@@ -424,7 +418,7 @@ let pg_add_member p gid who =
   let t = p.rt in
   match group_of t gid with
   | None -> invalid_arg "Runtime.pg_add_member: no local view of group"
-  | Some g -> feed t g (Flush.Event (Flush.Ev_join (who, Message.create ())))
+  | Some g -> step t g (Copy.Event (Flush.Ev_join (who, Message.create ())))
 
 let pg_monitor p gid f =
   let t = p.rt in
@@ -454,7 +448,7 @@ let pg_kill p gid =
     let body = Message.create () in
     Message.set_sender body p.addr;
     Message.set_bool body f_pg_kill true;
-    dp t g (Datapath.Multicast { owner = None; mode = Abcast; body; ack = true })
+    step t g (Copy.Multicast { owner = None; mode = Abcast; body; ack = true })
 
 let bcast = bcast
 let bcast_multi = bcast_multi

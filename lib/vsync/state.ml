@@ -74,17 +74,11 @@ type proc = {
 
 and group = {
   gid : Addr.group_id;
-  mutable fl : Flush.state;
-      (* the view and the flush's protocol state: written only by
-         [Membership.feed], from [Flush.step] *)
-  dp : proc Datapath.state;
-      (* the data path's state: updated only by [Datapath.step], which
-         [Delivery.dp] runs *)
+  copy : proc Copy.t;
+      (* the view, the flush, the data path and the held frames: changed
+         only by [Copy.step], which [Interp.step] runs *)
   mutable g_monitors : (proc * (View.t -> View.change list -> unit)) list;
   mutable join_validator : (proc * (Addr.proc -> Message.t -> bool)) option;
-  mutable held : (int * Proto.frame) list;
-      (* (src, frame) for a view this copy has not installed yet, newest
-         first *)
   mutable leavers : (int * unit Ivar.t) list;
       (* local processes blocked in [pg_leave]: proc idx, waiter *)
 }
@@ -115,15 +109,10 @@ and t = {
   cfg : config;
   bk : Backend.t;
   tracer : Trace.t;
-  mutable ep : Proto.frame Endpoint.t option; (* set right after create *)
-  mutable feed : group -> Flush.input -> unit;
-      (* the one call that goes up the module stack: a local process
-         kill and a GBCAST (both run in delivery) hand their event to
-         the flush through it.  [Runtime.create] sets it to
-         [Membership.feed]. *)
-  dp_env : Datapath.env;
-      (* the ABCAST window, and the site's uid counter, which group ids
-         share *)
+  ep : Proto.frame Endpoint.t;
+  env : Copy.env;
+      (* the ABCAST window, the site's uid counter (group ids share it)
+         and which local processes live *)
   metrics : Metrics.t;
   mutable running : bool;
   mutable next_proc_idx : int;
@@ -266,8 +255,7 @@ let forget_site t s =
     (fun gid_int -> drop_hint t ~gid_int ~site:s)
     (Hashtbl.fold (fun gid_int _ acc -> gid_int :: acc) t.dir [])
 
-let endpoint t =
-  match t.ep with Some e -> e | None -> invalid_arg "Runtime: endpoint not wired"
+let endpoint t = t.ep
 
 (* Frames that are "about" one multicast — the per-uid timeline raw
    material.  Control frames without a uid (directory, membership,
@@ -333,37 +321,19 @@ let rec filters_pass rev_filters body =
   | [] -> true
   | f :: older -> filters_pass older body && f body
 
-let find_proc t (a : Addr.proc) =
-  match Hashtbl.find_opt t.procs a.Addr.idx with
+let find_in procs (a : Addr.proc) =
+  match Hashtbl.find_opt procs a.Addr.idx with
   | Some p when Addr.equal_proc p.addr a && p.palive -> Some p
   | Some _ | None -> None
 
-(* The installed view of [g] at this site. *)
-let view g = g.fl.Flush.view
+let find_proc t a = find_in t.procs a
 
-let local_members t g = View.members_at_site (view g) t.my_site
+(* The installed view of [g] at this site. *)
+let view g = Copy.view g.copy
 
 let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 
-(* Tell [dst] which view of [g] is current: a sender still working in
-   a dead lineage takes its partition-eviction path and rejoins. *)
-let send_current_view t ~dst g =
-  send_frame t ~dst (Proto.View_probe_reply { group = g.gid; view_id = (view g).View.view_id })
-
-(* The flush state of a fresh copy of a group holding [view]. *)
-let flush_state t ~gname view =
-  Flush.create ~me:t.my_site ~epoch:(Endpoint.epoch (endpoint t)) ~gname view
-
-let make_group ~gid fl =
-  {
-    gid;
-    fl;
-    dp = Datapath.create fl;
-    g_monitors = [];
-    join_validator = None;
-    held = [];
-    leavers = [];
-  }
+let make_group ~gid copy = { gid; copy; g_monitors = []; join_validator = None; leavers = [] }
 
 (* [after t g ~delay k] runs [k ()] in [delay] µs if the site is still
    up and [g] is still its copy of the group: a timer must not act on a

@@ -43,6 +43,9 @@ let sites t =
 
 let members_at_site t s = List.filter (fun (p : Addr.proc) -> p.Addr.site = s) t.members
 
+let rec at_site s = function [] -> false | (p : Addr.proc) :: rest -> p.Addr.site = s || at_site s rest
+let hosts t s = at_site s t.members
+
 let apply ?id t changes =
   let removed =
     List.filter_map

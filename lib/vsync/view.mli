@@ -52,6 +52,9 @@ val sites : t -> int list
 (** [members_at_site t s] lists members hosted at site [s], age order. *)
 val members_at_site : t -> int -> Addr.proc list
 
+(** [hosts v s]: some member of [v] lives at site [s]. *)
+val hosts : t -> int -> bool
+
 (** [apply ?id t changes] builds the successor view: failed/left
     members removed, joined members appended youngest-last (joins keep
     request order).  The view id becomes [max id (view_id + 1)] — the

@@ -28,7 +28,7 @@ let copy ?(window = 16) ~me n =
 let send ?(ack = true) mode = Datapath.Multicast { owner = Some "p"; mode; body = Message.create (); ack }
 
 (* Feed [inputs] in order, collecting every effect. *)
-let feed (env, fl, st) inputs =
+let feed (env, fl, st) inputs : (string, unit) Datapath.effect list =
   List.concat_map (Datapath.step env fl st) inputs
 
 let prio_frame ~src uid prio =

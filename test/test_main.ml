@@ -80,4 +80,5 @@ let () =
       ("packing", Test_packing.suite);
       ("flush", Test_flush.suite);
       ("datapath", Test_datapath.suite);
+      ("copy", Test_copy.suite);
     ]
