@@ -52,6 +52,7 @@ type state = {
   last_commit : Proto.frame option;
   minority : minority option;
   outstanding : (uid * Message.t) list;
+  leaving : Addr.proc list;
 }
 
 type timer = Wedge_retry of int | Reroute | Repropose | Probe of int
@@ -94,7 +95,7 @@ type input =
 
 let create ~me ~epoch ~gname view =
   { me; epoch; gname; view; suspects = Int_set.empty; queue = []; change = None; wedge = None;
-    last_attempt = 0; last_commit = None; minority = None; outstanding = [] }
+    last_attempt = 0; last_commit = None; minority = None; outstanding = []; leaving = [] }
 
 (* Run [f] on the state a step leaves, appending its effects. *)
 let ( >>= ) (st, effects) f =
@@ -632,10 +633,9 @@ let install st ~retiring frame =
   | Proto.Commit { gb_bodies; new_view; _ } ->
     let st = match st.change with Some c when not (committed c) -> requeue st c.c_batch | _ -> st in
     let delivered u = List.exists (fun (u', _) -> u' = u) gb_bodies in
-    let in_view s = List.exists (fun (m : Addr.proc) -> m.Addr.site = s) new_view.View.members in
     ( { st with change = None; view = new_view; wedge = None; minority = None;
-                last_commit = Some frame;
-                suspects = Int_set.filter in_view st.suspects;
+                last_commit = Some frame; leaving = List.filter (View.is_member new_view) st.leaving;
+                suspects = Int_set.filter (View.hosts new_view) st.suspects;
                 outstanding = List.filter (fun (u, _) -> not (delivered u)) st.outstanding;
                 queue =
                   List.filter (function Ev_gb (u, _) -> not (delivered u) | _ -> true) st.queue },
@@ -644,8 +644,7 @@ let install st ~retiring frame =
 
 let adopt ~me ~epoch frame =
   match frame with
-  | Proto.Commit { new_view; gname; _ }
-    when List.exists (fun (m : Addr.proc) -> m.Addr.site = me) new_view.View.members ->
+  | Proto.Commit { new_view; gname; _ } when View.hosts new_view me ->
     Some (install (create ~me ~epoch ~gname new_view) ~retiring:None frame)
   | _ -> None
 
@@ -653,8 +652,10 @@ let adopt ~me ~epoch frame =
    change means its eviction report went missing (routed to a
    coordinator a partition swallowed): re-propose it, so reports
    converge to an eviction however many are lost.  Likewise re-issue
-   our undelivered GBCASTs until some commit carries them.  Duplicates
-   collapse in the coordinator's queue. *)
+   our undelivered GBCASTs until some commit carries them, and the
+   leaves of our processes the new view still lists: the coordinator
+   we asked may have left or died first.  Duplicates collapse in the
+   coordinator's queue. *)
 let installed st (new_view : View.t) =
   let suspected =
     List.filter_map
@@ -664,7 +665,8 @@ let installed st (new_view : View.t) =
       new_view.View.members
   in
   let gbs = List.rev_map (fun (u, b) -> Ev_gb (u, b)) st.outstanding in
-  let routed = route_all st (suspected @ gbs) in
+  let leaves = List.rev_map (fun p -> Ev_leave p) st.leaving in
+  let routed = route_all st (suspected @ gbs @ leaves) in
   if asks (snd routed) then routed (* the change starts with the answer *)
   else
     (* Leadership may have moved with the new view: hand queued events
@@ -771,6 +773,7 @@ let on_frame st ~src frame =
   | _ -> none st
 
 let step st = function
+  | Event (Ev_leave p as ev) when p.Addr.site = st.me -> route { st with leaving = p :: st.leaving } ev
   | Event ev -> route st ev
   | Gbcast (uid, body) ->
     route { st with outstanding = (uid, body) :: st.outstanding } (Ev_gb (uid, body))

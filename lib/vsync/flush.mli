@@ -92,6 +92,9 @@ type state = {
   outstanding : (uid * Message.t) list;
       (** GBCASTs this site originated that no installed view has
           delivered yet, newest first; re-routed at every install *)
+  leaving : Addr.proc list;
+      (** local processes whose leave no installed view has carried
+          out yet, newest first; re-routed at every install *)
 }
 
 type timer =

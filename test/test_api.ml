@@ -418,6 +418,53 @@ let test_dissolved_name_reusable () =
   | Some (Error e) -> Alcotest.failf "pg_create refused: %s" e
   | None -> Alcotest.fail "pg_create never returned"
 
+(* [pg_leave] returns once a view without the leaver installs, even
+   when the coordinator it asked goes first: the leaver's site re-routes
+   the leave at every install that still lists the leaver. *)
+let leaves_settle w members gid ~left =
+  List.iter
+    (fun (i, ret) -> Alcotest.(check bool) (Printf.sprintf "p%d's pg_leave returned" i) true !ret)
+    left;
+  match Runtime.pg_view members.(2) gid with
+  | Some v ->
+    Alcotest.(check bool) "site 2 holds {p2}" true (v.View.members = [ Runtime.proc_addr members.(2) ])
+  | None -> Alcotest.failf "site 2 holds no view at %d us" (World.now w)
+
+(* p0, the coordinator's member, and p1 leave at once, or p1 1 ms first:
+   site 0 installs the view without p0 and hands p1's queued leave to a
+   site that already installed it, which drops it as coming from a
+   non-member. *)
+let test_concurrent_leaves () =
+  List.iter
+    (fun p1_first_us ->
+      let w, members, gid = make ~sites:3 () in
+      let leave i ~after =
+        let ret = ref false in
+        World.run_task w members.(i) (fun () ->
+            if after > 0 then Runtime.sleep members.(i) after;
+            Runtime.pg_leave members.(i) gid;
+            ret := true);
+        (i, ret)
+      in
+      let left = [ leave 0 ~after:p1_first_us; leave 1 ~after:0 ] in
+      World.run w;
+      leaves_settle w members gid ~left)
+    [ 0; 1_000 ]
+
+(* p1 leaves and the coordinator's site crashes 30 ms later, before it
+   commits the leave: the survivors install the view without p0, which
+   still lists p1. *)
+let test_leave_coordinator_crash () =
+  let w, members, gid = make ~sites:3 () in
+  let ret = ref false in
+  World.run_task w members.(1) (fun () ->
+      Runtime.pg_leave members.(1) gid;
+      ret := true);
+  World.run_for w 30_000;
+  World.crash_site w 0;
+  World.run w;
+  leaves_settle w members gid ~left:[ (1, ret) ]
+
 let suite =
   [
     Alcotest.test_case "join validator" `Quick test_join_validator;
@@ -435,4 +482,6 @@ let suite =
     Alcotest.test_case "relay death fails the call" `Quick test_relay_death_fails_call;
     Alcotest.test_case "remote exec" `Quick test_remote_exec;
     Alcotest.test_case "dissolved name can be created again" `Quick test_dissolved_name_reusable;
+    Alcotest.test_case "concurrent leaves with the coordinator's member" `Quick test_concurrent_leaves;
+    Alcotest.test_case "leave survives a coordinator crash" `Quick test_leave_coordinator_crash;
   ]
