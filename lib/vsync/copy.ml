@@ -6,17 +6,16 @@
 
 module Addr = Vsync_msg.Addr
 module Message = Vsync_msg.Message
+module Event = Vsync_obs.Event
 
 type io =
   | Arm of int * Flush.timer
-  | Note of int * Flush.note
   | Refuse_join of Addr.proc * string
   | Validate of (Addr.proc * Message.t) list
   | Commit of int list * Proto.frame
-  | Installing of Proto.frame
-  | Installed of { retiring : View.t option; commit : Proto.frame }
-  | Probe_sites of { view_id : int; sites : int list }
-  | Teardown of { view_id : int; new_view_id : int; verdict : int; notify : int list }
+  | Installing of { gname : string; view : View.t }
+  | Installed of { retiring : View.t option; view : View.t; events : View.change list }
+  | Teardown
   | Discard of { sites : int list; held : (int * Proto.frame) list }
 
 type 'o effect = ('o, io) Datapath.effect
@@ -51,7 +50,23 @@ let datapath c = c.dp
 let held c = List.length c.held
 let view_id c = (view c).View.view_id
 let io e = Datapath.Other e
-let note c n = io (Note (view_id c, n))
+
+(* A flush trace point, as the event it is in the current view. *)
+let note c n =
+  let site = c.fl.me and group = Addr.group_to_int (view c).View.group and view_id = view_id c in
+  let error what detail = Event.Error_event { site; what; detail } in
+  Datapath.Note
+    (match n with
+    | Flush.Flush_started attempt -> Event.Flush { site; group; view_id; attempt }
+    | Flush.Wedged -> Event.Wedge { site; group; view_id }
+    | Flush.Fenced { view_id; attempt; src } ->
+      error "fenced-commit" (Printf.sprintf "g%d v%d a%d from s%d" group view_id attempt src)
+    | Flush.No_coordinator -> error "no-live-coordinator" (Printf.sprintf "g%d" group)
+    | Flush.Body_missing u ->
+      error "body-missing" (Printf.sprintf "g%d u%d.%d" group u.Types.usite u.Types.useq)
+    | Flush.Minority_entered { survivors; needed } ->
+      Event.Partition_wedge { site; group; view_id; survivors; needed }
+    | Flush.Minority_left -> Event.Partition_exit { site; group; view_id })
 
 (* This site's answer to a fetch: the bodies of [uids] it holds, after
    a note for each it lacks. *)
@@ -93,20 +108,31 @@ and flush_effect env c = function
     let retired = data env c (Datapath.Retire frame) in
     retired @ change env c (Flush.Retired frame)
   | Flush.Install { retiring; commit } -> install env c ~retiring commit
-  | Flush.Probe_sites sites -> [ io (Probe_sites { view_id = view_id c; sites }) ]
+  | Flush.Probe_sites sites ->
+    let group = (view c).View.group and view_id = view_id c and site = c.fl.me in
+    [ Datapath.Note (Event.Partition_probe { site; group = Addr.group_to_int group; view_id });
+      Datapath.Mcast (sites, Proto.View_probe { group; view_id; from_site = site }) ]
   | Flush.Teardown { new_view_id; verdict; notify } ->
-    let evicted = io (Teardown { view_id = view_id c; new_view_id; verdict; notify }) in
-    evicted :: discard env c
+    (* The primary partition installed [new_view_id] without us (or
+       probing ran dry, [-1]): the copy goes, unstable minority
+       deliveries included, so local members can rejoin fresh and pull
+       current state through the state-transfer toolkit.  The sites in
+       [notify] are told the view id [verdict], so they discard their
+       copies too. *)
+    let group = (view c).View.group and view_id = view_id c and site = c.fl.me in
+    Datapath.Note (Event.Partition_evict { site; group = Addr.group_to_int group; view_id; new_view_id })
+    :: Datapath.Mcast (notify, Proto.View_probe_reply { group; view_id = verdict })
+    :: io Teardown :: discard env c
 
 (* The second half of an install: the flush already holds the new
    view.  A rerun send goes back through [Datapath.fate], which drops
    the sends of a member this very commit removed as failed. *)
 and install env c ~retiring commit =
   match commit with
-  | Proto.Commit { new_view; _ } ->
-    let installing = io (Installing commit) in
+  | Proto.Commit { new_view; events; gname; _ } ->
+    let installing = io (Installing { gname; view = new_view }) in
     let delivered = data env c (Datapath.Install commit) in
-    let installed = io (Installed { retiring; commit }) in
+    let installed = io (Installed { retiring; view = new_view; events }) in
     let rerun = data env c Datapath.Unblock in
     let frames = List.rev c.held in
     c.held <- [];

@@ -27,7 +27,8 @@
     the order they must run, each answer where its question stood.  The
     runtime's interpreter runs them after the whole step, so every
     effect carries what it needs from the copy.  The data path's
-    effects pass through as they are; the view change's ride in
+    effects pass through as they are; the view change's trace points
+    become [Datapath.Note] events, and its other effects ride in
     [Datapath.Other] as {!io}. *)
 
 module Addr = Vsync_msg.Addr
@@ -47,21 +48,19 @@ type env = {
 (** The view change's I/O. *)
 type io =
   | Arm of int * Flush.timer  (** feed [Timer] after this many µs, if the copy survives *)
-  | Note of int * Flush.note  (** a trace point, in the view with this id *)
   | Refuse_join of Addr.proc * string
   | Validate of (Addr.proc * Message.t) list  (** answer with [Refused] *)
   | Commit of int list * Proto.frame  (** broadcast a commit this site built *)
-  | Installing of Proto.frame
-      (** the commit's view is the copy's: the directory, the install
-          trace point and the local processes' memberships follow it *)
-  | Installed of { retiring : View.t option; commit : Proto.frame }
+  | Installing of { gname : string; view : View.t }
+      (** a commit's view is the copy's: the directory and the install
+          trace point follow it *)
+  | Installed of { retiring : View.t option; view : View.t; events : View.change list }
       (** after the commit's GBCASTs: open calls discount removed
           members, monitors and the joins and leaves it settles hear of
           it, and failure-detector subscriptions follow the sites *)
-  | Probe_sites of { view_id : int; sites : int list }  (** send a view probe to each site *)
-  | Teardown of { view_id : int; new_view_id : int; verdict : int; notify : int list }
-      (** the copy is evicted: trace it, tell [notify] the view id
-          [verdict], fail local joins; [Discard] follows *)
+  | Teardown
+      (** the copy is evicted: fail local joins and stop offering this
+          site as a contact; [Discard] follows *)
   | Discard of { sites : int list; held : (int * Proto.frame) list }
       (** the copy is gone: release what waits on it, stop monitoring
           [sites], and pass [held] (newest first) to a local join in

@@ -6,25 +6,16 @@
 open Types
 module Addr = Vsync_msg.Addr
 module Message = Vsync_msg.Message
+module Event = Vsync_obs.Event
 
 type 'o send = { owner : 'o option; mode : mode; body : Message.t; ack : bool }
 type env = { window : int; fresh : unit -> uid; traced : unit -> bool }
-
-type note =
-  | Originated of mode * uid
-  | Self_delivered of uid
-  | Delivered of uid
-  | Stabilized of uid
-  | Stable_advance of uid
-  | Reclaimed
-  | Voted of { voter : int; uid : uid; prio : int }
-  | Committed of uid * int
 
 type ('o, 'x) effect =
   | Send of int * Proto.frame
   | Mcast of int list * Proto.frame
   | Deliver of Message.t * Addr.proc list
-  | Note of note
+  | Note of Event.t
   | Init_done of 'o
   | Outstanding of 'o * uid
   | Settled of 'o * uid
@@ -93,6 +84,15 @@ let remote_sites (fl : Flush.state) = List.filter (fun s -> s <> fl.me) (View.si
 let init_done owner acc = match owner with Some p -> Init_done p :: acc | None -> acc
 let settled owner uid acc = match owner with Some p -> Settled (p, uid) :: acc | None -> acc
 
+(* Trace events, built only while [env.traced ()] holds. *)
+let delivered (fl : Flush.state) u =
+  Event.Deliver { site = fl.me; group = Addr.group_to_int (gid fl); usite = u.usite; useq = u.useq }
+let stabilized (fl : Flush.state) u = Event.Stabilize { site = fl.me; usite = u.usite; useq = u.useq }
+let originated (fl : Flush.state) proto u =
+  Event.Originate { site = fl.me; proto; group = Addr.group_to_int (gid fl); usite = u.usite; useq = u.useq }
+let voted (fl : Flush.state) voter u prio = Event.Ab_vote { site = fl.me; voter; usite = u.usite; useq = u.useq; prio }
+let committed (fl : Flush.state) u prio = Event.Ab_commit { site = fl.me; usite = u.usite; useq = u.useq; prio }
+
 type fate = Drop | Defer | Originate
 
 let fate fl st body =
@@ -108,14 +108,14 @@ let fate fl st body =
    everywhere first.  The engine is read off the store entry: advancing
    the other engine's watermark could cover a uid of that protocol still
    in flight. *)
-let reclaim env st uid acc =
+let reclaim env (fl : Flush.state) st uid acc =
   let reclaimed =
     match Uid_map.find_opt uid st.store with
     | Some (Proto.Scb _) -> Causal.stabilized st.causal uid; true
     | Some (Proto.Sab _) -> Total.stabilized st.total uid; true
     | None -> false
   in
-  if reclaimed && env.traced () then Note Reclaimed :: acc else acc
+  if reclaimed && env.traced () then Note (Event.Gc_reclaim { site = fl.me; n = 1 }) :: acc else acc
 
 (* Acknowledgement is cumulative, one rule for both engines.  Every
    multicast carries an [ack] flag, clear on all but the last CBCAST of
@@ -152,9 +152,9 @@ let check_stable env fl st uid u acc =
   if u.remaining <> [] then acc
   else begin
     st.unstables <- Uid_map.remove uid st.unstables;
-    let acc = if env.traced () then Note (Stabilized uid) :: acc else acc in
+    let acc = if env.traced () then Note (stabilized fl uid) :: acc else acc in
     let acc = if u.u_ack then Mcast (u.u_dests, Proto.Stable { group = gid fl; uid }) :: acc else acc in
-    let acc = reclaim env st uid acc in
+    let acc = reclaim env fl st uid acc in
     st.store <- Uid_map.remove uid st.store;
     settled u.u_owner uid acc
   end
@@ -169,15 +169,18 @@ let on_deliver_ack env fl st ~src uid acc =
         check_stable env fl st uid u acc)
     acc (covered unstable_unflagged st uid)
 
-let on_stable env st uid acc =
+let on_stable env fl st uid acc =
   let traced = env.traced () in
   List.fold_left
     (fun acc u ->
-      let acc = if traced && not (uid_equal u uid) then Note (Stabilized u) :: acc else acc in
-      let acc = reclaim env st u acc in
+      let acc = if traced && not (uid_equal u uid) then Note (stabilized fl u) :: acc else acc in
+      let acc = reclaim env fl st u acc in
       st.store <- Uid_map.remove u st.store;
       acc)
-    (if traced then Note (Stable_advance uid) :: Note (Stabilized uid) :: acc else acc)
+    (if traced then
+       Note (Event.Stable_advance { site = fl.Flush.me; origin = uid.usite; upto = uid.useq })
+       :: Note (stabilized fl uid) :: acc
+     else acc)
     (covered stored_unflagged st uid)
 
 (* The unstable records are settled wholesale (a view installed, or the
@@ -198,7 +201,7 @@ let causal_receive st ~uid ~rank ~vt body =
   | Some _ | None -> Causal.receive_fifo st.causal ~uid body
 
 let deliver env fl st uid body acc =
-  let acc = Deliver (body, fl.Flush.view.View.members) :: (if env.traced () then Note (Delivered uid) :: acc else acc) in
+  let acc = Deliver (body, fl.Flush.view.View.members) :: (if env.traced () then Note (delivered fl uid) :: acc else acc) in
   if uid.usite = fl.Flush.me then
     match Uid_map.find_opt uid st.unstables with Some u -> check_stable env fl st uid u acc | None -> acc
   else if acked st uid then Send (uid.usite, Proto.Deliver_ack { group = gid fl; uid }) :: acc
@@ -242,7 +245,7 @@ let origin_cbcast env fl st ~owner ~ack body acc =
   in
   let vt = if rank >= 0 then Some (Vsync_util.Vclock.to_list (Causal.stamp st.causal ~rank)) else None in
   let remote = remote_sites fl in
-  let acc = if env.traced () then Note (Originated (Cbcast, uid)) :: acc else acc in
+  let acc = if env.traced () then Note (originated fl "cbcast" uid) :: acc else acc in
   let acc =
     if remote = [] then acc
     else begin
@@ -254,19 +257,19 @@ let origin_cbcast env fl st ~owner ~ack body acc =
     end
   in
   Deliver (body, view.View.members)
-  :: (if env.traced () && View.hosts view fl.me then Note (Self_delivered uid) :: acc else acc)
+  :: (if env.traced () && View.hosts view fl.me then Note (delivered fl uid) :: acc else acc)
 
 (* A purely local round commits and stabilizes on the spot. *)
 let origin_abcast env fl st ~owner ~ack body acc =
   let uid = env.fresh () in
   let remote = remote_sites fl in
-  let acc = if env.traced () then Note (Originated (Abcast, uid)) :: acc else acc in
+  let acc = if env.traced () then Note (originated fl "abcast" uid) :: acc else acc in
   let my_prio = Total.intake st.total ~uid { ab_body = body; ab_ack = ack } in
   let acc = mark_unstable st uid ~remote ~owner ~ack acc in
   if remote = [] then begin
     Total.commit st.total ~uid my_prio;
     let acc = drain env fl st acc in
-    let acc = reclaim env st uid (if env.traced () then Note (Stabilized uid) :: acc else acc) in
+    let acc = reclaim env fl st uid (if env.traced () then Note (stabilized fl uid) :: acc else acc) in
     st.store <- Uid_map.remove uid st.store;
     acc
   end
@@ -323,7 +326,7 @@ let originate env fl st s acc =
       dispatch env fl st acc
     | Gbcast ->
       let uid = env.fresh () in
-      let acc = if env.traced () then Note (Originated (Gbcast, uid)) :: acc else acc in
+      let acc = if env.traced () then Note (originated fl "gbcast" uid) :: acc else acc in
       init_done s.owner (Gbcast_start (uid, s.body) :: acc))
 
 (* A vote counts once per sender.  A frame for a wedged copy never gets
@@ -332,14 +335,14 @@ let on_ab_prio env fl st ~src uid prio acc =
   match Uid_map.find_opt uid st.collects with
   | None -> acc (* finished, or superseded by a flush *)
   | Some c ->
-    let acc = if env.traced () then Note (Voted { voter = src; uid; prio = fst prio }) :: acc else acc in
+    let acc = if env.traced () then Note (voted fl src uid (fst prio)) :: acc else acc in
     c.best <- prio_max c.best prio;
     c.expect <- List.filter (fun s -> s <> src) c.expect;
     if c.expect <> [] then acc
     else begin
       st.collects <- Uid_map.remove uid st.collects;
       st.ab_inflight <- max 0 (st.ab_inflight - 1);
-      let acc = if env.traced () then Note (Committed (uid, fst c.best)) :: acc else acc in
+      let acc = if env.traced () then Note (committed fl uid (fst c.best)) :: acc else acc in
       let acc =
         Mcast (remote_sites fl, Proto.Ab_commit { group = gid fl; view_id = view_id fl; uid; prio = c.best }) :: acc
       in
@@ -367,7 +370,7 @@ let on_frame env fl st ~src frame acc =
     Total.commit st.total ~uid prio;
     drain env fl st acc
   | Proto.Deliver_ack { uid; _ } -> on_deliver_ack env fl st ~src uid acc
-  | Proto.Stable { uid; _ } -> on_stable env st uid acc
+  | Proto.Stable { uid; _ } -> on_stable env fl st uid acc
   | _ -> acc
 
 (* --- view changes --- *)
@@ -376,7 +379,7 @@ let on_frame env fl st ~src frame acc =
    protocol state, so it is reported stable there. *)
 let discharge env (fl : Flush.state) acc uid body =
   Deliver (body, fl.view.View.members)
-  :: (if env.traced () then Note (Stabilized uid) :: Note (Delivered uid) :: acc else acc)
+  :: (if env.traced () then Note (stabilized fl uid) :: Note (delivered fl uid) :: acc else acc)
 
 (* Settle the retiring view as the commit says, then deliver everything
    it holds. *)

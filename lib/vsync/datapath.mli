@@ -58,20 +58,6 @@ type env = {
           the core builds none, so an untraced step allocates no note *)
 }
 
-(** Trace points, in the order they happen, returned only while
-    [env.traced ()] holds. *)
-type note =
-  | Originated of mode * uid
-  | Self_delivered of uid
-      (** the origin's own delivery, outside the engines, when its site
-          hosts a member *)
-  | Delivered of uid
-  | Stabilized of uid
-  | Stable_advance of uid  (** a [Stable] arrived for this uid *)
-  | Reclaimed  (** a stable uid's store copy and dedup record went *)
-  | Voted of { voter : int; uid : uid; prio : int }
-  | Committed of uid * int  (** final priority *)
-
 (** ['x] is the effect type of the copy around the core, which rides
     in [Other]. *)
 type ('o, 'x) effect =
@@ -80,7 +66,10 @@ type ('o, 'x) effect =
   | Deliver of Message.t * Addr.proc list
       (** to those of these members (the view's, when it was made) this
           site hosts *)
-  | Note of note
+  | Note of Vsync_obs.Event.t
+      (** a trace point, made only while [env.traced ()] holds; the
+          origin's own delivery of a CBCAST is one when its site hosts
+          a member *)
   | Init_done of 'o  (** the owner's accepted send left origination *)
   | Outstanding of 'o * uid  (** the owner's [flush] now waits for [uid] *)
   | Settled of 'o * uid  (** ... and no longer does *)

@@ -1,14 +1,11 @@
 (* The interpreter of [Copy.step]: [step] runs one input through a group
-   copy and then the effects it returns, in list order — the order the
-   protocol needs them, so sends, timers and trace points keep their
-   sequence.  Everything here is I/O: frames, timers, delivery to local
-   processes and the reply obligations it creates, the owners' [flush]
+   copy, then the effects it returns, in list order, so sends, timers and
+   trace points keep their sequence.  Everything here is I/O: frames,
+   timers, local delivery and its reply obligations, the owners' [flush]
    bookkeeping, waiters and monitors, the directory, failure-detector
-   subscriptions, trace points, and the one question only the site can
-   answer, a join validator's verdict (the copy learns which local
-   processes live from its env).
-   It also finds the copy a frame is for, and handles the frames for a
-   group this site holds no copy of. *)
+   subscriptions, trace points, and a join validator's verdict.  It also
+   finds the copy a frame is for, and handles the frames for a group
+   this site holds no copy of. *)
 
 open Types
 open State
@@ -57,43 +54,6 @@ let on_reply_body t body =
       note_reply t sess ~responder ~body ~null)
   | _ -> ()
 
-(* --- trace points --- *)
-
-let data_note t g (n : Datapath.note) =
-  let site = t.my_site in
-  match n with
-  | Datapath.Originated (mode, u) ->
-    let proto = match mode with Cbcast -> "cbcast" | Abcast -> "abcast" | Gbcast -> "gbcast" in
-    Obs_event.Originate { site; proto; group = gi g.gid; usite = u.usite; useq = u.useq }
-  | Datapath.Self_delivered u | Datapath.Delivered u ->
-    Obs_event.Deliver { site; group = gi g.gid; usite = u.usite; useq = u.useq }
-  | Datapath.Stabilized u -> Obs_event.Stabilize { site; usite = u.usite; useq = u.useq }
-  | Datapath.Stable_advance u -> Obs_event.Stable_advance { site; origin = u.usite; upto = u.useq }
-  | Datapath.Reclaimed -> Obs_event.Gc_reclaim { site; n = 1 }
-  | Datapath.Voted { voter; uid; prio } ->
-    Obs_event.Ab_vote { site; voter; usite = uid.usite; useq = uid.useq; prio }
-  | Datapath.Committed (u, prio) -> Obs_event.Ab_commit { site; usite = u.usite; useq = u.useq; prio }
-
-let flush_note t g view_id n =
-  let group = gi g.gid and site = t.my_site in
-  let error what detail =
-    trace_event t Obs_event.Note (fun () -> Obs_event.Error_event { site; what; detail })
-  in
-  match n with
-  | Flush.Flush_started attempt ->
-    trace_event t Obs_event.Proto (fun () -> Obs_event.Flush { site; group; view_id; attempt })
-  | Flush.Wedged ->
-    trace_event t Obs_event.Proto (fun () -> Obs_event.Wedge { site; group; view_id })
-  | Flush.Fenced { view_id; attempt; src } ->
-    error "fenced-commit" (Printf.sprintf "g%d v%d a%d from s%d" group view_id attempt src)
-  | Flush.No_coordinator -> error "no-live-coordinator" (Printf.sprintf "g%d" group)
-  | Flush.Body_missing u -> error "body-missing" (Printf.sprintf "g%d u%d.%d" group u.usite u.useq)
-  | Flush.Minority_entered { survivors; needed } ->
-    trace_event t Obs_event.Partition (fun () ->
-        Obs_event.Partition_wedge { site; group; view_id; survivors; needed })
-  | Flush.Minority_left ->
-    trace_event t Obs_event.Partition (fun () -> Obs_event.Partition_exit { site; group; view_id })
-
 (* [runtime.stability_frames]: a frame sent to [n] sites counts [n]. *)
 let count_stability t frame n =
   match frame with
@@ -104,91 +64,67 @@ let count_stability t frame n =
 
 (* A commit's view is the copy's: every member site can answer
    directory queries for its groups, so the name outlives the creator
-   site (an empty view frees it); local processes track their
-   memberships. *)
-let installing t commit =
-  match commit with
-  | Proto.Commit { group; events; new_view; gname; _ } ->
-    let new_sites = View.sites new_view in
-    dir_set t ~name:gname group new_sites;
-    trace_event t Obs_event.Proto (fun () ->
-        Obs_event.View_install
-          {
-            site = t.my_site;
-            group = gi group;
-            view_id = new_view.View.view_id;
-            nsites = List.length new_sites;
-            mhash =
-              Hashtbl.hash
-                (List.map (fun (m : Addr.proc) -> (m.Addr.site, m.Addr.idx)) new_view.View.members);
-          });
-    List.iter
-      (fun ev ->
-        match ev with
-        | View.Member_joined p when p.Addr.site = t.my_site -> (
-          match find_proc t p with
-          | Some pr ->
-            if not (List.mem (gi group) pr.memberships) then
-              pr.memberships <- gi group :: pr.memberships
-          | None -> ())
-        | View.Member_left p | View.Member_failed p -> (
-          if p.Addr.site = t.my_site then
-            match Hashtbl.find_opt t.procs p.Addr.idx with
-            | Some pr -> pr.memberships <- List.filter (fun g' -> g' <> gi group) pr.memberships
-            | None -> ())
-        | View.Member_joined _ -> ())
-      events
-  | _ -> ()
+   site (an empty view frees it). *)
+let installing t g ~gname new_view =
+  let new_sites = View.sites new_view in
+  dir_set t ~name:gname g.gid new_sites;
+  trace_event t Obs_event.Proto (fun () ->
+      Obs_event.View_install
+        {
+          site = t.my_site;
+          group = gi g.gid;
+          view_id = new_view.View.view_id;
+          nsites = List.length new_sites;
+          mhash =
+            Hashtbl.hash
+              (List.map (fun (m : Addr.proc) -> (m.Addr.site, m.Addr.idx)) new_view.View.members);
+        })
 
 (* After the commit's GBCASTs were delivered. *)
-let installed t g ~retiring commit =
-  match commit with
-  | Proto.Commit { group; events; new_view; _ } ->
-    (* Open reply collections waiting on a removed member will never
-       hear from it: discount it now. *)
+let installed t g ~retiring ~events new_view =
+  (* Open reply collections waiting on a removed member will never
+     hear from it: discount it now. *)
+  List.iter
+    (function
+      | View.Member_failed p | View.Member_left p -> note_removed_member t p
+      | View.Member_joined _ -> ())
+    events;
+  (* The view event is scheduled through the same intra-site hop as
+     message deliveries so that every local process observes the
+     retiring view's deliveries BEFORE the membership change — same
+     order at every member. *)
+  let intra = Backend.intra_site_us t.fab.fbk in
+  if events <> [] then
     List.iter
-      (function
-        | View.Member_failed p | View.Member_left p -> note_removed_member t p
-        | View.Member_joined _ -> ())
-      events;
-    (* The view event is scheduled through the same intra-site hop as
-       message deliveries so that every local process observes the
-       retiring view's deliveries BEFORE the membership change — same
-       order at every member. *)
-    let intra = Backend.intra_site_us t.fab.fbk in
-    if events <> [] then
-      List.iter
-        (fun (p, f) ->
-          if proc_alive p && View.is_member new_view p.addr then
-            ignore
-              (Backend.schedule t.bk ~delay:intra (fun () ->
-                   if proc_alive p then Sched.spawn p.sched (fun () -> f new_view events))))
-        g.g_monitors;
-    List.iter
-      (fun ev ->
-        match ev with
-        | View.Member_joined p when p.Addr.site = t.my_site ->
-          join_resolve t (gi group) ~idx:p.Addr.idx (Ok ())
-        | View.Member_left p when p.Addr.site = t.my_site ->
-          let left, staying = List.partition (fun (idx, _) -> idx = p.Addr.idx) g.leavers in
-          g.leavers <- staying;
-          List.iter (fun (_, iv) -> Ivar.fill iv ()) left
-        | View.Member_joined _ | View.Member_left _ | View.Member_failed _ -> ())
-      events;
-    (* Failure detector subscriptions follow the membership. *)
-    if View.hosts new_view t.my_site then begin
-      let ep = endpoint t and new_sites = Int_set.of_list (View.sites new_view) in
-      let old_sites = Int_set.of_list (match retiring with Some v -> View.sites v | None -> []) in
-      Int_set.iter (fun site -> Endpoint.monitor ep ~site) (Int_set.diff new_sites old_sites);
-      Int_set.iter (fun site -> Endpoint.unmonitor ep ~site) (Int_set.diff old_sites new_sites)
-    end
-  | _ -> ()
+      (fun (p, f) ->
+        if proc_alive p && View.is_member new_view p.addr then
+          ignore
+            (Backend.schedule t.bk ~delay:intra (fun () ->
+                 if proc_alive p then Sched.spawn p.sched (fun () -> f new_view events))))
+      g.g_monitors;
+  List.iter
+    (fun ev ->
+      match ev with
+      | View.Member_joined p when p.Addr.site = t.my_site ->
+        join_resolve t (gi g.gid) ~idx:p.Addr.idx (Ok ())
+      | View.Member_left p when p.Addr.site = t.my_site ->
+        let left, staying = List.partition (fun (idx, _) -> idx = p.Addr.idx) g.leavers in
+        g.leavers <- staying;
+        List.iter (fun (_, iv) -> Ivar.fill iv ()) left
+      | View.Member_joined _ | View.Member_left _ | View.Member_failed _ -> ())
+    events;
+  (* Failure detector subscriptions follow the membership. *)
+  if View.hosts new_view t.my_site then begin
+    let new_sites = Int_set.of_list (View.sites new_view) in
+    let old_sites = Int_set.of_list (match retiring with Some v -> View.sites v | None -> []) in
+    Int_set.iter (fun site -> Endpoint.monitor t.ep ~site) (Int_set.diff new_sites old_sites);
+    Int_set.iter (fun site -> Endpoint.unmonitor t.ep ~site) (Int_set.diff old_sites new_sites)
+  end
 
-(* This site's copy of [g] is gone: release its leave waiters, take the
-   group off local processes, drop its failure-detector subscriptions
-   and the copy itself, and let originators blocked in [bcast_wait]
-   re-check admission — a group with no local copy is never
-   backpressured.  Frames held for a newer view pass to a local join in
+(* This site's copy of [g] is gone: release its leave waiters, drop its
+   failure-detector subscriptions and the copy itself, and let
+   originators blocked in [bcast_wait] re-check admission — a group
+   with no local copy is never backpressured.  Frames held for a newer view pass to a local join in
    flight, whose copy will replay them. *)
 let discard t g ~sites ~held =
   let gid_int = gi g.gid in
@@ -196,38 +132,21 @@ let discard t g ~sites ~held =
   let leavers = g.leavers in
   g.leavers <- [];
   List.iter (fun (_, iv) -> Ivar.fill iv ()) (List.rev leavers);
-  Hashtbl.iter
-    (fun _ pr -> pr.memberships <- List.filter (fun g' -> g' <> gid_int) pr.memberships)
-    t.procs;
-  List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sites;
+  List.iter (fun site -> Endpoint.unmonitor t.ep ~site) sites;
   Hashtbl.remove t.groups gid_int;
   Condition.broadcast t.admission
 
-(* The primary partition installed view [new_view_id] without us (or
-   probing ran dry, [new_view_id = -1]): the copy is discarded, unstable
-   minority deliveries included, so local members can rejoin as fresh
-   joiners and pull current state through the state-transfer toolkit.
-   The sites in [notify] are told the view id [verdict], so they discard
-   their copies too.  The directory survives on purpose: it is how the
-   rejoin finds the primary.  Only this site stops offering itself as a
-   contact: the failure detector purged the unreachable primary sites
-   from the hints during the partition, so what is left typically
+(* The copy was evicted from the primary partition, and its local
+   members will rejoin.  The directory survives on purpose: it is how
+   the rejoin finds the primary.  Only this site stops offering itself
+   as a contact: the failure detector purged the unreachable primary
+   sites from the hints during the partition, so what is left typically
    points right back here, and a rejoin that resolved the name locally
    would be refused.  If no hint remains, the next lookup queries
    afresh. *)
-let teardown t g ~view_id ~new_view_id ~verdict ~notify =
-  let gid_int = gi g.gid in
-  trace_event t Obs_event.Partition (fun () ->
-      Obs_event.Partition_evict { site = t.my_site; group = gid_int; view_id; new_view_id });
-  send_frames t (Proto.View_probe_reply { group = g.gid; view_id = verdict }) notify;
-  join_fail_all t gid_int "partitioned: evicted from primary partition";
-  drop_hint t ~gid_int ~site:t.my_site
-
-(* Ask each of [sites] which view of [g] it holds. *)
-let send_probes t g ~view_id sites =
-  trace_event t Obs_event.Partition (fun () ->
-      Obs_event.Partition_probe { site = t.my_site; group = gi g.gid; view_id });
-  send_frames t (Proto.View_probe { group = g.gid; view_id; from_site = t.my_site }) sites
+let teardown t g =
+  join_fail_all t (gi g.gid) "partitioned: evicted from primary partition";
+  drop_hint t ~gid_int:(gi g.gid) ~site:t.my_site
 
 (* --- the copy's interpreter, and delivery to local processes --- *)
 
@@ -246,9 +165,9 @@ and run t g = function
     | Datapath.Deliver (body, members) ->
       let want = Option.value ~default:0 (Message.get_int body f_want) in
       deliver_to_members t body ~want members
-    | Datapath.Note n ->
+    | Datapath.Note ev ->
       let tr = Trace.obs t.tracer in
-      if Obs_tracer.wants tr Obs_event.Proto then Obs_tracer.emit tr (data_note t g n)
+      if Obs_tracer.wants tr (Obs_event.cls_of ev) then Obs_tracer.emit tr ev
     | Datapath.Init_done p ->
       if p.pending_inits > 0 then p.pending_inits <- p.pending_inits - 1;
       maybe_wake_flushers p
@@ -264,8 +183,15 @@ and run t g = function
     run t g rest
 
 and run_io t g = function
-  | Copy.Arm (delay, timer) -> after t g ~delay (fun () -> step t g (Copy.Timer timer))
-  | Copy.Note (view_id, n) -> flush_note t g view_id n
+  | Copy.Arm (delay, timer) ->
+    (* Only if the site is up and [g] is still its copy of the group: a
+       timer must not act on a copy that went, or was replaced, while it
+       waited. *)
+    ignore
+      (Backend.schedule t.bk ~delay (fun () ->
+           match group_of t g.gid with
+           | Some g' when t.running && g' == g -> step t g (Copy.Timer timer)
+           | Some _ | None -> ()))
   | Copy.Refuse_join (p, reason) ->
     if p.Addr.site = t.my_site then join_resolve t (gi g.gid) ~idx:p.Addr.idx (Error reason)
     else send_frame t ~dst:p.Addr.site (Proto.Join_refused { group = g.gid; joiner = p; reason })
@@ -279,11 +205,9 @@ and run_io t g = function
   | Copy.Commit (dests, frame) ->
     count t "prim.gbcast";
     send_frames t frame dests
-  | Copy.Installing commit -> installing t commit
-  | Copy.Installed { retiring; commit } -> installed t g ~retiring commit
-  | Copy.Probe_sites { view_id; sites } -> send_probes t g ~view_id sites
-  | Copy.Teardown { view_id; new_view_id; verdict; notify } ->
-    teardown t g ~view_id ~new_view_id ~verdict ~notify
+  | Copy.Installing { gname; view } -> installing t g ~gname view
+  | Copy.Installed { retiring; view; events } -> installed t g ~retiring ~events view
+  | Copy.Teardown -> teardown t g
   | Copy.Discard { sites; held } -> discard t g ~sites ~held
 
 (* Deliver one group-multicast body to each of [members] this site
@@ -343,19 +267,14 @@ and kill_proc p =
     if t.running then begin
       (* The site monitor detects a local crash immediately (Sec 2.1):
          fail outstanding reply obligations and report the death to
-         every group the process belonged to. *)
+         every group whose view lists the process.  The site monitor
+         saw the crash directly: this death is [certain], not a
+         suspicion — it never counts against the partition quorum. *)
       fail_obligations_of t p;
       List.iter
-        (fun gid_int ->
-          match Hashtbl.find_opt t.groups gid_int with
-          | None -> ()
-          | Some g ->
-            if View.is_member (view g) p.addr then
-              (* The site monitor saw the crash directly: this death is
-                 [certain], not a suspicion — it never counts against the
-                 partition quorum. *)
-              step t g (Copy.Event (Flush.Ev_fail (p.addr, true))))
-        p.memberships
+        (fun g ->
+          if View.is_member (view g) p.addr then step t g (Copy.Event (Flush.Ev_fail (p.addr, true))))
+        (Hashtbl.fold (fun _ g acc -> g :: acc) t.groups [])
     end
   end
 
@@ -399,11 +318,11 @@ let handle_group_frame t ~src group frame =
       (* Joiner site (or rebroadcast): only meaningful if we host one of
          the new members.  Frames that raced the Commit here replay once
          it installs. *)
-      let early = match Hashtbl.find_opt t.joins (gi group) with Some j -> j.early | None -> [] in
-      let epoch = Endpoint.epoch (endpoint t) in
-      match Copy.adopt t.env ~me:t.my_site ~epoch ~held:early frame with
+      let join = Hashtbl.find_opt t.joins (gi group) in
+      let early = match join with Some j -> j.early | None -> [] in
+      match Copy.adopt t.env ~me:t.my_site ~epoch:(Endpoint.epoch t.ep) ~held:early frame with
       | Some (copy, effects) ->
-        (match Hashtbl.find_opt t.joins (gi group) with Some j -> j.early <- [] | None -> ());
+        Option.iter (fun j -> j.early <- []) join;
         let g = make_group ~gid:group copy in
         Hashtbl.replace t.groups (gi group) g;
         run t g effects

@@ -29,10 +29,10 @@ let on_cpu t cost k =
   let finish = start + cost in
   t.cpu_free <- finish;
   t.cpu_busy <- t.cpu_busy + cost;
-  let epoch = Endpoint.epoch (endpoint t) in
+  let epoch = Endpoint.epoch t.ep in
   ignore
     (Backend.schedule_at t.bk finish (fun () ->
-         if t.running && Endpoint.epoch (endpoint t) = epoch then k ()))
+         if t.running && Endpoint.epoch t.ep = epoch then k ()))
 
 (* --- send packing ---
 

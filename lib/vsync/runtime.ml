@@ -22,7 +22,7 @@ type send_verdict = Origination.send_verdict =
    (bench/ledger); everything else reads the [transport.*] gauges of
    [metrics]. *)
 let transport_stats t =
-  let ep = endpoint t in
+  let ep = t.ep in
   [
     ("data_frames", Endpoint.frames_sent ep);
     ("ack_frames", Endpoint.acks_sent ep);
@@ -119,7 +119,7 @@ let handle_frame t ~src frame =
 (* The endpoint exists before the site record; its handlers need the
    record. *)
 let wire_endpoint t =
-  let ep = endpoint t in
+  let ep = t.ep in
   Endpoint.set_tracer ep (Trace.obs t.tracer);
   Endpoint.set_receiver ep (fun ~src frames ->
       (* One arriving packet can carry several frames (coalescing).  The
@@ -172,7 +172,7 @@ let dedup_residue t = sum t Datapath.dedup_residue
    consumers (oracle checks, bench artifacts) sample by name instead of
    importing Runtime accessors. *)
 let register_metrics t =
-  let m = t.metrics and ep = endpoint t in
+  let m = t.metrics and ep = t.ep in
   Metrics.gauge m "runtime.pending_unstable" (fun () -> pending_unstable t);
   Metrics.gauge m "runtime.held_frames" (fun () -> pending_held_frames t);
   Metrics.gauge m "runtime.sessions" (fun () -> pending_sessions t);
@@ -273,12 +273,12 @@ let crash t =
     t.packed <- [];
     t.packed_bytes <- 0;
     t.site_watchers <- [];
-    Endpoint.crash (endpoint t)
+    Endpoint.crash t.ep
   end
 
 let restart t =
   if t.running then invalid_arg "Runtime.restart: site is up";
-  Endpoint.restart (endpoint t);
+  Endpoint.restart t.ep;
   t.running <- true;
   t.cpu_free <- Backend.now t.bk;
   trace_event t Obs_event.Note (fun () ->
@@ -286,7 +286,7 @@ let restart t =
   (* Announce recovery so recovery managers can react. *)
   for s = 0 to Backend.n_sites t.fab.fbk - 1 do
     if s <> t.my_site then
-      send_frame t ~dst:s (Proto.Site_hello { site = t.my_site; epoch = Endpoint.epoch (endpoint t) })
+      send_frame t ~dst:s (Proto.Site_hello { site = t.my_site; epoch = Endpoint.epoch t.ep })
   done
 
 let watch_sites t f = t.site_watchers <- f :: t.site_watchers
@@ -305,7 +305,7 @@ let spawn_proc t ?name () =
   if not t.running then invalid_arg "Runtime.spawn_proc: site is down";
   let idx = t.next_proc_idx in
   t.next_proc_idx <- idx + 1;
-  let addr = Addr.proc ~site:t.my_site ~idx ~incarnation:(Endpoint.epoch (endpoint t)) in
+  let addr = Addr.proc ~site:t.my_site ~idx ~incarnation:(Endpoint.epoch t.ep) in
   let pname = match name with Some n -> n | None -> Printf.sprintf "p%d.%d" t.my_site idx in
   let next_puid = Vsync_util.Dls.get next_puid_key in
   incr next_puid;
@@ -319,7 +319,6 @@ let spawn_proc t ?name () =
       entries = Hashtbl.create 8;
       filters = [];
       palive = true;
-      memberships = [];
       outstanding = Uid_set.empty;
       pending_inits = 0;
       flushers = Condition.create ();
@@ -354,10 +353,9 @@ let pg_create p name =
   if Hashtbl.mem t.names name then invalid_arg ("Runtime.pg_create: name exists: " ^ name);
   let gid = Addr.group_of_int ((t.my_site lsl 20) lor (t.env.data.fresh ()).useq) in
   let g = make_group ~gid
-      (Copy.create ~me:t.my_site ~epoch:(Endpoint.epoch (endpoint t)) ~gname:name (View.initial gid p.addr)) in
+      (Copy.create ~me:t.my_site ~epoch:(Endpoint.epoch t.ep) ~gname:name (View.initial gid p.addr)) in
   Hashtbl.replace t.groups (gi gid) g;
   dir_set t ~name gid [ t.my_site ];
-  p.memberships <- gi gid :: p.memberships;
   gid
 
 let pg_lookup p name =

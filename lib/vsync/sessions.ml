@@ -9,7 +9,7 @@ open State
 let close_session t sess outcome =
   if Hashtbl.mem t.sessions sess.sess_id then begin
     Hashtbl.remove t.sessions sess.sess_id;
-    List.iter (fun site -> Endpoint.unmonitor (endpoint t) ~site) sess.mon_sites;
+    List.iter (fun site -> Endpoint.unmonitor t.ep ~site) sess.mon_sites;
     Ivar.fill sess.done_ivar outcome
   end
 
@@ -41,7 +41,7 @@ let watch t sess sites =
     List.sort_uniq compare
       (List.filter (fun s -> s <> t.my_site && not (List.mem s sess.mon_sites)) sites)
   in
-  List.iter (fun site -> Endpoint.monitor (endpoint t) ~site) fresh;
+  List.iter (fun site -> Endpoint.monitor t.ep ~site) fresh;
   sess.mon_sites <- fresh @ sess.mon_sites
 
 let site_of (r : Addr.proc) = r.Addr.site

@@ -64,7 +64,6 @@ type proc = {
   entries : (Entry.t, Message.t -> unit) Hashtbl.t;
   mutable filters : (Message.t -> bool) list;
   mutable palive : bool;
-  mutable memberships : int list; (* gids *)
   mutable outstanding : Uid_set.t;
   mutable pending_inits : int;
       (* multicasts accepted by bcast but not yet through the CPU queue:
@@ -255,8 +254,6 @@ let forget_site t s =
     (fun gid_int -> drop_hint t ~gid_int ~site:s)
     (Hashtbl.fold (fun gid_int _ acc -> gid_int :: acc) t.dir [])
 
-let endpoint t = t.ep
-
 (* Frames that are "about" one multicast — the per-uid timeline raw
    material.  Control frames without a uid (directory, membership,
    flush plumbing) stay visible through the transport's
@@ -289,7 +286,7 @@ let emit_frame_event t ~peer ~rx frame =
 let send_frame t ~dst frame =
   if t.running then begin
     emit_frame_event t ~peer:dst ~rx:false frame;
-    Endpoint.send (endpoint t) ~dst frame
+    Endpoint.send t.ep ~dst frame
   end
 
 (* The same frame to each of [dsts], in order. *)
@@ -334,18 +331,6 @@ let view g = Copy.view g.copy
 let group_of t gid = Hashtbl.find_opt t.groups (gi gid)
 
 let make_group ~gid copy = { gid; copy; g_monitors = []; join_validator = None; leavers = [] }
-
-(* [after t g ~delay k] runs [k ()] in [delay] µs if the site is still
-   up and [g] is still its copy of the group: a timer must not act on a
-   copy that was torn down (or replaced) while it waited. *)
-let after t g ~delay k =
-  let gid_int = gi g.gid in
-  ignore
-    (Backend.schedule t.bk ~delay (fun () ->
-         if t.running then
-           match Hashtbl.find_opt t.groups gid_int with
-           | Some g' when g' == g -> k ()
-           | Some _ | None -> ()))
 
 (* --- flush waiters --- *)
 
