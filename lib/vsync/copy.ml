@@ -125,8 +125,9 @@ and flush_effect env c = function
     :: io Teardown :: discard env c
 
 (* The second half of an install: the flush already holds the new
-   view.  A rerun send goes back through [Datapath.fate], which drops
-   the sends of a member this very commit removed as failed. *)
+   view.  [Unblock] sends the deferred sends back through
+   [Datapath.fate], which drops those of a member this very commit
+   removed as failed. *)
 and install env c ~retiring commit =
   match commit with
   | Proto.Commit { new_view; events; gname; _ } ->

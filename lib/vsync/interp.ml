@@ -124,8 +124,8 @@ let installed t g ~retiring ~events new_view =
 (* This site's copy of [g] is gone: release its leave waiters, drop its
    failure-detector subscriptions and the copy itself, and let
    originators blocked in [bcast_wait] re-check admission — a group
-   with no local copy is never backpressured.  Frames held for a newer view pass to a local join in
-   flight, whose copy will replay them. *)
+   with no local copy is never backpressured.  Frames held for a newer
+   view pass to a local join in flight, whose copy will replay them. *)
 let discard t g ~sites ~held =
   let gid_int = gi g.gid in
   (match Hashtbl.find_opt t.joins gid_int with Some j -> j.early <- held | None -> ());
