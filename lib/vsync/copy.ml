@@ -50,37 +50,41 @@ let datapath c = c.dp
 let held c = List.length c.held
 let view_id c = (view c).View.view_id
 let io e = Datapath.Other e
+let error site what detail = [ Datapath.Note (Event.Error_event { site; what; detail }) ]
 
-(* A flush trace point, as the event it is in the current view. *)
-let note c n =
+(* A flush trace point, as the event it is in the current view, if a
+   listener wants its class. *)
+let note env c n =
+  let wants = env.data.Datapath.wants in
   let site = c.fl.me and group = Addr.group_to_int (view c).View.group and view_id = view_id c in
-  let error what detail = Event.Error_event { site; what; detail } in
-  Datapath.Note
-    (match n with
-    | Flush.Flush_started attempt -> Event.Flush { site; group; view_id; attempt }
-    | Flush.Wedged -> Event.Wedge { site; group; view_id }
-    | Flush.Fenced { view_id; attempt; src } ->
-      error "fenced-commit" (Printf.sprintf "g%d v%d a%d from s%d" group view_id attempt src)
-    | Flush.No_coordinator -> error "no-live-coordinator" (Printf.sprintf "g%d" group)
-    | Flush.Body_missing u ->
-      error "body-missing" (Printf.sprintf "g%d u%d.%d" group u.Types.usite u.Types.useq)
-    | Flush.Minority_entered { survivors; needed } ->
-      Event.Partition_wedge { site; group; view_id; survivors; needed }
-    | Flush.Minority_left -> Event.Partition_exit { site; group; view_id })
+  match n with
+  | Flush.Flush_started attempt when wants Event.Proto -> [ Datapath.Note (Event.Flush { site; group; view_id; attempt }) ]
+  | Flush.Wedged when wants Event.Proto -> [ Datapath.Note (Event.Wedge { site; group; view_id }) ]
+  | Flush.Fenced { view_id; attempt; src } when wants Event.Note ->
+    error site "fenced-commit" (Printf.sprintf "g%d v%d a%d from s%d" group view_id attempt src)
+  | Flush.No_coordinator when wants Event.Note -> error site "no-live-coordinator" (Printf.sprintf "g%d" group)
+  | Flush.Body_missing u when wants Event.Note ->
+    error site "body-missing" (Printf.sprintf "g%d u%d.%d" group u.Types.usite u.Types.useq)
+  | Flush.Minority_entered { survivors; needed } when wants Event.Partition ->
+    [ Datapath.Note (Event.Partition_wedge { site; group; view_id; survivors; needed }) ]
+  | Flush.Minority_left when wants Event.Partition -> [ Datapath.Note (Event.Partition_exit { site; group; view_id }) ]
+  | _ -> [] (* no listener wants it *)
+
+(* A partition trace point, if a listener wants the class. *)
+let partition env ev = if env.data.Datapath.wants Event.Partition then [ Datapath.Note ev ] else []
 
 (* This site's answer to a fetch: the bodies of [uids] it holds, after
    a note for each it lacks. *)
-let fetch_reply c ~view_id ~attempt uids =
+let fetch_reply env c ~view_id ~attempt uids =
   let bodies, missing = Datapath.bodies c.dp uids in
-  ( List.map (fun u -> note c (Flush.Body_missing u)) missing,
+  ( List.concat_map (fun u -> note env c (Flush.Body_missing u)) missing,
     Proto.Fetch_reply { group = (view c).View.group; view_id; attempt; from_site = c.fl.me; bodies } )
 
 (* Whether the data path handed the flush a GBCAST: only a send can. *)
 let rec asks = function [] -> false | Datapath.Gbcast_start _ :: _ -> true | _ :: rest -> asks rest
 
-let rec data env c input =
-  let effects = Datapath.step env.data c.fl c.dp input in
-  if asks effects then List.concat_map (answer env c) effects else effects
+let rec data env c input = answered env c (Datapath.step env.data c.fl c.dp input)
+and answered env c effects = if asks effects then List.concat_map (answer env c) effects else effects
 
 and answer env c = function
   | Datapath.Gbcast_start (uid, body) -> change env c (Flush.Gbcast (uid, body))
@@ -95,13 +99,13 @@ and flush_effect env c = function
   | Flush.Send (dst, frame) -> [ Datapath.Send (dst, frame) ]
   | Flush.Ack_wedge { dst; attempt } -> [ Datapath.Send (dst, Datapath.wedge_ack c.fl c.dp ~attempt) ]
   | Flush.Arm (delay, timer) -> [ io (Arm (delay, timer)) ]
-  | Flush.Note n -> [ note c n ]
+  | Flush.Note n -> note env c n
   | Flush.Refuse_join (p, reason) -> [ io (Refuse_join (p, reason)) ]
   | Flush.Check_alive { procs; rest } ->
     change env c (Flush.Alive_here { alive = List.filter env.alive procs; rest })
   | Flush.Validate joins -> [ io (Validate joins) ]
   | Flush.Fetch_local { attempt; uids } ->
-    let notes, reply = fetch_reply c ~view_id:(view_id c) ~attempt uids in
+    let notes, reply = fetch_reply env c ~view_id:(view_id c) ~attempt uids in
     notes @ change env c (Flush.Frame (c.fl.me, reply))
   | Flush.Commit (dests, frame) -> [ io (Commit (dests, frame)) ]
   | Flush.Retire frame ->
@@ -110,8 +114,8 @@ and flush_effect env c = function
   | Flush.Install { retiring; commit } -> install env c ~retiring commit
   | Flush.Probe_sites sites ->
     let group = (view c).View.group and view_id = view_id c and site = c.fl.me in
-    [ Datapath.Note (Event.Partition_probe { site; group = Addr.group_to_int group; view_id });
-      Datapath.Mcast (sites, Proto.View_probe { group; view_id; from_site = site }) ]
+    partition env (Event.Partition_probe { site; group = Addr.group_to_int group; view_id })
+    @ [ Datapath.Mcast (sites, Proto.View_probe { group; view_id; from_site = site }) ]
   | Flush.Teardown { new_view_id; verdict; notify } ->
     (* The primary partition installed [new_view_id] without us (or
        probing ran dry, [-1]): the copy goes, unstable minority
@@ -120,8 +124,8 @@ and flush_effect env c = function
        [notify] are told the view id [verdict], so they discard their
        copies too. *)
     let group = (view c).View.group and view_id = view_id c and site = c.fl.me in
-    Datapath.Note (Event.Partition_evict { site; group = Addr.group_to_int group; view_id; new_view_id })
-    :: Datapath.Mcast (notify, Proto.View_probe_reply { group; view_id = verdict })
+    partition env (Event.Partition_evict { site; group = Addr.group_to_int group; view_id; new_view_id })
+    @ Datapath.Mcast (notify, Proto.View_probe_reply { group; view_id = verdict })
     :: io Teardown :: discard env c
 
 (* The second half of an install: the flush already holds the new
@@ -168,10 +172,7 @@ and on_frame env c ~src frame =
          timestamps mean nothing against this view's clocks. *)
       if (not (Flush.wedged c.fl)) && View.hosts v src then Datapath.frame env.data c.fl c.dp ~src frame
       else []
-    else if vid > v.View.view_id then begin
-      c.held <- (src, frame) :: c.held;
-      []
-    end
+    else if vid > v.View.view_id then (c.held <- (src, frame) :: c.held; [])
     else if not (View.hosts v src) then
       (* Stale data from a site outside the view: a stale coordinator
          that committed a divergent (lower-id) view before the primary
@@ -180,13 +181,13 @@ and on_frame env c ~src frame =
     else [] (* stale view from a member: the normal retransmit tail *)
   | Proto.Deliver_ack _ | Proto.Stable _ -> Datapath.frame env.data c.fl c.dp ~src frame
   | Proto.Fetch { view_id; attempt; uids; _ } ->
-    let notes, reply = fetch_reply c ~view_id ~attempt uids in
+    let notes, reply = fetch_reply env c ~view_id ~attempt uids in
     notes @ [ Datapath.Send (src, reply) ]
   | _ -> change env c (Flush.Frame (src, frame))
 
 let step env c = function
   | Accept -> data env c Datapath.Accept
-  | Hand_off s -> data env c (Datapath.Hand_off s)
+  | Hand_off s -> answered env c (Datapath.hand_off env.data c.fl c.dp s)
   | Multicast s -> data env c (Datapath.Multicast s)
   | Frame (src, frame) -> on_frame env c ~src frame
   | Event ev -> change env c (Flush.Event ev)
@@ -196,8 +197,7 @@ let step env c = function
   | Refused refused -> change env c (Flush.Refused refused)
 
 let adopt env ~me ~epoch ~held commit =
-  match Flush.adopt ~me ~epoch commit with
-  | Some (fl, effects) ->
-    let c = { fl; dp = Datapath.create fl; held } in
-    Some (c, List.concat_map (flush_effect env c) effects)
-  | None -> None
+  Flush.adopt ~me ~epoch commit
+  |> Option.map (fun (fl, effects) ->
+         let c = { fl; dp = Datapath.create fl; held } in
+         (c, List.concat_map (flush_effect env c) effects))

@@ -28,7 +28,8 @@
     runtime's interpreter runs them after the whole step, so every
     effect carries what it needs from the copy.  The data path's
     effects pass through as they are; the view change's trace points
-    become [Datapath.Note] events, and its other effects ride in
+    become [Datapath.Note] events, built only while
+    [env.data.wants] their class, and its other effects ride in
     [Datapath.Other] as {!io}. *)
 
 module Addr = Vsync_msg.Addr

@@ -9,7 +9,7 @@ module Message = Vsync_msg.Message
 module Event = Vsync_obs.Event
 
 type 'o send = { owner : 'o option; mode : mode; body : Message.t; ack : bool }
-type env = { window : int; fresh : unit -> uid; traced : unit -> bool }
+type env = { window : int; fresh : unit -> uid; wants : Event.cls -> bool }
 
 type ('o, 'x) effect =
   | Send of int * Proto.frame
@@ -25,9 +25,7 @@ type ('o, 'x) effect =
 
 type 'o input =
   | Accept
-  | Hand_off of 'o send
   | Multicast of 'o send
-  | Frame of int * Proto.frame
   | Retire of Proto.frame
   | Install of Proto.frame
   | Unblock
@@ -84,7 +82,7 @@ let remote_sites (fl : Flush.state) = List.filter (fun s -> s <> fl.me) (View.si
 let init_done owner acc = match owner with Some p -> Init_done p :: acc | None -> acc
 let settled owner uid acc = match owner with Some p -> Settled (p, uid) :: acc | None -> acc
 
-(* Trace events, built only while [env.traced ()] holds. *)
+(* Trace events, built only while [env.wants Event.Proto] holds. *)
 let delivered (fl : Flush.state) u =
   Event.Deliver { site = fl.me; group = Addr.group_to_int (gid fl); usite = u.usite; useq = u.useq }
 let stabilized (fl : Flush.state) u = Event.Stabilize { site = fl.me; usite = u.usite; useq = u.useq }
@@ -115,7 +113,7 @@ let reclaim env (fl : Flush.state) st uid acc =
     | Some (Proto.Sab _) -> Total.stabilized st.total uid; true
     | None -> false
   in
-  if reclaimed && env.traced () then Note (Event.Gc_reclaim { site = fl.me; n = 1 }) :: acc else acc
+  if reclaimed && env.wants Event.Proto then Note (Event.Gc_reclaim { site = fl.me; n = 1 }) :: acc else acc
 
 (* Acknowledgement is cumulative, one rule for both engines.  Every
    multicast carries an [ack] flag, clear on all but the last CBCAST of
@@ -152,7 +150,7 @@ let check_stable env fl st uid u acc =
   if u.remaining <> [] then acc
   else begin
     st.unstables <- Uid_map.remove uid st.unstables;
-    let acc = if env.traced () then Note (stabilized fl uid) :: acc else acc in
+    let acc = if env.wants Event.Proto then Note (stabilized fl uid) :: acc else acc in
     let acc = if u.u_ack then Mcast (u.u_dests, Proto.Stable { group = gid fl; uid }) :: acc else acc in
     let acc = reclaim env fl st uid acc in
     st.store <- Uid_map.remove uid st.store;
@@ -170,7 +168,7 @@ let on_deliver_ack env fl st ~src uid acc =
     acc (covered unstable_unflagged st uid)
 
 let on_stable env fl st uid acc =
-  let traced = env.traced () in
+  let traced = env.wants Event.Proto in
   List.fold_left
     (fun acc u ->
       let acc = if traced && not (uid_equal u uid) then Note (stabilized fl u) :: acc else acc in
@@ -201,7 +199,8 @@ let causal_receive st ~uid ~rank ~vt body =
   | Some _ | None -> Causal.receive_fifo st.causal ~uid body
 
 let deliver env fl st uid body acc =
-  let acc = Deliver (body, fl.Flush.view.View.members) :: (if env.traced () then Note (delivered fl uid) :: acc else acc) in
+  let acc = if env.wants Event.Proto then Note (delivered fl uid) :: acc else acc in
+  let acc = Deliver (body, fl.Flush.view.View.members) :: acc in
   if uid.usite = fl.Flush.me then
     match Uid_map.find_opt uid st.unstables with Some u -> check_stable env fl st uid u acc | None -> acc
   else if acked st uid then Send (uid.usite, Proto.Deliver_ack { group = gid fl; uid }) :: acc
@@ -245,7 +244,7 @@ let origin_cbcast env fl st ~owner ~ack body acc =
   in
   let vt = if rank >= 0 then Some (Vsync_util.Vclock.to_list (Causal.stamp st.causal ~rank)) else None in
   let remote = remote_sites fl in
-  let acc = if env.traced () then Note (originated fl "cbcast" uid) :: acc else acc in
+  let acc = if env.wants Event.Proto then Note (originated fl "cbcast" uid) :: acc else acc in
   let acc =
     if remote = [] then acc
     else begin
@@ -257,19 +256,19 @@ let origin_cbcast env fl st ~owner ~ack body acc =
     end
   in
   Deliver (body, view.View.members)
-  :: (if env.traced () && View.hosts view fl.me then Note (delivered fl uid) :: acc else acc)
+  :: (if env.wants Event.Proto && View.hosts view fl.me then Note (delivered fl uid) :: acc else acc)
 
 (* A purely local round commits and stabilizes on the spot. *)
 let origin_abcast env fl st ~owner ~ack body acc =
   let uid = env.fresh () in
   let remote = remote_sites fl in
-  let acc = if env.traced () then Note (originated fl "abcast" uid) :: acc else acc in
+  let acc = if env.wants Event.Proto then Note (originated fl "abcast" uid) :: acc else acc in
   let my_prio = Total.intake st.total ~uid { ab_body = body; ab_ack = ack } in
   let acc = mark_unstable st uid ~remote ~owner ~ack acc in
   if remote = [] then begin
     Total.commit st.total ~uid my_prio;
     let acc = drain env fl st acc in
-    let acc = reclaim env fl st uid (if env.traced () then Note (stabilized fl uid) :: acc else acc) in
+    let acc = reclaim env fl st uid (if env.wants Event.Proto then Note (stabilized fl uid) :: acc else acc) in
     st.store <- Uid_map.remove uid st.store;
     acc
   end
@@ -326,7 +325,7 @@ let originate env fl st s acc =
       dispatch env fl st acc
     | Gbcast ->
       let uid = env.fresh () in
-      let acc = if env.traced () then Note (originated fl "gbcast" uid) :: acc else acc in
+      let acc = if env.wants Event.Proto then Note (originated fl "gbcast" uid) :: acc else acc in
       init_done s.owner (Gbcast_start (uid, s.body) :: acc))
 
 (* A vote counts once per sender.  A frame for a wedged copy never gets
@@ -335,14 +334,14 @@ let on_ab_prio env fl st ~src uid prio acc =
   match Uid_map.find_opt uid st.collects with
   | None -> acc (* finished, or superseded by a flush *)
   | Some c ->
-    let acc = if env.traced () then Note (voted fl src uid (fst prio)) :: acc else acc in
+    let acc = if env.wants Event.Proto then Note (voted fl src uid (fst prio)) :: acc else acc in
     c.best <- prio_max c.best prio;
     c.expect <- List.filter (fun s -> s <> src) c.expect;
     if c.expect <> [] then acc
     else begin
       st.collects <- Uid_map.remove uid st.collects;
       st.ab_inflight <- max 0 (st.ab_inflight - 1);
-      let acc = if env.traced () then Note (committed fl uid (fst c.best)) :: acc else acc in
+      let acc = if env.wants Event.Proto then Note (committed fl uid (fst c.best)) :: acc else acc in
       let acc =
         Mcast (remote_sites fl, Proto.Ab_commit { group = gid fl; view_id = view_id fl; uid; prio = c.best }) :: acc
       in
@@ -379,7 +378,7 @@ let on_frame env fl st ~src frame acc =
    protocol state, so it is reported stable there. *)
 let discharge env (fl : Flush.state) acc uid body =
   Deliver (body, fl.view.View.members)
-  :: (if env.traced () then Note (stabilized fl uid) :: Note (delivered fl uid) :: acc else acc)
+  :: (if env.wants Event.Proto then Note (stabilized fl uid) :: Note (delivered fl uid) :: acc else acc)
 
 (* Settle the retiring view as the commit says, then deliver everything
    it holds. *)
@@ -443,17 +442,17 @@ let ordered acc = match acc with [] | [ _ ] -> acc | _ :: _ :: _ -> List.rev acc
 
 let frame env fl st ~src frame = ordered (on_frame env fl st ~src frame [])
 
+let hand_off env fl st s =
+  st.accepted <- st.accepted - 1;
+  ordered (originate env fl st s [])
+
 let step env fl st input =
   ordered
     (match input with
     | Accept ->
       st.accepted <- st.accepted + 1;
       []
-    | Hand_off s ->
-      st.accepted <- st.accepted - 1;
-      originate env fl st s []
     | Multicast s -> originate env fl st s []
-    | Frame (src, frame) -> on_frame env fl st ~src frame []
     | Retire commit -> retire env fl st commit
     | Install commit -> install env fl st commit
     | Unblock ->

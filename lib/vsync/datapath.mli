@@ -14,10 +14,10 @@
     [Deliver_ack] or [Stable] for a flagged uid settles it and the
     consecutive unflagged uids below it from its origin.
 
-    [step] does no I/O: it takes a state and an input, updates the
-    state, and returns the effects to run, in order.  {!Copy} composes
-    it with the view change: it answers [Gbcast_start] itself and
-    passes every other effect, unchanged, to the runtime's
+    [step], [frame] and [hand_off] do no I/O: each takes a state and an
+    input, updates the state, and returns the effects to run, in
+    order.  {!Copy} composes them with the view change: it answers
+    [Gbcast_start] itself and passes every other effect, unchanged, to the runtime's
     interpreter, which runs them (frames, local delivery, the owners'
     [flush] bookkeeping, admission wake-ups, trace events).  The
     interpreter keeps what a copy cannot decide alone: the CPU queue,
@@ -53,9 +53,10 @@ type 'o send = {
 type env = {
   window : int;  (** ABCAST rounds one copy may have collecting votes at once *)
   fresh : unit -> uid;  (** draw the site's next uid *)
-  traced : unit -> bool;
-      (** whether a listener wants trace notes now: when it does not,
-          the core builds none, so an untraced step allocates no note *)
+  wants : Vsync_obs.Event.cls -> bool;
+      (** whether a listener wants trace notes of a class now: the core
+          builds [Proto] notes only while it does, so an untraced step
+          allocates no note *)
 }
 
 (** ['x] is the effect type of the copy around the core, which rides
@@ -67,7 +68,7 @@ type ('o, 'x) effect =
       (** to those of these members (the view's, when it was made) this
           site hosts *)
   | Note of Vsync_obs.Event.t
-      (** a trace point, made only while [env.traced ()] holds; the
+      (** a trace point, made only while [env.wants Proto] holds; the
           origin's own delivery of a CBCAST is one when its site hosts
           a member *)
   | Init_done of 'o  (** the owner's accepted send left origination *)
@@ -79,11 +80,7 @@ type ('o, 'x) effect =
 
 type 'o input =
   | Accept  (** a send entered the CPU queue; it counts against admission *)
-  | Hand_off of 'o send  (** an accepted send left the CPU queue *)
   | Multicast of 'o send  (** a send that was never accepted *)
-  | Frame of int * Proto.frame
-      (** a data or stability frame from a site; the caller has checked
-          that a data frame is for the current view and not wedged *)
   | Retire of Proto.frame
       (** a commit retires the view: fill its gaps, finalize and drop
           ABCASTs as it says, deliver everything left *)
@@ -98,9 +95,14 @@ val create : Flush.state -> 'o state
 
 val step : env -> Flush.state -> 'o state -> 'o input -> ('o, 'x) effect list
 
-(** [frame env fl st ~src f] is [step env fl st (Frame (src, f))]
-    without building the input. *)
+(** The two inputs every operation makes are functions, so the hot
+    path builds no input for them.  [frame env fl st ~src f] takes a
+    data or stability frame from a site; the caller has checked that a
+    data frame is for the current view and not wedged. *)
 val frame : env -> Flush.state -> 'o state -> src:int -> Proto.frame -> ('o, 'x) effect list
+
+(** [hand_off env fl st s]: an accepted send left the CPU queue. *)
+val hand_off : env -> Flush.state -> 'o state -> 'o send -> ('o, 'x) effect list
 
 (** What origination does with a send now: a member a past view change
     removed as failed is dropped, and a wedged group defers the rest. *)

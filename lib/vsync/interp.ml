@@ -178,7 +178,7 @@ and run t g = function
         maybe_wake_flushers p
       end
     | Datapath.Admit -> Condition.broadcast t.admission
-    | Datapath.Gbcast_start _ -> () (* answered inside the copy *)
+    | Datapath.Gbcast_start _ -> () (* never comes: [Copy.step] answers each with [Flush.Gbcast] *)
     | Datapath.Other io -> run_io t g io);
     run t g rest
 

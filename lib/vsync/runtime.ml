@@ -219,7 +219,7 @@ let create ?(config = default_config) fab ~site ~trace () =
             {
               Datapath.window = config.ab_window;
               fresh = uid_counter site;
-              traced = (fun () -> Obs_tracer.wants (Trace.obs trace) Obs_event.Proto);
+              wants = (fun cls -> Obs_tracer.wants (Trace.obs trace) cls);
             };
           alive = (fun a -> find_in procs a <> None);
         };

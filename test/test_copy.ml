@@ -21,7 +21,7 @@ let env =
     incr next;
     u
   in
-  { Copy.data = { Datapath.window = 16; fresh; traced = (fun () -> false) }; alive = (fun _ -> true) }
+  { Copy.data = { Datapath.window = 16; fresh; wants = (fun _ -> false) }; alive = (fun _ -> true) }
 
 let copy ?(view_id = 1) () : string Copy.t =
   Copy.create ~me:0 ~epoch:0 ~gname:"g" { (view 3) with View.view_id }

@@ -1,6 +1,7 @@
 (* The data-path core driven directly, with no simulator: each case
-   feeds [Datapath.step] a few inputs and checks the effects it asks
-   for, the way test_flush drives [Flush.step]. *)
+   feeds the core ([Datapath.step], [Datapath.frame]) a few inputs and
+   checks the effects it asks for, the way test_flush drives
+   [Flush.step]. *)
 
 open Vsync_core
 module Addr = Vsync_msg.Addr
@@ -23,16 +24,21 @@ let copy ?(window = 16) ~me n =
     u
   in
   let fl = Flush.create ~me ~epoch:0 ~gname:"g" (view n) in
-  ({ Datapath.window; fresh; traced = (fun () -> true) }, fl, (Datapath.create fl : string Datapath.state))
+  ({ Datapath.window; fresh; wants = (fun _ -> true) }, fl, (Datapath.create fl : string Datapath.state))
 
-let send ?(ack = true) mode = Datapath.Multicast { owner = Some "p"; mode; body = Message.create (); ack }
+(* What a case feeds the core: a frame from a site goes through
+   [Datapath.frame], every other input through [Datapath.step]. *)
+type fed = Input of string Datapath.input | Frame of int * Proto.frame
 
-(* Feed [inputs] in order, collecting every effect. *)
-let feed (env, fl, st) inputs : (string, unit) Datapath.effect list =
-  List.concat_map (Datapath.step env fl st) inputs
+let send ?(ack = true) mode = Input (Datapath.Multicast { owner = Some "p"; mode; body = Message.create (); ack })
 
-let prio_frame ~src uid prio =
-  Datapath.Frame (src, Proto.Ab_prio { group = gid; view_id = 1; uid; prio })
+(* Feed [fed] in order, collecting every effect. *)
+let feed (env, fl, st) fed : (string, unit) Datapath.effect list =
+  List.concat_map
+    (function Input input -> Datapath.step env fl st input | Frame (src, f) -> Datapath.frame env fl st ~src f)
+    fed
+
+let prio_frame ~src uid prio = Frame (src, Proto.Ab_prio { group = gid; view_id = 1; uid; prio })
 
 let ab_data = List.filter_map (function Datapath.Mcast (_, Proto.Ab_data { uid; _ }) -> Some uid | _ -> None)
 let commits = List.filter_map (function Datapath.Mcast (d, Proto.Ab_commit _) -> Some d | _ -> None)
@@ -44,7 +50,7 @@ let ab_flags = List.filter_map (function Proto.Ab_data { ack; _ } -> Some ack | 
 let settled = List.filter_map (function Datapath.Settled (_, u) -> Some u | _ -> None)
 let stables = List.filter (function Datapath.Mcast (_, Proto.Stable _) -> true | _ -> false)
 let deliver_acks = List.filter_map (function Datapath.Send (0, Proto.Deliver_ack { uid; _ }) -> Some uid | _ -> None)
-let deliver_ack ~src uid = Datapath.Frame (src, Proto.Deliver_ack { group = gid; uid })
+let deliver_ack ~src uid = Frame (src, Proto.Deliver_ack { group = gid; uid })
 
 let commit_frame ?(drop = []) ~stabilize ~finalize () =
   Proto.Commit
@@ -82,7 +88,7 @@ let test_silent_member () =
   ignore (feed c [ prio_frame ~src:1 uid (4, 1); send Types.Abcast ]);
   Alcotest.(check (pair int int)) "round in flight, next one queued" (1, 1)
     (Datapath.inflight st, Datapath.queued st);
-  let retired = feed c [ Datapath.Retire (commit_frame ~stabilize:[] ~finalize:[ (uid, (4, 1)) ] ()) ] in
+  let retired = feed c [ Input (Datapath.Retire (commit_frame ~stabilize:[] ~finalize:[ (uid, (4, 1)) ] ())) ] in
   Alcotest.(check int) "retire delivers the finalized round" 1 (List.length (delivers retired));
   let fl' = { fl with Flush.view = { fl.Flush.view with View.view_id = 2 } } in
   let installed = Datapath.step env fl' st (Datapath.Install (commit_frame ~stabilize:[] ~finalize:[] ())) in
@@ -129,19 +135,19 @@ let test_packed_run () =
   let uids = List.filter_map (function Proto.Cb_data { uid; _ } -> Some uid | _ -> None) frames in
   let last = List.nth uids 2 in
   Alcotest.(check (pair int int)) "origin holds the run" (3, 3) (Datapath.unstable st, Datapath.stored st);
-  let acked = feed c [ Datapath.Frame (1, Proto.Deliver_ack { group = gid; uid = last }) ] in
+  let acked = feed c [ Frame (1, Proto.Deliver_ack { group = gid; uid = last }) ] in
   Alcotest.(check bool) "all three settled, oldest first" true
     (List.filter_map (function Datapath.Settled (_, u) -> Some u | _ -> None) acked = uids);
   Alcotest.(check int) "one Stable" 1
     (List.length (List.filter (function Datapath.Mcast (_, Proto.Stable _) -> true | _ -> false) acked));
   Alcotest.(check (pair int int)) "origin clear" (0, 0) (Datapath.unstable st, Datapath.stored st);
   let ((_, _, rst) as r) = copy ~me:1 2 in
-  let received = feed r (List.map (fun f -> Datapath.Frame (0, f)) frames) in
+  let received = feed r (List.map (fun f -> Frame (0, f)) frames) in
   Alcotest.(check int) "three delivered" 3 (List.length (delivers received));
   Alcotest.(check bool) "one Deliver_ack, for the last" true
     (List.filter_map (function Datapath.Send (0, Proto.Deliver_ack { uid; _ }) -> Some uid | _ -> None) received
      = [ last ]);
-  ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = last }) ]);
+  ignore (feed r [ Frame (0, Proto.Stable { group = gid; uid = last }) ]);
   Alcotest.(check int) "receiver unstored the run" 0 (Datapath.stored rst)
 
 (* Window 8 at 3 sites: a lone round, then four sends that leave as one
@@ -176,14 +182,14 @@ let test_abcast_burst () =
   (* Member 1 receives the rounds and their commits as the origin sent them. *)
   let ((_, _, rst) as r) = copy ~me:1 3 in
   let frames = mcast_frames (lone @ burst @ voted) in
-  let received = feed r (List.map (fun f -> Datapath.Frame (0, f)) frames) in
+  let received = feed r (List.map (fun f -> Frame (0, f)) frames) in
   Alcotest.(check int) "five delivered" 5 (List.length (delivers received));
   Alcotest.(check bool) "one Deliver_ack each for the lone round and the burst" true
     (deliver_acks received = [ r0; last ]);
   Alcotest.(check int) "all five stored" 5 (Datapath.stored rst);
-  ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = last }) ]);
+  ignore (feed r [ Frame (0, Proto.Stable { group = gid; uid = last }) ]);
   Alcotest.(check int) "the burst's Stable unstored four" 1 (Datapath.stored rst);
-  ignore (feed r [ Datapath.Frame (0, Proto.Stable { group = gid; uid = r0 }) ]);
+  ignore (feed r [ Frame (0, Proto.Stable { group = gid; uid = r0 }) ]);
   Alcotest.(check int) "member clear" 0 (Datapath.stored rst)
 
 (* A burst of four whose flagged last round is still uncommitted when a
@@ -198,7 +204,7 @@ let test_abcast_burst_flushed () =
   let last = List.nth burst 3 in
   let members = List.map (fun me -> copy ~me 3) [ 1; 2 ] in
   let to_members frames =
-    List.map (fun m -> feed m (List.map (fun f -> Datapath.Frame (0, f)) frames)) members
+    List.map (fun m -> feed m (List.map (fun f -> Frame (0, f)) frames)) members
   in
   (* Each member's proposals, as votes at the origin; site 2's for the
      last round is lost. *)
@@ -209,7 +215,7 @@ let test_abcast_burst_flushed () =
            List.filter_map
              (function
                | Datapath.Send (0, (Proto.Ab_prio { uid; _ } as f)) when i = 0 || not (Types.uid_equal uid last) ->
-                 Some (Datapath.Frame (i + 1, f))
+                 Some (Frame (i + 1, f))
                | _ -> None)
              effects)
          (to_members (mcast_frames sent)))
@@ -229,18 +235,19 @@ let test_abcast_burst_flushed () =
     commit_frame ~drop:[ last ] ~stabilize:[] ~finalize:(List.filter (fun (u, _) -> u <> r0) committed) ()
   in
   let next (fl : Flush.state) = { fl with Flush.view = { fl.Flush.view with View.view_id = 2 } } in
-  Alcotest.(check int) "retire delivers nothing twice" 0 (List.length (delivers (feed c [ Datapath.Retire commit ])));
+  let retired = feed c [ Input (Datapath.Retire commit) ] in
+  Alcotest.(check int) "retire delivers nothing twice" 0 (List.length (delivers retired));
   let installed = Datapath.step env (next fl) st (Datapath.Install commit) in
   Alcotest.(check bool) "every owner of the burst settled" true (settled installed = burst);
   Alcotest.(check (pair int int)) "origin clear" (0, 0) (Datapath.unstable st, Datapath.stored st);
   List.iter
     (fun ((menv, mfl, mst) as m) ->
       Alcotest.(check int) "member held the three" 3 (Datapath.stored mst);
-      ignore (feed m [ Datapath.Retire commit ]);
+      ignore (feed m [ Input (Datapath.Retire commit) ]);
       ignore (Datapath.step menv (next mfl) mst (Datapath.Install commit));
       Alcotest.(check int) "member clear" 0 (Datapath.stored mst))
     members;
-  let after = Datapath.step env (next fl) st (send Types.Abcast) in
+  let after = feed (env, next fl, st) [ send Types.Abcast ] in
   Alcotest.(check (list bool)) "the next view's lone round is flagged" [ true ] (ab_flags (mcast_frames after))
 
 (* [body-missing] is a note, not a lost message: a wedge ack lists a
